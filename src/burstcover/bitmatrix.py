@@ -5,6 +5,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def row_reduce(rows, ncols: int) -> tuple[list[int], list[int]]:
+    """Reduced row-echelon form over GF(2) and its pivot columns.
+
+    Rows are ints with bit j = column j.  Pivots are sought only in
+    columns < ncols; bits at or above ncols ride along as an augmented
+    block, so [A | B] reduces to [rref(A) | T*B] for the row operations
+    T that reduce A.  Row i < len(pivots) of the result has its leading
+    one in column pivots[i]; the remaining rows are zero below ncols.
+    """
+    rows = list(rows)
+    pivots = []
+    for col in range(ncols):
+        bit = 1 << col
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(rows)) if rows[i] & bit), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pivot_row = rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i] & bit:
+                rows[i] ^= pivot_row
+        pivots.append(col)
+    return rows, pivots
+
+
 @dataclass(frozen=True)
 class BinaryMatrix:
     rows: int
@@ -64,34 +90,11 @@ class BinaryMatrix:
         return s
 
     def rank(self) -> int:
-        rows = list(self.row_masks)
-        rank = 0
-        for col in range(self.cols):
-            pivot = next((i for i in range(rank, len(rows)) if rows[i] >> col & 1), None)
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            for i in range(len(rows)):
-                if i != rank and rows[i] >> col & 1:
-                    rows[i] ^= rows[rank]
-            rank += 1
-        return rank
+        return len(row_reduce(self.row_masks, self.cols)[1])
 
     def nullspace_basis(self) -> list[int]:
         """Basis vectors v (bit j = coordinate j) with self.mul_vec(v) = 0."""
-        rows = list(self.row_masks)
-        pivot_cols = []
-        rank = 0
-        for col in range(self.cols):
-            pivot = next((i for i in range(rank, len(rows)) if rows[i] >> col & 1), None)
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            for i in range(len(rows)):
-                if i != rank and rows[i] >> col & 1:
-                    rows[i] ^= rows[rank]
-            pivot_cols.append(col)
-            rank += 1
+        rows, pivot_cols = row_reduce(self.row_masks, self.cols)
         free_cols = [c for c in range(self.cols) if c not in pivot_cols]
         basis = []
         for fc in free_cols:

@@ -75,6 +75,21 @@ def _np_tables(ctx: FieldContext):
     return exp, trace
 
 
+def _nonzero_sum(ctx: FieldContext, terms) -> int:
+    """Exact sum of chi(sum c * x^e) over nonzero x, for (c, e) in terms.
+
+    Coefficients c are nonzero field elements, exponents e any integers:
+    at x = alpha^k each term is alpha^(log c + e*k), read from the tables.
+    """
+    n = ctx.n
+    exp_np, trace = _np_tables(ctx)
+    k = np.arange(n, dtype=np.int64)
+    vals = np.zeros(n, dtype=np.int64)
+    for c, e in terms:
+        vals ^= exp_np[(ctx.log[c] + e * k) % n]
+    return int(n - 2 * trace[vals].sum())
+
+
 def char_sum(ctx: FieldContext, form: LaurentExponentForm, domain: str = "nonzero") -> int:
     """Exact sum of chi(f(x)) over the field or its nonzero elements."""
     if domain not in ("all", "nonzero"):
@@ -83,29 +98,10 @@ def char_sum(ctx: FieldContext, form: LaurentExponentForm, domain: str = "nonzer
         raise ValueError("the form has a pole at zero; use domain='nonzero'")
     if any(c > ctx.n for c, _ in form.positive + form.negative):
         raise ValueError("coefficient mask out of range for the field")
-    n = ctx.n
-    exp_np, trace = _np_tables(ctx)
-    k = np.arange(n, dtype=np.int64)
-    vals = np.zeros(n, dtype=np.int64)
-    for c, t in form.positive:
-        vals ^= exp_np[(ctx.log[c] + t * k) % n]
-    for c, u in form.negative:
-        vals ^= exp_np[(ctx.log[c] - u * k) % n]
-    s = int(n - 2 * trace[vals].sum())
+    s = _nonzero_sum(ctx, [*form.positive, *((c, -u) for c, u in form.negative)])
     if domain == "all":
         s += 1  # f(0) = 0 for a polynomial form with positive exponents
     return s
-
-
-def char_sum_poly(ctx: FieldContext, coeffs) -> int:
-    """Sum of chi(f(x)) over all x, f given by field coefficients c_0..c_d."""
-    total = 0
-    for x in range(ctx.n + 1):
-        acc = 0
-        for c in reversed(list(coeffs)):
-            acc = ctx.mul(acc, x) ^ c
-        total += 1 - 2 * ctx.trace(acc)
-    return total
 
 
 @dataclass(frozen=True)
@@ -131,7 +127,9 @@ def wcu_check(ctx: FieldContext, coeffs) -> SumCheck:
     if deg < 1 or deg % 2 == 0:
         return SumCheck(0, 0.0, ok=True, applicable=False,
                         note="degree must be odd and positive in characteristic 2")
-    s = char_sum_poly(ctx, coeffs)
+    # nonzero x term by term, plus chi(c_0) for x = 0
+    s = _nonzero_sum(ctx, [(c, j) for j, c in enumerate(coeffs) if c])
+    s += 1 - 2 * ctx.trace(coeffs[0])
     ok = s * s <= (deg - 1) ** 2 << ctx.m
     return SumCheck(s, (deg - 1) * math.sqrt(2**ctx.m), ok)
 

@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import gf2poly
@@ -36,6 +35,7 @@ from .gf2poly import parse_poly, to_hex, to_terms
 from .lfsr import LfsrSpec, lfsr_sequence, max_zero_run, orbit_representatives, pattern_count
 from .radius import (
     BudgetError,
+    RadiusResult,
     bounds_report,
     cyclic_burst_radius,
     geometric_is_covering,
@@ -149,6 +149,10 @@ def _resolve_code(args):
     return make_cyclic_code(args.n, parse_poly(args.g), args.modulus)
 
 
+def _add_emit(p: argparse.ArgumentParser, default: str):
+    p.add_argument("--emit", choices=["json", "csv", "plain"], default=default)
+
+
 def _emit(payload, fmt: str, plain_renderer=None) -> str:
     if fmt == "json":
         return json.dumps(payload, sort_keys=True, indent=2)
@@ -196,7 +200,6 @@ def _cmd_radius(args) -> int:
         b = 1
         while not geometric_is_covering(code, b):
             b += 1
-        from .radius import RadiusResult
         result = RadiusResult(b=b, method="geometric", witness=0, cyclic=True,
                               n=code.n, r=code.r)
     payload = {"code": code.describe(), **result.to_json()}
@@ -278,11 +281,10 @@ def _cmd_lfsr_stats(args) -> int:
     if args.init:
         inits = [tuple(int(b) for b in args.init.replace(",", ""))]
     elif args.orbit_reps:
-        from .lfsr import LfsrSpec as _S
-        inits = [tuple(lfsr_sequence(_S.from_galois(g, rep), r)) for rep in orbit_representatives(g)]
+        inits = [tuple(lfsr_sequence(LfsrSpec.from_galois(g, rep), r))
+                 for rep in orbit_representatives(g)]
     else:
         raise SystemExit("give --init bits or --orbit-reps")
-    rc = EXIT_OK
     for init in inits:
         spec = LfsrSpec(g, init)
         init_hex = to_hex(sum(b << i for i, b in enumerate(init)))
@@ -296,26 +298,7 @@ def _cmd_lfsr_stats(args) -> int:
             if args.zero_runs:
                 line += f"  Z={max_zero_run(spec)}"
             print(line)
-    return rc
-
-
-def _cmd_verify(args) -> int:
-    which = args.suite
-    if which == "appendix":
-        return _verify_appendix(args)
-    if which == "equivalence":
-        return _verify_equivalence(args)
-    if which == "bounds":
-        return _verify_bounds(args)
-    if which == "patterns":
-        return _verify_patterns(args)
-    if which == "charsums":
-        return _verify_charsums(args)
-    raise SystemExit(f"unknown suite {which!r}")
-
-
-def _print_report(payload, fmt):
-    print(_emit(payload, fmt, lambda p: json.dumps(p, sort_keys=True, indent=2)))
+    return EXIT_OK
 
 
 def _verify_appendix(args) -> int:
@@ -328,7 +311,7 @@ def _verify_appendix(args) -> int:
         "cases_checked": limit * limit,
         "violations": failures,
     }
-    _print_report(payload, args.emit)
+    print(_emit(payload, args.emit))
     return EXIT_OK if not failures else EXIT_BOUND_VIOLATION
 
 
@@ -355,7 +338,7 @@ def _verify_equivalence(args) -> int:
         "cases_checked": checked,
         "violations": mismatches,
     }
-    _print_report(payload, args.emit)
+    print(_emit(payload, args.emit))
     return EXIT_OK if not mismatches else EXIT_BOUND_VIOLATION
 
 
@@ -387,7 +370,7 @@ def _verify_bounds(args) -> int:
         "violations": violations,
         "exactness_candidates_outside_hypotheses": candidates,
     }
-    _print_report(payload, args.emit)
+    print(_emit(payload, args.emit))
     return EXIT_OK if not violations else EXIT_BOUND_VIOLATION
 
 
@@ -438,7 +421,7 @@ def _verify_patterns(args) -> int:
         "violations": [r for r in reports if not r.get("ok", True)],
         "reports": reports,
     }
-    _print_report(payload, args.emit)
+    print(_emit(payload, args.emit))
     return rc
 
 
@@ -470,8 +453,45 @@ def _verify_charsums(args) -> int:
         "violations": [r for r in reports if not r.get("ok", True)],
         "reports": reports,
     }
-    _print_report(payload, args.emit)
+    print(_emit(payload, args.emit))
     return rc
+
+
+# Every suite at full size, run by `verify all`.
+ALL_SUITES = [
+    ["verify", "appendix", "--max", "40"],
+    ["verify", "equivalence", "--nmax", "63"],
+    ["verify", "bounds"],
+    ["verify", "patterns", "--family", "bch", "--m", "6"],
+    ["verify", "patterns", "--family", "melas", "--m", "6"],
+    ["verify", "patterns", "--family", "mixed"],
+    ["verify", "charsums"],
+]
+
+
+def _verify_all(args) -> int:
+    """Run every suite in ALL_SUITES; the worst exit code wins."""
+    worst = EXIT_OK
+    for argv in ALL_SUITES:
+        print(f"$ burstcover {' '.join(argv)}", file=sys.stderr)
+        rc = main(argv)
+        print(f"  -> exit {rc}", file=sys.stderr)
+        worst = max(worst, rc)
+    return worst
+
+
+_SUITES = {
+    "bounds": _verify_bounds,
+    "patterns": _verify_patterns,
+    "charsums": _verify_charsums,
+    "appendix": _verify_appendix,
+    "equivalence": _verify_equivalence,
+    "all": _verify_all,
+}
+
+
+def _cmd_verify(args) -> int:
+    return _SUITES[args.suite](args)
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="burstcover",
         description="burst-covering radius toolkit for binary cyclic codes",
     )
-    parser.add_argument("--workers", type=int,
-                        default=int(os.environ.get("BURSTCOVER_WORKERS", "1")),
-                        help="worker budget (accepted for compatibility; "
-                             "computation is single-process)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("radius", help="compute the burst-covering radius")
@@ -496,19 +512,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-r", type=int, default=24)
     p.add_argument("--dump-matrix", action="store_true",
                    help="print the parity-check matrix, one hex row per line")
-    p.add_argument("--emit", choices=["json", "csv", "plain"], default="plain")
+    _add_emit(p, "plain")
 
     p = sub.add_parser("bounds", help="evaluate every applicable bound")
     _add_code_args(p)
     p.add_argument("--with-radius", action="store_true")
-    p.add_argument("--emit", choices=["json", "csv", "plain"], default="plain")
+    _add_emit(p, "plain")
 
     p = sub.add_parser("cover", help="produce a covering certificate")
     _add_code_args(p)
     p.add_argument("--syndrome", required=True, help="hex syndrome")
     p.add_argument("--bprime", type=int)
     p.add_argument("--debug", action="store_true")
-    p.add_argument("--emit", choices=["json", "csv", "plain"], default="plain")
+    _add_emit(p, "plain")
 
     p = sub.add_parser("table1", help="radii of BCH(2,m) and Melas(m), m=6..11")
     p.add_argument("--m-min", type=int, default=6)
@@ -517,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sensitivity", action="store_true",
                    help="sweep every primitive-modulus class")
     p.add_argument("--no-assert", action="store_true")
-    p.add_argument("--emit", choices=["json", "csv", "plain"], default="plain")
+    _add_emit(p, "plain")
 
     p = sub.add_parser("lfsr-stats", help="dump sequences and pattern counts")
     p.add_argument("--g", required=True)
@@ -530,8 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero-runs", action="store_true")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=["bounds", "patterns", "charsums",
-                                     "appendix", "equivalence"])
+    p.add_argument("suite", choices=list(_SUITES),
+                   help="'all' runs every suite at full size and ignores the options")
     p.add_argument("--max", type=int, help="appendix: max a, b")
     p.add_argument("--nmax", type=int, help="equivalence: max code length")
     p.add_argument("--family", choices=["bch", "melas", "mixed"])
@@ -545,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--laurent-m-max", type=int)
     p.add_argument("--draws", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--emit", choices=["json", "csv", "plain"], default="json")
+    _add_emit(p, "json")
 
     return parser
 
@@ -562,8 +578,6 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
     try:
         return _DISPATCH[args.command](args)
     except BudgetError as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from .bitmatrix import BinaryMatrix, row_reduce
 from .codes import CyclicCode, lc_eval, parity_check_matrix
 from .gf2poly import shift_mod, to_hex
 
@@ -40,24 +41,16 @@ class CoveringCertificate:
         }
 
 
-def _invert_leading_block(code: CyclicCode) -> list[int]:
-    """Rows of the inverse of the first-r-columns basis matrix."""
-    H = parity_check_matrix(code)
-    r = code.r
-    rows = []
-    for i in range(r):
-        mask = 0
-        for j in range(r):
-            mask |= (H.row_masks[i] >> j & 1) << j
-        rows.append((mask, 1 << i))
-    # eliminate [A | I] into [I | A^-1]
-    for col in range(r):
-        pivot = next(i for i in range(col, r) if rows[i][0] >> col & 1)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for i in range(r):
-            if i != col and rows[i][0] >> col & 1:
-                rows[i] = (rows[i][0] ^ rows[col][0], rows[i][1] ^ rows[col][1])
-    return [aug for _, aug in rows]
+def _invert_leading_block(H: BinaryMatrix) -> list[int]:
+    """Rows of the inverse of the block of the first H.rows columns."""
+    r = H.rows
+    low = (1 << r) - 1
+    # reduce [A | I] to [I | A^-1]
+    reduced, pivots = row_reduce(
+        [(m & low) | 1 << (r + i) for i, m in enumerate(H.row_masks)], r)
+    if len(pivots) < r:
+        raise ValueError("singular system")
+    return [row >> r for row in reduced]
 
 
 class CoverSolver:
@@ -65,7 +58,7 @@ class CoverSolver:
 
     def __init__(self, code: CyclicCode):
         self.code = code
-        self.inv_rows = _invert_leading_block(code)
+        self.inv_rows = _invert_leading_block(parity_check_matrix(code))
 
     def solve_basis(self, x: int) -> int:
         """The load f, deg(f) < r, whose window at 0 evaluates to x."""

@@ -308,7 +308,3 @@ def parse_poly(s) -> int:
         return int(s)
     return _from_terms(s)
 
-
-def poly_json(a: int) -> dict:
-    """Polynomial rendered for reports: hex mask plus human form."""
-    return {"hex": to_hex(a), "terms": to_terms(a)}

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gf2poly
+from .bitmatrix import row_reduce
 from .field import FieldElement, find_root, get_context
 from .gf2poly import gcd, is_square_free, poly_order, quot, shift_mod
 
@@ -197,6 +198,32 @@ def window_histogram(g: int, load: int, s: int, window_length: int) -> list[int]
     return counts
 
 
+def _orbit_minima(g: int):
+    """Yield the smallest member of every orbit of nonzero residues mod g.
+
+    Walks each orbit under f -> X*f mod g exactly once, in increasing
+    order of the smallest unvisited integer.  That integer is the minimum
+    of its own orbit (anything smaller is already visited), so the walk
+    only has to mark visits.  The shift is written inline: this loop runs
+    once per residue, 2^deg(g) times in all.  The caller guarantees g
+    square-free with g(0) = 1, so every orbit returns to its start.
+    """
+    size = 1 << (g.bit_length() - 1)
+    seen = bytearray(size)
+    for start in range(1, size):
+        if seen[start]:
+            continue
+        yield start
+        f = start
+        while True:
+            seen[f] = 1
+            f <<= 1
+            if f & size:
+                f ^= g
+            if f == start:
+                break
+
+
 def orbit_representatives(g: int) -> list[int]:
     """One representative per orbit of nonzero loads under f -> X*f mod g.
 
@@ -207,21 +234,7 @@ def orbit_representatives(g: int) -> list[int]:
         raise ValueError("g must have nonzero constant term")
     if not is_square_free(g):
         raise ValueError("g must be square-free")
-    r = g.bit_length() - 1
-    size = 1 << r
-    seen = bytearray(size)
-    reps = []
-    for start in range(1, size):
-        if seen[start]:
-            continue
-        reps.append(start)
-        f = start
-        while True:
-            seen[f] = 1
-            f = shift_mod(f, g)
-            if f == start:
-                break
-    return reps
+    return list(_orbit_minima(g))
 
 
 def orbit_size(g: int, f: int) -> int:
@@ -304,26 +317,15 @@ def regenerate_from_trace(gammas, length: int) -> list[int]:
 
 
 def _solve_gf2(rows, width: int) -> int:
-    """Solve row-masks * x = rhs over GF(2); rows are (mask, rhs) pairs."""
-    rows = [list(t) for t in rows]
-    pivots = []
-    for col in range(width):
-        pivot = None
-        for i in range(len(pivots), len(rows)):
-            if rows[i][0] >> col & 1:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("singular system")
-        i = len(pivots)
-        rows[i], rows[pivot] = rows[pivot], rows[i]
-        for j in range(len(rows)):
-            if j != i and rows[j][0] >> col & 1:
-                rows[j][0] ^= rows[i][0]
-                rows[j][1] ^= rows[i][1]
-        pivots.append(col)
+    """Solve row-masks * x = rhs over GF(2); rows are (mask, rhs) pairs.
+
+    Masks have bits below `width` only; the right-hand side rides along
+    in bit `width` of the augmented row.
+    """
+    reduced, pivots = row_reduce([mask | rhs << width for mask, rhs in rows], width)
+    if len(pivots) < width:
+        raise ValueError("singular system")
     x = 0
-    for i, col in enumerate(pivots):
-        if rows[i][1]:
-            x |= 1 << col
+    for i in range(width):
+        x |= (reduced[i] >> width & 1) << i
     return x

@@ -2,7 +2,8 @@
 
 Three independent methods compute the radius:
 
-* orbit: walk every orbit of nonzero residues under f -> X*f mod g.
+* orbit: walk every orbit of nonzero residues under f -> X*f mod g
+  with the `lfsr` orbit walker, the one behind orbit_representatives.
   Along an orbit the Galois-state degree at step k is r-1 minus the
   zero-run length of the dual sequence starting at k, so the radius is
   (max over orbits of the min state degree) + 1.
@@ -28,7 +29,8 @@ import numpy as np
 from . import gf2poly
 from .bitmatrix import BinaryMatrix
 from .codes import CyclicCode, codewords
-from .gf2poly import poly_order, to_hex, to_terms
+from .gf2poly import poly_order, shift_mod, to_hex, to_terms
+from .lfsr import _orbit_minima
 
 
 class BudgetError(RuntimeError):
@@ -56,69 +58,30 @@ class RadiusResult:
         }
 
 
-def _scan_orbits(g: int) -> tuple[int, int]:
-    """(max over orbits of the min residue degree, witness representative).
-
-    Walks each orbit of the nonzero residues mod g exactly once, in
-    increasing order of the smallest unvisited integer.  That integer is
-    the minimum of its own orbit (anything smaller is already visited),
-    so its degree is the orbit's min degree and the inner loop only has
-    to mark visits.  The first orbit attaining the final maximum yields
-    the witness, the smallest representative among the attainers.
-    """
-    r = g.bit_length() - 1
-    size = 1 << r
-    seen = bytearray(size)
-    best_bits = 0
-    witness = 0
-    for start in range(1, size):
-        if seen[start]:
-            continue
-        if start.bit_length() > best_bits:
-            best_bits = start.bit_length()
-            witness = start
-        f = start
-        while True:
-            seen[f] = 1
-            f <<= 1
-            if f & size:
-                f ^= g
-            if f == start:
-                break
-    return best_bits - 1, witness
-
-
 def cyclic_burst_radius(code: CyclicCode, max_r: int = 26) -> RadiusResult:
     """Exact radius of a cyclic code by the orbit walk.
 
     The min residue degree along an orbit is attained at the orbit's
-    smallest member, so tracking the integer minimum suffices.
+    smallest member, so the walker's orbit minima suffice.  They arrive
+    in increasing order, so the first one of the final maximal degree is
+    the witness, the smallest representative among the attainers.
     """
     if code.r > max_r:
         raise BudgetError(f"orbit walk over 2^{code.r} states exceeds max_r={max_r}")
-    maxmin, witness = _scan_orbits(code.g)
+    best_bits = 0
+    witness = 0
+    for rep in _orbit_minima(code.g):
+        if rep.bit_length() > best_bits:
+            best_bits = rep.bit_length()
+            witness = rep
     return RadiusResult(
-        b=maxmin + 1,
+        b=best_bits,
         method="orbit",
         witness=witness,
         cyclic=True,
         n=code.n,
         r=code.r,
     )
-
-
-def min_zero_run_over_states(g: int, max_r: int = 26) -> tuple[int, int]:
-    """Min over nonzero initial states of the max cyclic zero run.
-
-    Returns (value, witness load).  Equals deg(g) - radius.
-    """
-    r = g.bit_length() - 1
-    if r < 1 or g & 1 == 0:
-        raise ValueError("need a monic g with nonzero constant term")
-    if r > max_r:
-        raise BudgetError(f"orbit walk over 2^{r} states exceeds max_r={max_r}")
-    maxmin, witness = _scan_orbits(g)
-    return r - 1 - maxmin, witness
 
 
 def _closure(cols) -> np.ndarray:
@@ -186,25 +149,27 @@ def _burst_patterns(n: int, b: int) -> np.ndarray:
 def geometric_is_covering(code_or_matrix, b: int, max_n: int = 20,
                           max_work: int = 1 << 27) -> bool:
     """Exhaustive check that burst balls of size b around codewords cover F_2^n."""
-    if isinstance(code_or_matrix, CyclicCode):
+    is_code = isinstance(code_or_matrix, CyclicCode)
+    if is_code:
         code = code_or_matrix
         n, r = code.n, code.r
-        cw = list(codewords(code))
     else:
         H = code_or_matrix
         n, r = H.cols, H.rows
         if H.rank() != r:
             raise ValueError("matrix is rank deficient")
-        basis = H.nullspace_basis()
-        cw = [0]
-        for v in basis:
-            cw.extend(c ^ v for c in list(cw))
     if r < 1:
         raise ValueError("the full space is not a covering code instance")
     if n > max_n:
         raise ValueError(f"exhaustive space 2^{n} exceeds max_n={max_n}")
     if b >= n:
         return True
+    if is_code:
+        cw = list(codewords(code))
+    else:
+        cw = [0]
+        for v in H.nullspace_basis():
+            cw.extend(c ^ v for c in list(cw))
     pats = _burst_patterns(n, b)
     if len(cw) * len(pats) > max_work:
         raise BudgetError("codeword/pattern product exceeds the budget")
@@ -488,8 +453,6 @@ def witness_recheck(code: CyclicCode, result: RadiusResult) -> bool:
     Equivalently no window of size b - 1 can produce the syndrome of the
     witness load, certifying tightness of the computed radius.
     """
-    from .gf2poly import shift_mod
-
     f = result.witness
     start = f
     mind = f

@@ -1,0 +1,44 @@
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from burstcover.bitmatrix import BinaryMatrix
+from burstcover.covering import _invert_leading_block
+from burstcover.lfsr import _solve_gf2
+
+
+@st.composite
+def matrices(draw, max_rows=8, max_cols=10):
+    rows = draw(st.integers(min_value=1, max_value=max_rows))
+    cols = draw(st.integers(min_value=1, max_value=max_cols))
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << cols) - 1),
+                          min_size=rows, max_size=rows))
+    return BinaryMatrix(rows, cols, tuple(masks))
+
+
+@given(matrices())
+@settings(max_examples=80, deadline=None)
+def test_rank_nullity_and_kernel(M):
+    basis = M.nullspace_basis()
+    assert M.rank() + len(basis) == M.cols
+    assert all(M.mul_vec(v) == 0 for v in basis)
+    assert BinaryMatrix.from_rows(basis, M.cols).rank() == len(basis)
+
+
+@given(matrices(max_rows=8, max_cols=8), st.integers(min_value=0, max_value=255))
+@settings(max_examples=80, deadline=None)
+def test_solve_and_invert_square_systems(M, x):
+    r = M.rows
+    A = BinaryMatrix(r, r, tuple(m & ((1 << r) - 1) for m in M.row_masks))
+    x &= (1 << r) - 1
+    b = A.mul_vec(x)
+    rows = [(m, b >> i & 1) for i, m in enumerate(A.row_masks)]
+    if A.rank() < r:
+        with pytest.raises(ValueError, match="singular system"):
+            _solve_gf2(rows, r)
+        with pytest.raises(ValueError, match="singular system"):
+            _invert_leading_block(M)
+        return
+    assert _solve_gf2(rows, r) == x
+    inv = BinaryMatrix(r, r, tuple(_invert_leading_block(M)))
+    assert all(inv.mul_vec(A.column(j)) == 1 << j for j in range(r))
+

@@ -118,6 +118,24 @@ def test_wcu_matches_scalar_oracle():
     assert res.sum == oracle
 
 
+@given(st.integers(min_value=2, max_value=6), st.sampled_from([1, 3, 5]),
+       st.lists(st.integers(min_value=0, max_value=63), min_size=6, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_wcu_sum_matches_scalar_oracle_any_polynomial(m, deg, raw):
+    ctx = get_context(m)
+    mod = default_modulus(m)
+    coeffs = [c & ctx.n for c in raw[:deg]] + [(raw[deg] & ctx.n) or 1]
+
+    def f(x):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = gf2poly.rem(gf2poly.mul(acc, x), mod) ^ c
+        return acc
+
+    oracle = _char_sum_oracle(m, f) + (1 - 2 * ctx.trace(coeffs[0]))
+    assert wcu_check(ctx, coeffs).sum == oracle
+
+
 def test_laurent_kloosterman_shape():
     ctx = get_context(8)
     for a, b in ((1, 1), (2, 77), (130, 9)):

@@ -68,22 +68,11 @@ CASES = {
 }
 
 
-def run_case(argv, entry=main) -> tuple[int, str, str]:
+def run_case(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = entry(list(argv))
+        rc = main(list(argv))
     return rc, out.getvalue(), err.getvalue()
-
-
-def run_verify_all() -> tuple[int, str, str]:
-    """Every verification suite at full size, as scripts/verify_all.py runs them."""
-    import importlib.util
-
-    path = Path(__file__).parents[1] / "scripts" / "verify_all.py"
-    spec = importlib.util.spec_from_file_location("verify_all", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return run_case([], lambda _argv: mod.main())
 
 
 def _exit_codes() -> dict:
@@ -99,7 +88,7 @@ def test_golden_output(name):
 
 
 def test_golden_verify_all():
-    rc, out, err = run_verify_all()
+    rc, out, err = run_case(["verify", "all"])
     assert out.encode() == (GOLDEN / "verify_all.out").read_bytes()
     assert err.encode() == (GOLDEN / "verify_all.err").read_bytes()
     assert rc == _exit_codes()["verify_all"]
@@ -112,7 +101,7 @@ def write_fixtures():
         rc, out, _ = run_case(argv)
         (GOLDEN / f"{name}.out").write_bytes(out.encode())
         codes[name] = rc
-    rc, out, err = run_verify_all()
+    rc, out, err = run_case(["verify", "all"])
     (GOLDEN / "verify_all.out").write_bytes(out.encode())
     (GOLDEN / "verify_all.err").write_bytes(err.encode())
     codes["verify_all"] = rc

@@ -214,6 +214,31 @@ def test_orbit_closure():
         assert f == rep
 
 
+square_free_moduli = st.builds(
+    lambda d, low: monic(d, low | 1),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=(1 << 12) - 1),
+).filter(gf2poly.is_square_free)
+
+
+@given(square_free_moduli)
+@settings(max_examples=40, deadline=None)
+def test_orbit_walker_matches_shift_mod_minima(g):
+    minima = set()
+    seen = set()
+    for f in range(1, 1 << (g.bit_length() - 1)):
+        if f in seen:
+            continue
+        orbit = [f]
+        x = gf2poly.shift_mod(f, g)
+        while x != f:
+            orbit.append(x)
+            x = gf2poly.shift_mod(x, g)
+        seen.update(orbit)
+        minima.add(min(orbit))
+    assert orbit_representatives(g) == sorted(minima)
+
+
 def test_orbit_rejects_bad_polys():
     with pytest.raises(ValueError):
         orbit_representatives(0b10)  # X | g

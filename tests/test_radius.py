@@ -14,7 +14,6 @@ from burstcover.radius import (
     matrix_burst_radius,
     min_length_cyclic,
     min_length_noncyclic,
-    min_zero_run_over_states,
     syndrome_census,
     witness_recheck,
 )
@@ -88,12 +87,6 @@ def test_orbit_witness_recheck():
         assert witness_recheck(code, res)
 
 
-def test_min_zero_run_ties_to_radius():
-    code = make_bch(2, 6)
-    z, _ = min_zero_run_over_states(code.g)
-    assert z == code.r - cyclic_burst_radius(code).b
-
-
 def test_cyclic_matches_matrix_on_sample():
     for code in (make_bch(2, 4), make_melas(4), make_cyclic_code(21, mul(0b111, 0xB))):
         b_orbit = cyclic_burst_radius(code).b
@@ -145,10 +138,21 @@ def test_geometric_from_matrix():
     assert not geometric_is_covering(EXT_HAMMING, b - 1)
 
 
-def test_geometric_rejects_large_space():
-    code = make_bch(2, 5)
-    with pytest.raises(ValueError):
-        geometric_is_covering(code, 3, max_n=20)
+def test_geometric_rejects_large_space(monkeypatch):
+    import burstcover.radius as radius_mod
+
+    def no_enumeration(code):
+        raise AssertionError("codewords enumerated before the max_n check")
+
+    monkeypatch.setattr(radius_mod, "codewords", no_enumeration)
+    for code in (make_bch(2, 5), make_bch(2, 6)):
+        with pytest.raises(ValueError):
+            geometric_is_covering(code, 3, max_n=20)
+
+
+def test_orbit_budget_guard():
+    with pytest.raises(BudgetError):
+        cyclic_burst_radius(make_bch(2, 6), max_r=11)
 
 
 def test_census_totals_and_coverage():
@@ -251,13 +255,6 @@ def test_census_matches_naive_count():
             hist[c] = hist.get(c, 0) + 1
         assert census.histogram == hist
         assert census.zero_syndrome_multiplicity == naive[0]
-
-
-def test_min_zero_run_over_states_guards():
-    with pytest.raises(ValueError):
-        min_zero_run_over_states(0b10)  # X divides
-    with pytest.raises(BudgetError):
-        min_zero_run_over_states((1 << 27) | 1, max_r=26)
 
 
 def test_min_length_formulas():
