@@ -32,7 +32,7 @@ from .covering import (
     burst_cover,
     verify_certificate,
 )
-from .field import FieldContext, FieldElement, field_trace, get_context, minimal_polynomial
+from .field import FieldContext, get_context, minimal_polynomial
 from .gf2poly import NEG_INF, classify, degree, parse_poly, poly_order, to_hex, to_terms
 from .lfsr import (
     LfsrSpec,

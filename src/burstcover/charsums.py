@@ -232,16 +232,12 @@ def _as_code(code_or_g) -> CyclicCode:
     return make_cyclic_code(poly_order(g), g)
 
 
-def pattern_theorem_check(code_or_g, variant: str, s: int,
-                          check_corollary: bool = True,
-                          all_loads: bool = False) -> FrequencyReport:
+def pattern_theorem_check(code_or_g, variant: str, s: int) -> FrequencyReport:
     """Sharper pattern bounds for equal-degree connection polynomials.
 
     Counts every length-s pattern in a window of 2^m - 1 terms of every
     nonzero sequence.  One orbit representative per cyclic shift class
-    suffices because counts over a full window are shift invariant;
-    all_loads=True disables that optimization and sweeps every nonzero
-    initial load.
+    suffices because counts over a full window are shift invariant.
 
     variant "equal_degree" uses bound (1 - 2^-s)((max t - 1) 2^(m/2) + 1)
     with all root exponents made odd positive; it needs max t >= 3.
@@ -274,7 +270,7 @@ def pattern_theorem_check(code_or_g, variant: str, s: int,
         # |2^s N - (2^m - 1)| <= (2^s - 1)((t_max - 1) 2^(m/2) + 1)
         slack = (1 << s) - 1
         main_sq = (slack * (t_max - 1)) ** 2 << m
-        guaranteed = _guaranteed_pattern_length(m, t_max - 1) if check_corollary else None
+        guaranteed = _guaranteed_pattern_length(m, t_max - 1)
 
         def within(dev: int) -> bool:
             d = abs(dev) - slack
@@ -294,7 +290,7 @@ def pattern_theorem_check(code_or_g, variant: str, s: int,
         t_max, u_max = max(ts), max(us)
         slack = (1 << s) - 1
         main_sq = (slack * (t_max + u_max)) ** 2 << m
-        guaranteed = _guaranteed_pattern_length(m, t_max + u_max) if check_corollary else None
+        guaranteed = _guaranteed_pattern_length(m, t_max + u_max)
 
         def within(dev: int) -> bool:
             return dev * dev <= main_sq
@@ -311,10 +307,7 @@ def pattern_theorem_check(code_or_g, variant: str, s: int,
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    if all_loads:
-        reps = range(1, 1 << code.r)
-    else:
-        reps = orbit_representatives(code.g)
+    reps = orbit_representatives(code.g)
     violations = []
     misses = []
     cases = 0
@@ -328,7 +321,7 @@ def pattern_theorem_check(code_or_g, variant: str, s: int,
                 violations.append((rep, y, counts[y]))
             if stronger is not None and not within_stronger(dev):
                 seq_ok_stronger = False
-            if guaranteed is not None and s <= guaranteed and counts[y] == 0:
+            if s <= guaranteed and counts[y] == 0:
                 misses.append((rep, y))
         if stronger is not None and seq_ok_stronger:
             stronger += 1

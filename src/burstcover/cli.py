@@ -1,8 +1,9 @@
 """Command-line surface: radius, bounds, cover, table1, lfsr-stats, verify.
 
 Exit codes: 0 all assertions pass, 2 bound violation, 3 fixture
-mismatch, 4 budget exceeded.  JSON output is deterministic for a fixed
-configuration and seed (keys sorted, no timestamps).
+mismatch, 4 budget exceeded, 64 usage error (a bad option or input;
+stderr ends in one `error:` line).  JSON output is deterministic for a
+fixed configuration and seed (keys sorted, no timestamps).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .field import primitive_moduli
 from .gf2poly import parse_poly, to_hex, to_terms
 from .lfsr import LfsrSpec, lfsr_sequence, max_zero_run, orbit_representatives, pattern_count
 from .radius import (
+    MAX_R,
     BudgetError,
     RadiusResult,
     bounds_report,
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 2
 EXIT_FIXTURE_MISMATCH = 3
 EXIT_BUDGET = 4
+EXIT_USAGE = 64  # sysexits EX_USAGE
 
 # Expected exact radii and floored upper bounds for the two families,
 # m = 6..11; regression fixture for the table1 command.
@@ -133,19 +136,19 @@ def _add_code_args(p: argparse.ArgumentParser):
 def _resolve_code(args):
     sources = [args.code is not None, args.family is not None]
     if sum(sources) != 1:
-        raise SystemExit("specify exactly one code source: --code or --family")
+        raise ValueError("specify exactly one code source: --code or --family")
     if args.code:
         return load_descriptor(args.code)
     if args.family == "bch":
         if args.e is None or args.m is None:
-            raise SystemExit("--family bch needs --e and --m")
+            raise ValueError("--family bch needs --e and --m")
         return make_bch(args.e, args.m, args.modulus)
     if args.family == "melas":
         if args.m is None:
-            raise SystemExit("--family melas needs --m")
+            raise ValueError("--family melas needs --m")
         return make_melas(args.m, args.modulus)
     if args.n is None or args.g is None:
-        raise SystemExit("--family generic needs --n and --g")
+        raise ValueError("--family generic needs --n and --g")
     return make_cyclic_code(args.n, parse_poly(args.g), args.modulus)
 
 
@@ -188,13 +191,12 @@ def _cmd_radius(args) -> int:
         for line in parity_check_matrix(code).hex_rows():
             print(line)
         return EXIT_OK
-    cyclic = not args.linear
     if args.method == "orbit":
-        if not cyclic:
-            raise SystemExit("the orbit method computes the cyclic radius")
-        result = cyclic_burst_radius(code)
+        if args.linear:
+            raise ValueError("the orbit method computes the cyclic radius")
+        result = cyclic_burst_radius(code, max_r=args.max_r)
     elif args.method == "matrix":
-        result = matrix_burst_radius(parity_check_matrix(code), cyclic=cyclic,
+        result = matrix_burst_radius(parity_check_matrix(code), cyclic=not args.linear,
                                      max_r=args.max_r)
     else:
         b = 1
@@ -233,7 +235,7 @@ def _cmd_bounds(args) -> int:
                 lines.append(f"  VIOLATION: {v}")
         return "\n".join(lines)
 
-    print(_emit(payload, args.emit if args.emit != "csv" else "json", render))
+    print(_emit(payload, args.emit, render))
     return rc
 
 
@@ -253,7 +255,7 @@ def _cmd_cover(args) -> int:
 
 def _cmd_table1(args) -> int:
     if not 6 <= args.m_min <= args.m_max <= 11:
-        raise SystemExit("table1 covers 6 <= m <= 11")
+        raise ValueError("table1 covers 6 <= m <= 11")
     rows = compute_table1(args.m_min, args.m_max, args.modulus, args.sensitivity)
 
     def render(rows):
@@ -284,7 +286,7 @@ def _cmd_lfsr_stats(args) -> int:
         inits = [tuple(lfsr_sequence(LfsrSpec.from_galois(g, rep), r))
                  for rep in orbit_representatives(g)]
     else:
-        raise SystemExit("give --init bits or --orbit-reps")
+        raise ValueError("give --init bits or --orbit-reps")
     for init in inits:
         spec = LfsrSpec(g, init)
         init_hex = to_hex(sum(b << i for i, b in enumerate(init)))
@@ -301,18 +303,20 @@ def _cmd_lfsr_stats(args) -> int:
     return EXIT_OK
 
 
+def _suite_report(args, theorem, hypotheses, cases, violations, **extra) -> int:
+    """Print a suite's payload; exit 2 exactly when it has violations."""
+    payload = {"theorem": theorem, "hypotheses": hypotheses,
+               "cases_checked": cases, "violations": violations, **extra}
+    print(_emit(payload, args.emit))
+    return EXIT_BOUND_VIOLATION if violations else EXIT_OK
+
+
 def _verify_appendix(args) -> int:
     limit = args.max or 40
     failures = [(a, b) for a in range(1, limit + 1) for b in range(1, limit + 1)
                 if not gcd_power_inequality_check(a, b)]
-    payload = {
-        "theorem": "power-gap inequality",
-        "hypotheses": {"a_max": limit, "b_max": limit},
-        "cases_checked": limit * limit,
-        "violations": failures,
-    }
-    print(_emit(payload, args.emit))
-    return EXIT_OK if not failures else EXIT_BOUND_VIOLATION
+    return _suite_report(args, "power-gap inequality", {"a_max": limit, "b_max": limit},
+                         limit * limit, failures)
 
 
 def _verify_equivalence(args) -> int:
@@ -332,14 +336,8 @@ def _verify_equivalence(args) -> int:
                 b_orbit > 1 and geometric_is_covering(entry.code, b_orbit - 1)
             ):
                 mismatches.append({"code": entry.name, "geometric": "threshold mismatch"})
-    payload = {
-        "theorem": "radius method equivalence",
-        "hypotheses": {"n_max": nmax},
-        "cases_checked": checked,
-        "violations": mismatches,
-    }
-    print(_emit(payload, args.emit))
-    return EXIT_OK if not mismatches else EXIT_BOUND_VIOLATION
+    return _suite_report(args, "radius method equivalence", {"n_max": nmax},
+                         checked, mismatches)
 
 
 def _verify_bounds(args) -> int:
@@ -363,20 +361,12 @@ def _verify_bounds(args) -> int:
             if (ent is not None and not ent.applicable and both_prim
                     and d1 < d2 and b == d2 + 1):
                 candidates.append({"code": entry.name, "b": b})
-    payload = {
-        "theorem": "bound sandwich",
-        "hypotheses": {"codes": checked},
-        "cases_checked": checked,
-        "violations": violations,
-        "exactness_candidates_outside_hypotheses": candidates,
-    }
-    print(_emit(payload, args.emit))
-    return EXIT_OK if not violations else EXIT_BOUND_VIOLATION
+    return _suite_report(args, "bound sandwich", {"codes": checked}, checked, violations,
+                         exactness_candidates_outside_hypotheses=candidates)
 
 
 def _verify_patterns(args) -> int:
     reports = []
-    rc = EXIT_OK
     family = args.family or "bch"
     if family in ("bch", "melas"):
         m = args.m or 6
@@ -384,10 +374,7 @@ def _verify_patterns(args) -> int:
         variant = "equal_degree" if family == "bch" else "melas_mixed"
         s_max = args.s_max or m
         for s in range(1, s_max + 1):
-            rep = pattern_theorem_check(code, variant, s)
-            reports.append(rep.to_json())
-            if rep.applicable and not rep.ok:
-                rc = EXIT_BOUND_VIOLATION
+            reports.append(pattern_theorem_check(code, variant, s).to_json())
         if args.find_avoidance:
             from .charsums import find_avoidance_witness
 
@@ -413,29 +400,16 @@ def _verify_patterns(args) -> int:
                     if rep.violations:
                         reports.append({"code": entry.name, "load": rep_load,
                                         **rep.to_json()})
-                        rc = EXIT_BOUND_VIOLATION
-    payload = {
-        "theorem": f"pattern frequencies ({family})",
-        "hypotheses": {"family": family, "m": args.m, "s_max": args.s_max},
-        "cases_checked": cases,
-        "violations": [r for r in reports if not r.get("ok", True)],
-        "reports": reports,
-    }
-    print(_emit(payload, args.emit))
-    return rc
+    return _suite_report(args, f"pattern frequencies ({family})",
+                         {"family": family, "m": args.m, "s_max": args.s_max}, cases,
+                         [r for r in reports if not r.get("ok", True)], reports=reports)
 
 
 def _verify_charsums(args) -> int:
     m_max = args.m_max or 8
     draws = args.draws or 200
     seed = args.seed if args.seed is not None else 0
-    reports = []
-    rc = EXIT_OK
-    for m in range(2, m_max + 1):
-        rep = wcu_family_check(m)
-        reports.append(rep.to_json())
-        if not rep.ok:
-            rc = EXIT_BOUND_VIOLATION
+    reports = [wcu_family_check(m).to_json() for m in range(2, m_max + 1)]
     cases = sum(r["cases_checked"] for r in reports)
     for m in range(2, (args.laurent_m_max or 10) + 1):
         for t in (1, 3, 5):
@@ -444,17 +418,10 @@ def _verify_charsums(args) -> int:
                 cases += rep.cases_checked
                 if not rep.ok:
                     reports.append(rep.to_json())
-                    rc = EXIT_BOUND_VIOLATION
-    payload = {
-        "theorem": "character-sum bounds",
-        "hypotheses": {"m_max": m_max, "draws": draws, "seed": seed,
-                       "laurent_violations_only": True},
-        "cases_checked": cases,
-        "violations": [r for r in reports if not r.get("ok", True)],
-        "reports": reports,
-    }
-    print(_emit(payload, args.emit))
-    return rc
+    return _suite_report(args, "character-sum bounds",
+                         {"m_max": m_max, "draws": draws, "seed": seed,
+                          "laurent_violations_only": True},
+                         cases, [r for r in reports if not r["ok"]], reports=reports)
 
 
 # Every suite at full size, run by `verify all`.
@@ -506,10 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radius", help="compute the burst-covering radius")
     _add_code_args(p)
     p.add_argument("--method", choices=["orbit", "matrix", "geometric"], default="orbit")
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--cyclic", action="store_true", help="cyclic windows (default)")
-    grp.add_argument("--linear", action="store_true", help="non-cyclic windows")
-    p.add_argument("--max-r", type=int, default=24)
+    p.add_argument("--linear", action="store_true",
+                   help="non-cyclic windows (matrix method); cyclic by default")
+    p.add_argument("--max-r", type=int, default=MAX_R,
+                   help="largest redundancy r whose 2^r table is built")
     p.add_argument("--dump-matrix", action="store_true",
                    help="print the parity-check matrix, one hex row per line")
     _add_emit(p, "plain")
@@ -552,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, help="equivalence: max code length")
     p.add_argument("--family", choices=["bch", "melas", "mixed"])
     p.add_argument("--m", type=int)
-    p.add_argument("--e", type=int)
     p.add_argument("--s-max", type=int)
     p.add_argument("--find-avoidance", type=int, metavar="S",
                    help="also search for a sequence missing some length-S "
@@ -577,7 +543,11 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code; the only exit path."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage and its `error:` line
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return _DISPATCH[args.command](args)
     except BudgetError as exc:
@@ -586,6 +556,9 @@ def main(argv=None) -> int:
     except ThresholdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND_VIOLATION
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

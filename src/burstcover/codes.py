@@ -254,16 +254,54 @@ def code_to_descriptor(code: CyclicCode) -> dict:
     }
 
 
+_FAMILY_ARITY = {"bch": 2, "melas": 1, "generic": 0}
+
+
+def _descriptor_value(desc: dict, key: str):
+    """desc[key], or None; hex fields parsed, so that 0x1a matches 0x1A."""
+    value = desc.get(key)
+    if value is None or not key.endswith("_hex"):
+        return value
+    try:
+        return parse_poly(value)
+    except (AttributeError, TypeError, ValueError):
+        raise ValueError(f"descriptor key {key!r}: {value!r} is not a polynomial") from None
+
+
 def code_from_descriptor(desc: dict) -> CyclicCode:
+    """Rebuild a code, then check every field the descriptor gives against it.
+
+    bch and melas codes are built from `params`, generic ones from `n` and
+    `g_hex`.  Each of `params`, `n`, `r`, `g_hex` and `modulus_hex` that the
+    descriptor gives (null counts as absent) must match the rebuilt code,
+    so a descriptor never loads as a different code.
+    """
+    if not isinstance(desc, dict):
+        raise ValueError("a code descriptor is a JSON object")
     family = desc.get("family", "generic")
-    modulus = desc.get("modulus_hex")
-    if family == "bch":
-        e, m = desc["params"]
-        return make_bch(e, m, modulus)
-    if family == "melas":
-        (m,) = desc["params"]
-        return make_melas(m, modulus)
-    return make_cyclic_code(desc["n"], parse_poly(desc["g_hex"]), modulus)
+    if family not in _FAMILY_ARITY:
+        raise ValueError(f"descriptor key 'family': unknown family {family!r}")
+    modulus = _descriptor_value(desc, "modulus_hex")
+    if family == "generic":
+        n, g = desc.get("n"), _descriptor_value(desc, "g_hex")
+        if not isinstance(n, int) or g is None:
+            raise ValueError("descriptor keys 'n' (an integer) and 'g_hex' "
+                             "are required for a generic code")
+        code = make_cyclic_code(n, g, modulus)
+    else:
+        params = desc.get("params")
+        if not (isinstance(params, list) and len(params) == _FAMILY_ARITY[family]
+                and all(isinstance(p, int) for p in params)):
+            raise ValueError(f"descriptor key 'params': {family} needs "
+                             f"{_FAMILY_ARITY[family]} integers, got {params!r}")
+        code = (make_bch if family == "bch" else make_melas)(*params, modulus)
+    built = code_to_descriptor(code)
+    for key in ("params", "n", "r", "g_hex", "modulus_hex"):
+        given = _descriptor_value(desc, key)
+        if given is not None and given != _descriptor_value(built, key):
+            raise ValueError(f"descriptor key {key!r} is {desc[key]!r}, "
+                             f"but the code it describes has {built[key]!r}")
+    return code
 
 
 def load_descriptor(path) -> CyclicCode:

@@ -4,7 +4,7 @@ A FieldContext wraps an irreducible modulus of degree m and exposes
 table-driven multiplication: exp/log tables over a generator of the
 multiplicative group, and a trace mask so that Tr(v) is the parity of
 popcount(v & trace_mask).  Elements are plain ints (their coefficient
-masks); FieldElement is a thin wrapper for API-level code.
+masks).
 
 The default modulus for each m is the lexicographically smallest
 primitive polynomial of degree m, where coefficient strings compare as
@@ -152,13 +152,6 @@ class FieldContext:
             raise ValueError("zero has no discrete log")
         return self.log[a]
 
-    def element(self, value) -> FieldElement:
-        return FieldElement(self, gf2poly.parse_poly(value))
-
-    @property
-    def alpha(self) -> FieldElement:
-        return FieldElement(self, X if self.m > 1 else 1)
-
     def __eq__(self, other):
         return isinstance(other, FieldContext) and other.modulus == self.modulus
 
@@ -178,74 +171,6 @@ def get_context(m: int) -> FieldContext:
 @functools.lru_cache(maxsize=None)
 def context_for_modulus(modulus: int) -> FieldContext:
     return FieldContext(modulus)
-
-
-class FieldElement:
-    """An element of a FieldContext, wrapping its coefficient mask."""
-
-    __slots__ = ("ctx", "value")
-
-    def __init__(self, ctx: FieldContext, value: int):
-        if not 0 <= value <= ctx.n:
-            raise ValueError("element mask out of range for the field")
-        self.ctx = ctx
-        self.value = value
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.ctx != self.ctx:
-                raise ValueError("elements from different fields")
-            return other.value
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        return FieldElement(self.ctx, self.value ^ v)
-
-    __radd__ = __add__
-    __sub__ = __add__
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        return FieldElement(self.ctx, self.ctx.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        return FieldElement(self.ctx, self.ctx.pow(self.value, e))
-
-    def inverse(self):
-        return FieldElement(self.ctx, self.ctx.inv(self.value))
-
-    def trace(self) -> int:
-        return self.ctx.trace(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.ctx == other.ctx and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ctx.modulus, self.value))
-
-    def __bool__(self):
-        return bool(self.value)
-
-    def __repr__(self):
-        return f"<{gf2poly.to_terms(self.value)} in GF(2^{self.ctx.m})>"
-
-
-def field_trace(x: FieldElement) -> int:
-    """Trace of x down to GF(2), as a bit."""
-    return x.trace()
 
 
 def cyclotomic_coset(t: int, n: int) -> list[int]:

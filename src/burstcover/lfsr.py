@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import gf2poly
 from .bitmatrix import row_reduce
-from .field import FieldElement, find_root, get_context
+from .field import find_root, get_context
 from .gf2poly import gcd, is_square_free, poly_order, quot, shift_mod
 
 
@@ -144,7 +144,6 @@ class PatternStats:
     pattern: tuple[int, ...]
     window_length: int
     count: int
-    positions: tuple[int, ...] | None = None
 
     def to_json(self) -> dict:
         return {
@@ -154,7 +153,7 @@ class PatternStats:
         }
 
 
-def pattern_count(spec: LfsrSpec, y, window_length: int, positions: bool = True) -> PatternStats:
+def pattern_count(spec: LfsrSpec, y, window_length: int) -> PatternStats:
     """Occurrences of pattern y at starts k < window_length.
 
     Reads continue past the window into the periodic sequence, so a
@@ -170,15 +169,14 @@ def pattern_count(spec: LfsrSpec, y, window_length: int, positions: bool = True)
         raise ValueError("the all-zero sequence is excluded")
     bits = lfsr_sequence(spec, window_length + s - 1)
     target = sum(b << j for j, b in enumerate(y))
-    mask = (1 << s) - 1
     w = sum(bits[j] << j for j in range(s))
-    hits = []
+    count = 0
     for k in range(window_length):
         if w == target:
-            hits.append(k)
+            count += 1
         if k + 1 < window_length:
             w = (w >> 1) | (bits[k + s] << (s - 1))
-    return PatternStats(y, window_length, len(hits), tuple(hits) if positions else None)
+    return PatternStats(y, window_length, count)
 
 
 def window_histogram(g: int, load: int, s: int, window_length: int) -> list[int]:
@@ -244,14 +242,14 @@ def orbit_size(g: int, f: int) -> int:
     return poly_order(quot(g, gcd(g, f)))
 
 
-def trace_representation(spec: LfsrSpec, verify: bool = True) -> list[tuple[int, FieldElement]]:
-    """Coefficients gamma_i with a_k = sum_i Tr(gamma_i * beta_i^k).
+def trace_representation(spec: LfsrSpec) -> list[tuple[int, int]]:
+    """Pairs (h_i, gamma_i) with a_k = sum_i Tr(gamma_i * beta_i^k).
 
-    beta_i is a fixed root of the i-th irreducible factor of the
-    connection polynomial, taken in the default field of its degree.
-    The gamma_i are found by solving the r x r linear system given by
-    the first r sequence terms, then checked by regenerating the first
-    ord(g) + r terms.
+    beta_i is a fixed root of the i-th irreducible factor h_i of the
+    connection polynomial, and gamma_i a raw mask, both in the default
+    field of deg(h_i).  The gamma_i are found by solving the r x r linear
+    system given by the first r sequence terms, then checked by
+    regenerating the first ord(g) + r terms.
     """
     g = spec.connection
     if not is_square_free(g):
@@ -289,13 +287,11 @@ def trace_representation(spec: LfsrSpec, verify: bool = True) -> list[tuple[int,
         for l in range(ctx.m):
             gamma |= ((solution >> pos) & 1) << l
             pos += 1
-        gammas.append((h, FieldElement(ctx, gamma)))
+        gammas.append((h, gamma))
 
-    if verify:
-        total = poly_order(g) + r
-        regen = regenerate_from_trace(gammas, total)
-        if regen != lfsr_sequence(spec, total):
-            raise AssertionError("trace representation failed to regenerate")
+    total = poly_order(g) + r
+    if regenerate_from_trace(gammas, total) != lfsr_sequence(spec, total):
+        raise AssertionError("trace representation failed to regenerate")
     return gammas
 
 
@@ -303,8 +299,8 @@ def regenerate_from_trace(gammas, length: int) -> list[int]:
     """Sequence sum_i Tr(gamma_i * beta_i^k) for the factors' fixed roots."""
     parts = []
     for h, gamma in gammas:
-        ctx = gamma.ctx
-        parts.append((ctx, find_root(ctx, h), gamma.value))
+        ctx = get_context(h.bit_length() - 1)
+        parts.append((ctx, find_root(ctx, h), gamma))
     out = []
     powers = [1] * len(parts)
     for _ in range(length):

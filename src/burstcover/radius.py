@@ -33,6 +33,11 @@ from .gf2poly import poly_order, shift_mod, to_hex, to_terms
 from .lfsr import _orbit_minima
 
 
+# Default redundancy limit of the table-backed methods: the orbit walk and
+# the matrix method each hold one byte per residue, 2^r bytes in all.
+MAX_R = 26
+
+
 class BudgetError(RuntimeError):
     """A computation would exceed its configured budget."""
 
@@ -58,7 +63,7 @@ class RadiusResult:
         }
 
 
-def cyclic_burst_radius(code: CyclicCode, max_r: int = 26) -> RadiusResult:
+def cyclic_burst_radius(code: CyclicCode, max_r: int = MAX_R) -> RadiusResult:
     """Exact radius of a cyclic code by the orbit walk.
 
     The min residue degree along an orbit is attained at the orbit's
@@ -95,7 +100,7 @@ def _closure(cols) -> np.ndarray:
 def matrix_burst_radius(
     H: BinaryMatrix,
     cyclic: bool = True,
-    max_r: int = 24,
+    max_r: int = MAX_R,
     max_work: int = 1 << 28,
 ) -> RadiusResult:
     """Smallest b making every syndrome a window-b column combination.
@@ -120,7 +125,7 @@ def matrix_burst_radius(
     b = 0
     work = 0
     while not covered.all():
-        witness = int(np.flatnonzero(~covered)[0])
+        witness = int(np.argmin(covered))  # the first uncovered syndrome
         b += 1
         if b > n:
             raise AssertionError("full coverage must occur by b = n")
@@ -201,7 +206,7 @@ def syndrome_census(
     H: BinaryMatrix,
     b: int,
     cyclic: bool = True,
-    max_r: int = 24,
+    max_r: int = 24,  # below MAX_R: the counts are int64, 8 bytes per syndrome
     max_work: int = 1 << 26,
 ) -> CensusResult:
     """Multiplicity of every syndrome among window-b combinations.

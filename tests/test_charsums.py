@@ -254,7 +254,7 @@ def test_pattern_count_character_duality():
     for fac in code.factors:
         gamma = next(gv for h, gv in gammas if h == fac.poly)
         # the representation picked its own (conjugate) root of the factor
-        terms.append((gamma.value, ctx.dlog(find_root(ctx, fac.poly))))
+        terms.append((gamma, ctx.dlog(find_root(ctx, fac.poly))))
     for s, ys in ((1, (0, 1)), (2, (0, 3)), (3, (1, 5))):
         counts = window_histogram(code.g, 0b110010101011, s, (1 << m) - 1)
         for y in ys:

@@ -6,6 +6,7 @@ from burstcover.cli import (
     EXIT_BOUND_VIOLATION,
     EXIT_BUDGET,
     EXIT_OK,
+    EXIT_USAGE,
     TABLE1_FIXTURE,
     compute_table1,
     main,
@@ -175,9 +176,51 @@ def test_violation_exit_code(capsys, monkeypatch):
     assert json.loads(out)["violations"]
 
 
-def test_code_source_required(capsys):
-    with pytest.raises(SystemExit):
-        main(["radius"])
-    with pytest.raises(SystemExit):
-        main(["radius", "--family", "bch", "--e", "2", "--m", "6",
-              "--code", "whatever.json"])
+BCH24 = ["--family", "bch", "--e", "2", "--m", "4"]
+BCH26 = ["--family", "bch", "--e", "2", "--m", "6"]
+
+
+@pytest.fixture
+def bad_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "not.json").write_text("{not json")
+
+
+# Every bad input exits EXIT_USAGE through cli.main, never with a traceback.
+# argparse's own wording varies across Python versions, so only the
+# `error:` marker on the last stderr line is pinned.
+USAGE_ERRORS = {
+    "no-code-source": ["radius"],
+    "code-and-family": ["radius", *BCH24, "--code", "whatever.json"],
+    "code-missing-file": ["radius", "--code", "missing.json"],
+    "code-not-json": ["radius", "--code", "not.json"],
+    "syndrome-not-hex": ["cover", *BCH24, "--syndrome", "XYZ"],
+    "syndrome-too-wide": ["cover", *BCH24, "--syndrome", "FFFFFFFF"],
+    "generator-not-dividing": ["radius", "--family", "generic", "--n", "15",
+                               "--g", "0x1F1"],
+    "zero-init-zero-runs": ["lfsr-stats", "--g", "0xB", "--init", "0,0,0", "--zero-runs"],
+    "geometric-too-long": ["radius", *BCH26, "--method", "geometric"],
+    "deleted-cyclic-flag": ["radius", *BCH24, "--cyclic"],
+    "deleted-verify-e": ["verify", "patterns", "--e", "3"],
+    "unknown-flag": ["radius", *BCH24, "--no-such-flag"],
+}
+
+
+@pytest.mark.parametrize("name", USAGE_ERRORS)
+def test_usage_errors(name, bad_files, capsys):
+    rc = main(USAGE_ERRORS[name])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert "Traceback" not in err
+    assert "error:" in err.strip().splitlines()[-1]
+
+
+def test_help_exits_ok(capsys):
+    assert main(["radius", "--help"]) == EXIT_OK
+    assert "--max-r" in capsys.readouterr().out
+
+
+def test_orbit_method_honours_max_r(capsys):
+    rc = main(["radius", *BCH26, "--max-r", "11"])
+    assert rc == EXIT_BUDGET
+    assert "max_r=11" in capsys.readouterr().err

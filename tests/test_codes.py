@@ -171,6 +171,25 @@ def test_descriptor_round_trip(tmp_path):
         assert [f.poly for f in again.factors] == [f.poly for f in code.factors]
 
 
+@pytest.mark.parametrize("desc, key", [
+    ({"family": "bch", "params": [2, 6], "n": 31, "g_hex": "0x3"}, "'n'"),
+    ({"family": "bch"}, "'params'"),
+    ({"family": "melas", "params": [5], "g_hex": "0x3"}, "'g_hex'"),
+    ({"family": "generic", "n": 15, "g_hex": "0x13", "r": 5}, "'r'"),
+    ({"family": "generic", "g_hex": "0x13"}, "'n'"),
+])
+def test_descriptor_must_describe_the_code_it_loads(desc, key):
+    with pytest.raises(ValueError, match=key):
+        code_from_descriptor(desc)
+
+
+def test_descriptor_hex_fields_ignore_case():
+    desc = code_to_descriptor(make_melas(6))
+    assert desc["g_hex"] == "0x18E3"
+    desc["g_hex"] = "0x18e3"
+    assert code_from_descriptor(desc) == make_melas(6)
+
+
 def test_equal_degree_exponents_are_odd_coset_representatives():
     code = make_cyclic_code(63, make_bch(2, 6).g)
     exps = sorted(f.exponent for f in code.factors)

@@ -6,7 +6,6 @@ from burstcover.field import (
     FieldContext,
     cyclotomic_coset,
     default_modulus,
-    field_trace,
     find_root,
     get_context,
     min_odd_coset_member,
@@ -117,23 +116,10 @@ def test_exp_log_tables():
     assert ctx.mul(a, ctx.inv(a)) == 1
 
 
-def test_field_element_ops():
-    ctx = get_context(4)
-    a = ctx.element(0b0011)
-    b = ctx.element(0b0101)
-    assert (a + b).value == 0b0110
-    assert (a * b).value == ctx.mul(0b0011, 0b0101)
-    assert (a ** 3).value == ctx.pow(0b0011, 3)
-    assert (a * a.inverse()).value == 1
-    assert field_trace(a) in (0, 1)
-    with pytest.raises(ZeroDivisionError):
-        ctx.element(0).inverse()
-
-
 def test_non_primitive_context_still_works():
     ctx = FieldContext(0b11111)  # irreducible, order 5
     assert not ctx.primitive
-    assert ctx.mul(ctx.alpha.value, ctx.inv(ctx.alpha.value)) == 1
+    assert ctx.mul(0b10, ctx.inv(0b10)) == 1
     zeros = sum(1 for v in range(16) if ctx.trace(v) == 0)
     assert zeros == 8
 

@@ -46,6 +46,7 @@ CASES = {
     "bounds_bch_json": ["bounds", "--family", "bch", "--e", "3", "--m", "5",
                         "--with-radius", "--emit", "json"],
     "bounds_plain": ["bounds", *BCH26, "--with-radius"],
+    "bounds_csv": ["bounds", "--family", "bch", "--e", "2", "--m", "4", "--emit", "csv"],
     "cover_json": ["cover", *BCH26, "--syndrome", "0ABC", "--bprime", "9",
                    "--emit", "json"],
     "cover_at_radius_json": ["cover", *MELAS6, "--syndrome", "FFF", "--emit", "json"],

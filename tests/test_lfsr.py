@@ -254,7 +254,7 @@ def test_trace_representation_impulse():
     spec = LfsrSpec(g, (1,) + (0,) * (m - 1))
     gammas = trace_representation(spec)  # verifies internally
     assert len(gammas) == 1
-    assert gammas[0][1].value != 0
+    assert gammas[0][1] != 0
 
 
 def test_trace_representation_zero_sequence_component():

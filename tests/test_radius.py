@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from burstcover.bitmatrix import BinaryMatrix
 from burstcover.codes import make_bch, make_cyclic_code, make_melas, parity_check_matrix
 from burstcover.gf2poly import mul
 from burstcover.radius import (
+    MAX_R,
     BudgetError,
     bounds_report,
     cyclic_burst_radius,
@@ -79,6 +81,8 @@ def test_witness_is_uncovered_at_previous_level():
                     s ^= cols[(i + j) % n]
             reachable.add(s)
     assert res.witness not in reachable
+    # and it is the first such syndrome
+    assert all(x in reachable for x in range(res.witness))
 
 
 def test_orbit_witness_recheck():
@@ -153,6 +157,11 @@ def test_geometric_rejects_large_space(monkeypatch):
 def test_orbit_budget_guard():
     with pytest.raises(BudgetError):
         cyclic_burst_radius(make_bch(2, 6), max_r=11)
+
+
+def test_table_methods_share_the_max_r_default():
+    for fn in (cyclic_burst_radius, matrix_burst_radius):
+        assert inspect.signature(fn).parameters["max_r"].default == MAX_R == 26
 
 
 def test_census_totals_and_coverage():
