@@ -2,7 +2,8 @@
 
 Exit codes: 0 all assertions pass, 2 bound violation, 3 fixture
 mismatch, 4 budget exceeded, 64 usage error (a bad option or input;
-stderr ends in one `error:` line).  JSON output is deterministic for a
+stderr ends in one `error:` line), 141 stdout closed by its reader
+(128 + SIGPIPE, nothing on stderr).  JSON output is deterministic for a
 fixed configuration and seed (keys sorted, no timestamps).
 """
 
@@ -10,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import os
 import sys
 
 from . import gf2poly
@@ -49,6 +52,7 @@ EXIT_BOUND_VIOLATION = 2
 EXIT_FIXTURE_MISMATCH = 3
 EXIT_BUDGET = 4
 EXIT_USAGE = 64  # sysexits EX_USAGE
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 # Expected exact radii and floored upper bounds for the two families,
 # m = 6..11; regression fixture for the table1 command.
@@ -122,6 +126,13 @@ def _table1_exit(rows: list[dict]) -> int:
 
 # ---------------------------------------------------------------------------
 # argument plumbing
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
 
 def _add_code_args(p: argparse.ArgumentParser):
     p.add_argument("--code", help="path to a code descriptor JSON file")
@@ -291,11 +302,11 @@ def _cmd_lfsr_stats(args) -> int:
         spec = LfsrSpec(g, init)
         init_hex = to_hex(sum(b << i for i, b in enumerate(init)))
         if args.pattern:
-            stats = pattern_count(spec, [int(b) for b in args.pattern],
-                                  args.window or ((1 << r) - 1))
+            window = (1 << r) - 1 if args.window is None else args.window
+            stats = pattern_count(spec, [int(b) for b in args.pattern], window)
             print(json.dumps({"init": init_hex, **stats.to_json()}, sort_keys=True))
         else:
-            bits = lfsr_sequence(spec, args.len or (1 << r) - 1)
+            bits = lfsr_sequence(spec, (1 << r) - 1 if args.len is None else args.len)
             line = f"{init_hex} : {''.join(str(b) for b in bits)}"
             if args.zero_runs:
                 line += f"  Z={max_zero_run(spec)}"
@@ -312,7 +323,7 @@ def _suite_report(args, theorem, hypotheses, cases, violations, **extra) -> int:
 
 
 def _verify_appendix(args) -> int:
-    limit = args.max or 40
+    limit = args.max
     failures = [(a, b) for a in range(1, limit + 1) for b in range(1, limit + 1)
                 if not gcd_power_inequality_check(a, b)]
     return _suite_report(args, "power-gap inequality", {"a_max": limit, "b_max": limit},
@@ -320,7 +331,7 @@ def _verify_appendix(args) -> int:
 
 
 def _verify_equivalence(args) -> int:
-    nmax = args.nmax or 63
+    nmax = args.nmax
     mismatches = []
     checked = 0
     for entry in build_corpus():
@@ -369,10 +380,10 @@ def _verify_patterns(args) -> int:
     reports = []
     family = args.family or "bch"
     if family in ("bch", "melas"):
-        m = args.m or 6
+        m = 6 if args.m is None else args.m
         code = make_bch(2, m) if family == "bch" else make_melas(m)
         variant = "equal_degree" if family == "bch" else "melas_mixed"
-        s_max = args.s_max or m
+        s_max = m if args.s_max is None else args.s_max
         for s in range(1, s_max + 1):
             reports.append(pattern_theorem_check(code, variant, s).to_json())
         if args.find_avoidance:
@@ -406,12 +417,10 @@ def _verify_patterns(args) -> int:
 
 
 def _verify_charsums(args) -> int:
-    m_max = args.m_max or 8
-    draws = args.draws or 200
-    seed = args.seed if args.seed is not None else 0
+    m_max, draws, seed = args.m_max, args.draws, args.seed
     reports = [wcu_family_check(m).to_json() for m in range(2, m_max + 1)]
     cases = sum(r["cases_checked"] for r in reports)
-    for m in range(2, (args.laurent_m_max or 10) + 1):
+    for m in range(2, args.laurent_m_max + 1):
         for t in (1, 3, 5):
             for u in (1, 3, 5):
                 rep = laurent_family_check(m, t, u, draws, seed)
@@ -442,6 +451,8 @@ def _verify_all(args) -> int:
     for argv in ALL_SUITES:
         print(f"$ burstcover {' '.join(argv)}", file=sys.stderr)
         rc = main(argv)
+        if rc == EXIT_BROKEN_PIPE:
+            return rc
         print(f"  -> exit {rc}", file=sys.stderr)
         worst = max(worst, rc)
     return worst
@@ -467,33 +478,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="burstcover",
         description="burst-covering radius toolkit for binary cyclic codes",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("radius", help="compute the burst-covering radius")
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
+
+    p = add_parser("radius", help="compute the burst-covering radius")
     _add_code_args(p)
     p.add_argument("--method", choices=["orbit", "matrix", "geometric"], default="orbit")
     p.add_argument("--linear", action="store_true",
                    help="non-cyclic windows (matrix method); cyclic by default")
     p.add_argument("--max-r", type=int, default=MAX_R,
-                   help="largest redundancy r whose 2^r table is built")
+                   help="largest redundancy r the orbit and matrix methods accept")
     p.add_argument("--dump-matrix", action="store_true",
                    help="print the parity-check matrix, one hex row per line")
     _add_emit(p, "plain")
 
-    p = sub.add_parser("bounds", help="evaluate every applicable bound")
+    p = add_parser("bounds", help="evaluate every applicable bound")
     _add_code_args(p)
     p.add_argument("--with-radius", action="store_true")
     _add_emit(p, "plain")
 
-    p = sub.add_parser("cover", help="produce a covering certificate")
+    p = add_parser("cover", help="produce a covering certificate")
     _add_code_args(p)
     p.add_argument("--syndrome", required=True, help="hex syndrome")
     p.add_argument("--bprime", type=int)
     p.add_argument("--debug", action="store_true")
     _add_emit(p, "plain")
 
-    p = sub.add_parser("table1", help="radii of BCH(2,m) and Melas(m), m=6..11")
+    p = add_parser("table1", help="radii of BCH(2,m) and Melas(m), m=6..11")
     p.add_argument("--m-min", type=int, default=6)
     p.add_argument("--m-max", type=int, default=11)
     p.add_argument("--modulus")
@@ -502,31 +516,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-assert", action="store_true")
     _add_emit(p, "plain")
 
-    p = sub.add_parser("lfsr-stats", help="dump sequences and pattern counts")
+    p = add_parser("lfsr-stats", help="dump sequences and pattern counts")
     p.add_argument("--g", required=True)
     p.add_argument("--init", help="initial bits, e.g. 1,0,0")
     p.add_argument("--orbit-reps", action="store_true",
                    help="one sequence per shift-orbit")
-    p.add_argument("--len", type=int)
+    p.add_argument("--len", type=_positive_int, help="bits to print (default: 2^r - 1)")
     p.add_argument("--pattern", help="bit string to count")
-    p.add_argument("--window", type=int)
+    p.add_argument("--window", type=_positive_int,
+                   help="pattern starts to count (default: 2^r - 1)")
     p.add_argument("--zero-runs", action="store_true")
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=list(_SUITES),
                    help="'all' runs every suite at full size and ignores the options")
-    p.add_argument("--max", type=int, help="appendix: max a, b")
-    p.add_argument("--nmax", type=int, help="equivalence: max code length")
+    p.add_argument("--max", type=_positive_int, default=40, help="appendix: max a, b")
+    p.add_argument("--nmax", type=_positive_int, default=63,
+                   help="equivalence: max code length")
     p.add_argument("--family", choices=["bch", "melas", "mixed"])
-    p.add_argument("--m", type=int)
-    p.add_argument("--s-max", type=int)
+    p.add_argument("--m", type=_positive_int, help="patterns: extension degree (default 6)")
+    p.add_argument("--s-max", type=_positive_int,
+                   help="patterns: longest pattern (default: m)")
     p.add_argument("--find-avoidance", type=int, metavar="S",
                    help="also search for a sequence missing some length-S "
                         "pattern (informational)")
-    p.add_argument("--m-max", type=int)
-    p.add_argument("--laurent-m-max", type=int)
-    p.add_argument("--draws", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--m-max", type=_positive_int, default=8)
+    p.add_argument("--laurent-m-max", type=_positive_int, default=10)
+    p.add_argument("--draws", type=_positive_int, default=200)
+    p.add_argument("--seed", type=int, default=0)
     _add_emit(p, "json")
 
     return parser
@@ -556,6 +573,11 @@ def main(argv=None) -> int:
     except ThresholdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND_VIOLATION
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the
+        # interpreter's final flush cannot fail again on exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,11 +2,14 @@
 
 Three independent methods compute the radius:
 
-* orbit: walk every orbit of nonzero residues under f -> X*f mod g
-  with the `lfsr` orbit walker, the one behind orbit_representatives.
-  Along an orbit the Galois-state degree at step k is r-1 minus the
-  zero-run length of the dual sequence starting at k, so the radius is
-  (max over orbits of the min state degree) + 1.
+* orbit: scan one dual sequence per orbit of nonzero residues under
+  f -> X*f mod g.  Along an orbit the Galois-state degree at step k is
+  r-1 minus the zero-run length of the dual sequence starting at k, so
+  the radius is r minus the least, over orbits, longest cyclic zero run.
+  Each dual sequence has the trace form a_k = sum_i Tr(gamma_i beta_i^k)
+  over the factors of g, so a whole block of orbits is read from per-field
+  trace tables with numpy, one row per orbit, instead of walking all 2^r
+  states (the `lfsr` walker stays behind orbit_representatives).
 * matrix: mark every syndrome reachable as a combination within a
   window of b consecutive columns, growing b until the space is full.
 * geometric: exhaust F_2^n and test membership in some burst ball
@@ -21,6 +24,7 @@ floored with exact integer arithmetic (no floating point in verdicts).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,14 +32,20 @@ import numpy as np
 
 from . import gf2poly
 from .bitmatrix import BinaryMatrix
-from .codes import CyclicCode, codewords
+from .codes import CodeFactor, CyclicCode, codewords
+from .field import FieldContext
 from .gf2poly import poly_order, shift_mod, to_hex, to_terms
-from .lfsr import _orbit_minima
+from .lfsr import fibonacci_to_galois
 
 
-# Default redundancy limit of the table-backed methods: the orbit walk and
-# the matrix method each hold one byte per residue, 2^r bytes in all.
+# Default redundancy limit of the orbit and matrix methods.  The matrix
+# method holds one byte per syndrome, 2^r bytes; the orbit scan holds only
+# bounded blocks, but its time still grows as 2^r.
 MAX_R = 26
+
+# Steps per numpy block of the orbit scan: rows shorter than this are
+# batched up to it, and a longer row is scanned in segments of it.
+_BLOCK = 1 << 15
 
 
 class BudgetError(RuntimeError):
@@ -64,29 +74,123 @@ class RadiusResult:
 
 
 def cyclic_burst_radius(code: CyclicCode, max_r: int = MAX_R) -> RadiusResult:
-    """Exact radius of a cyclic code by the orbit walk.
+    """Exact radius of a cyclic code, scanning one dual sequence per shift orbit.
 
-    The min residue degree along an orbit is attained at the orbit's
-    smallest member, so the walker's orbit minima suffice.  They arrive
-    in increasing order, so the first one of the final maximal degree is
-    the witness, the smallest representative among the attainers.
+    b = r - Z, where Z is the smallest longest cyclic zero run over the
+    nonzero dual sequences.  The witness is the smallest residue of least
+    degree on an orbit attaining Z: a run of exactly Z zeros followed by
+    a one starts at step k exactly when the Galois state X^k * f mod g has
+    degree r - 1 - Z, and the r bits read from k give that state.
     """
     if code.r > max_r:
-        raise BudgetError(f"orbit walk over 2^{code.r} states exceeds max_r={max_r}")
-    best_bits = 0
-    witness = 0
-    for rep in _orbit_minima(code.g):
-        if rep.bit_length() > best_bits:
-            best_bits = rep.bit_length()
-            witness = rep
-    return RadiusResult(
-        b=best_bits,
-        method="orbit",
-        witness=witness,
-        cyclic=True,
-        n=code.n,
-        r=code.r,
-    )
+        raise BudgetError(f"orbit scan over 2^{code.r} states exceeds max_r={max_r}")
+    r = code.r
+    factors = [_trace_factor(fac) for fac in code.factors]
+    best = r  # a nonzero sequence never holds r zeros in a row
+    attaining = []  # (orbit rows, row numbers whose longest run is `best`)
+    for mask in range(1, 1 << len(factors)):
+        orbits = _OrbitRows([f for j, f in enumerate(factors) if mask >> j & 1], r)
+        step = max(1, _BLOCK // orbits.length)
+        for start in range(0, orbits.count, step):
+            block = np.arange(start, min(start + step, orbits.count))
+            longest = orbits.scan(block)[0]
+            low = int(longest.min())
+            if low < best:
+                best, attaining = low, []
+            if low == best:
+                attaining.append((orbits, block[longest == best]))
+    loads = []
+    for orbits, block in attaining:
+        _, hit_rows, hit_k = orbits.scan(block, best)
+        windows = orbits.cells(hit_rows, hit_k[:, None] + np.arange(r))
+        loads.extend(fibonacci_to_galois(code.g, bits) for bits in windows.tolist())
+    return RadiusResult(b=r - best, method="orbit", witness=min(loads), cyclic=True,
+                        n=code.n, r=r)
+
+
+@functools.lru_cache(maxsize=None)
+def _trace_table(ctx: FieldContext) -> np.ndarray:
+    """Tr(gen^j) as bools for j < 2n, so that s + (t*k mod n) needs no reduction."""
+    exp = np.array(ctx.exp, dtype=np.int64)
+    return (np.bitwise_count(exp & ctx.trace_mask) & 1).astype(bool)
+
+
+def _trace_factor(fac: CodeFactor) -> tuple:
+    """(table, t, n, order) for a factor whose root is gen^t in its context."""
+    n = fac.ctx.n
+    t = fac.ctx.dlog(fac.root)
+    return _trace_table(fac.ctx), t, n, n // math.gcd(t, n)
+
+
+def _zero_runs(bits: np.ndarray):
+    """Zero runs in each row of a bool block whose rows all start with a one.
+
+    Returns the longest run of each row, the flat positions of the ones,
+    and the length of the run after each one (to the end of its row).
+    """
+    ones = np.flatnonzero(bits)
+    gaps = np.diff(ones, append=bits.size) - 1
+    first = np.searchsorted(ones, np.arange(0, bits.size, bits.shape[1]))
+    return np.maximum.reduceat(gaps, first), ones, gaps
+
+
+class _OrbitRows:
+    """The dual sequences a_k = sum_i Tr(gamma_i beta_i^k) with gamma_i != 0
+    exactly on one set of factors, one row per orbit of the shift k -> k + 1.
+
+    With gamma_i = gen^(s_i) and beta_i = gen^(t_i), a_k is the XOR of the
+    tables T_i[s_i + t_i k mod n_i], and the shift adds t_i to every s_i.
+    A stabilizer chain picks each orbit once: with M the lcm of the orders
+    of the factors fixed so far, the shifts that keep them fixed are the
+    multiples of M, so the next s_j runs over range(gcd(t_j M mod n_j, n_j)),
+    the cosets of <beta_j^M>.  A row holds one period: lcm of the orders.
+    """
+
+    def __init__(self, factors, r: int):
+        self.factors = factors
+        self.r = r
+        self.radix = []
+        period = 1
+        for _, t, n, order in factors:
+            self.radix.append(math.gcd(t * period % n, n))
+            period = math.lcm(period, order)
+        self.length = period
+        self.count = math.prod(self.radix)
+
+    def cells(self, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """a_k of each row (numbered 0..count-1); k has shape (E,) or (len(rows), E)."""
+        bits = np.zeros((len(rows), 1), dtype=bool)
+        for (table, t, n, _), size in zip(self.factors, self.radix):
+            idx = t * k % n
+            if size > 1:  # else s = 0 on every row: one gather, broadcast
+                idx = (rows % size)[:, None] + idx
+            bits = bits ^ table[idx]
+            rows = rows // size
+        return bits
+
+    def scan(self, rows: np.ndarray, run: int = -1):
+        """Longest cyclic zero run of each row, and the rows and steps k at
+        which a run of exactly `run` zeros followed by a one starts.
+
+        Rows are read in segments of at most _BLOCK steps, each opened by a
+        stop bit and extended by r - 1 steps.  A zero run is shorter than r,
+        so every run that starts in a segment ends inside it, and a run cut
+        at either end is no longer than the run it belongs to.
+        """
+        L, r = self.length, self.r
+        longest = np.zeros(len(rows), dtype=np.int64)
+        hit_rows, hit_k = [], []
+        for offset in range(0, L, _BLOCK):
+            own = min(_BLOCK, L - offset)
+            # column c holds step offset - 1 + c; column 0 is the stop bit
+            bits = self.cells(rows, offset - 1 + np.arange(own + r))
+            bits[:, 0] = True
+            seg_longest, ones, gaps = _zero_runs(bits)
+            np.maximum(longest, seg_longest, out=longest)
+            row, col = np.divmod(ones[gaps == run], own + r)
+            hit_rows.append(rows[row[col < own]])
+            hit_k.append(offset + col[col < own])  # the step the run starts at
+        return longest, np.concatenate(hit_rows), np.concatenate(hit_k)
 
 
 def _closure(cols) -> np.ndarray:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from burstcover.cli import (
     EXIT_BOUND_VIOLATION,
+    EXIT_BROKEN_PIPE,
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_USAGE,
@@ -203,6 +208,13 @@ USAGE_ERRORS = {
     "deleted-cyclic-flag": ["radius", *BCH24, "--cyclic"],
     "deleted-verify-e": ["verify", "patterns", "--e", "3"],
     "unknown-flag": ["radius", *BCH24, "--no-such-flag"],
+    "negative-max": ["verify", "appendix", "--max", "-1"],
+    "zero-max": ["verify", "appendix", "--max", "0"],
+    "zero-window": ["lfsr-stats", "--g", "0xB", "--init", "1,0,0", "--pattern", "10",
+                    "--window", "0"],
+    "negative-len": ["lfsr-stats", "--g", "0xB", "--init", "1,0,0", "--len", "-3"],
+    "abbreviated-method": ["radius", *BCH24, "--meth", "matrix"],
+    "abbreviated-emit": ["verify", "appendix", "--max", "3", "--e", "plain"],
 }
 
 
@@ -224,3 +236,20 @@ def test_orbit_method_honours_max_r(capsys):
     rc = main(["radius", *BCH26, "--max-r", "11"])
     assert rc == EXIT_BUDGET
     assert "max_r=11" in capsys.readouterr().err
+
+
+def test_closed_stdout_is_not_a_usage_error():
+    # 200 000 bits overflow the pipe buffer, so the writer is still
+    # writing when the reader closes its end after 10 bytes.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "burstcover", "lfsr-stats", "--g", "0x211",
+         "--init", "1,0,0,0,0,0,0,0,0", "--len", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert err == b""

@@ -2,11 +2,16 @@ import inspect
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import burstcover.radius as radius_mod
+from burstcover import gf2poly
 from burstcover.bitmatrix import BinaryMatrix
 from burstcover.codes import make_bch, make_cyclic_code, make_melas, parity_check_matrix
-from burstcover.gf2poly import mul
+from burstcover.corpus import build_corpus
+from burstcover.field import primitive_moduli
+from burstcover.gf2poly import mul, poly_order
+from burstcover.lfsr import _orbit_minima
 from burstcover.radius import (
     MAX_R,
     BudgetError,
@@ -157,6 +162,93 @@ def test_geometric_rejects_large_space(monkeypatch):
 def test_orbit_budget_guard():
     with pytest.raises(BudgetError):
         cyclic_burst_radius(make_bch(2, 6), max_r=11)
+
+
+def test_orbit_budget_checked_before_any_work(monkeypatch):
+    def no_work(fac):
+        raise AssertionError("field tables built before the max_r check")
+
+    monkeypatch.setattr(radius_mod, "_trace_factor", no_work)
+    with pytest.raises(BudgetError):
+        cyclic_burst_radius(make_bch(2, 6), max_r=11)
+
+
+def _walk_radius(code):
+    """Test oracle: the orbit walk's (b, witness), the first orbit minimum
+    of the greatest bit length."""
+    best = witness = 0
+    for rep in _orbit_minima(code.g):
+        if rep.bit_length() > best:
+            best, witness = rep.bit_length(), rep
+    return best, witness
+
+
+# Every irreducible of degree 1..6 but X: X+1, non-primitive ones such as
+# x^4+x^3+x^2+x+1 (order 5), and primitive ones of every degree.
+IRREDUCIBLES = [h for h in range(3, 1 << 7, 2) if gf2poly.is_irreducible(h)]
+
+
+def _product(factors):
+    g = 1
+    for h in factors:
+        g = mul(g, h)
+    return g
+
+
+square_free_generators = st.lists(
+    st.sampled_from(IRREDUCIBLES), min_size=1, max_size=4, unique=True,
+).map(_product).filter(lambda g: g.bit_length() - 1 <= 12 and poly_order(g) >= g.bit_length())
+
+
+@given(square_free_generators)
+@example(_product([0b11, 0b11111, 0b1011]))      # X+1, order 5, mixed degrees
+@example(_product([0b11111, 0b1001001]))         # orders 5 and 9
+@settings(max_examples=60, deadline=None)
+def test_orbit_radius_matches_walk(g):
+    code = make_cyclic_code(poly_order(g), g)
+    res = cyclic_burst_radius(code)
+    assert (res.b, res.witness) == _walk_radius(code)
+
+
+PRIMITIVE_CLASSES = [(m, p) for m in (6, 7) for p in primitive_moduli(m)]
+
+
+@pytest.mark.parametrize("family", ["bch", "melas"])
+@pytest.mark.parametrize("m, modulus", PRIMITIVE_CLASSES)
+def test_orbit_radius_matches_walk_every_primitive_class(family, m, modulus):
+    code = make_bch(2, m, modulus) if family == "bch" else make_melas(m, modulus)
+    res = cyclic_burst_radius(code)
+    assert (res.b, res.witness) == _walk_radius(code)
+
+
+@pytest.mark.parametrize("factors", [(0x83, 0x211), (0b111, 0x8003), (0x20009,)])
+def test_orbit_rows_longer_than_a_block_match_walk(factors):
+    # primitive factors of degrees 7 and 9, 2 and 15, and 17
+    g = _product(factors)
+    code = make_cyclic_code(poly_order(g), g)
+    assert poly_order(g) > radius_mod._BLOCK  # one row spans several segments
+    res = cyclic_burst_radius(code)
+    assert (res.b, res.witness) == _walk_radius(code)
+
+
+@pytest.mark.parametrize("block", [5, 64])
+def test_segmented_scan_matches_walk_on_the_corpus(block, monkeypatch):
+    monkeypatch.setattr(radius_mod, "_BLOCK", block)
+    for entry in build_corpus():
+        res = cyclic_burst_radius(entry.code)
+        assert (res.b, res.witness) == _walk_radius(entry.code), entry.name
+
+
+def test_orbit_radius_does_not_walk_the_states(monkeypatch):
+    import burstcover.lfsr as lfsr_mod
+
+    def no_walk(g):
+        raise AssertionError("the radius walked every state")
+
+    assert not hasattr(radius_mod, "_orbit_minima")
+    monkeypatch.setattr(lfsr_mod, "_orbit_minima", no_walk)
+    res = cyclic_burst_radius(make_bch(2, 8))
+    assert (res.b, res.witness) == (12, 2055)  # the walk's values
 
 
 def test_table_methods_share_the_max_r_default():
