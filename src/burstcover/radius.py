@@ -111,8 +111,10 @@ def cyclic_burst_radius(code: CyclicCode, max_r: int = MAX_R) -> RadiusResult:
 @functools.lru_cache(maxsize=None)
 def _trace_table(ctx: FieldContext) -> np.ndarray:
     """Tr(gen^j) as bools for j < 2n, so that s + (t*k mod n) needs no reduction."""
-    exp = np.array(ctx.exp, dtype=np.int64)
-    return (np.bitwise_count(exp & ctx.trace_mask) & 1).astype(bool)
+    v = np.array(ctx.exp, dtype=np.int64) & ctx.trace_mask
+    for shift in (16, 8, 4, 2, 1):  # fold the parity of up to 32 bits into bit 0
+        v ^= v >> shift
+    return (v & 1).astype(bool)
 
 
 def _trace_factor(fac: CodeFactor) -> tuple:
