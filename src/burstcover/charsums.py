@@ -1,10 +1,12 @@
 """Exponential sums over GF(2^m) and empirical checks of frequency bounds.
 
-The canonical additive character is chi(v) = (-1)^Tr(v).  Every verdict
-here is computed in exact integer arithmetic: a bound of the shape
-|S| <= c * 2^(m/2) is tested as S^2 <= c^2 * 2^m, so half-integer powers
-of two never touch floating point.  Floats appear only in reports, for
-human consumption.
+The canonical additive character is chi(v) = (-1)^Tr(v).  Sums are read
+from the one trace table, field.trace_table: by linearity the trace of
+sum c_i x^(e_i) at x = gen^k is the XOR of table[log c_i + (e_i k mod n)],
+so no field element is built.  Every verdict here is computed in exact
+integer arithmetic: a bound of the shape |S| <= c * 2^(m/2) is tested as
+S^2 <= c^2 * 2^m, so half-integer powers of two never touch floating
+point.  Floats appear only in reports, for human consumption.
 
 Checked bounds:
 
@@ -21,15 +23,15 @@ Checked bounds:
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf2poly
 from .codes import CyclicCode, make_cyclic_code
-from .field import FieldContext, get_context, min_odd_coset_member
+from .field import FieldContext, get_context, min_odd_coset_member, trace_table
 from .gf2poly import poly_order
 from .lfsr import (
     LfsrSpec,
@@ -66,28 +68,19 @@ class LaurentExponentForm:
         return self.negative[-1][1] if self.negative else 0
 
 
-@functools.lru_cache(maxsize=None)
-def _np_tables(ctx: FieldContext):
-    exp = np.array(ctx.exp, dtype=np.int64)
-    trace = np.zeros(ctx.n + 1, dtype=np.int8)
-    for v in range(ctx.n + 1):
-        trace[v] = ctx.trace(v)
-    return exp, trace
-
-
 def _nonzero_sum(ctx: FieldContext, terms) -> int:
     """Exact sum of chi(sum c * x^e) over nonzero x, for (c, e) in terms.
 
     Coefficients c are nonzero field elements, exponents e any integers:
-    at x = alpha^k each term is alpha^(log c + e*k), read from the tables.
+    at x = gen^k the trace of c x^e is trace_table[log c + (e*k mod n)].
     """
     n = ctx.n
-    exp_np, trace = _np_tables(ctx)
+    table = trace_table(ctx)
     k = np.arange(n, dtype=np.int64)
-    vals = np.zeros(n, dtype=np.int64)
+    bits = np.zeros(n, dtype=bool)
     for c, e in terms:
-        vals ^= exp_np[(ctx.log[c] + e * k) % n]
-    return int(n - 2 * trace[vals].sum())
+        bits ^= table[ctx.log[c] + e * k % n]
+    return n - 2 * int(np.count_nonzero(bits))
 
 
 def char_sum(ctx: FieldContext, form: LaurentExponentForm, domain: str = "nonzero") -> int:
@@ -186,8 +179,6 @@ def niederreiter_check(spec: LfsrSpec, s: int) -> FrequencyReport:
     polynomial): |N - pi/2^s| <= (1 - 2^-s) * 2^(r/2).  The report flags
     the bound as vacuous when its lower bound on N is not positive.
     """
-    from . import gf2poly
-
     gmin = minimal_connection(spec)
     if gmin == 1:
         raise ValueError("the all-zero sequence is excluded")
@@ -350,6 +341,8 @@ def find_avoidance_witness(code_or_g, s: int):
     """
     code = _as_code(code_or_g)
     m = max(f.degree for f in code.factors)
+    if not 1 <= s <= m:
+        raise ValueError(f"avoidance pattern length must be in [1, {m}], got {s}")
     window = (1 << m) - 1
     for rep in orbit_representatives(code.g):
         counts = window_histogram(code.g, rep, s, window)
@@ -450,21 +443,20 @@ def wcu_family_check(m: int) -> FamilyCheckReport:
     """
     ctx = get_context(m)
     n = ctx.n
-    exp_np, trace = _np_tables(ctx)
+    table = trace_table(ctx)
     k = np.arange(n, dtype=np.int64)
 
     def sign_rows(t: int) -> np.ndarray:
-        """Row c: chi(c * x^t) over nonzero x; c = 0 then alpha^0..alpha^(n-1)."""
+        """Row c: chi(c * x^t) over nonzero x; c = 0 then gen^0..gen^(n-1)."""
         rows = np.empty((n + 1, n), dtype=np.int64)
         rows[0] = 1
-        idx = (np.arange(n, dtype=np.int64)[:, None] + t * k[None, :]) % n
-        rows[1:] = 1 - 2 * trace[exp_np[idx]]
+        rows[1:] = 1 - 2 * table[k[:, None] + (t * k % n)[None, :]]
         return rows
 
     s1 = sign_rows(1)
     s3 = sign_rows(3)
-    s5_monic = 1 - 2 * trace[exp_np[(5 * k) % n]].astype(np.int64)
-    s3_monic = 1 - 2 * trace[exp_np[(3 * k) % n]].astype(np.int64)
+    s5_monic = 1 - 2 * table[5 * k % n]
+    s3_monic = 1 - 2 * table[3 * k % n]
 
     violations = []
     cases = 0
@@ -500,16 +492,17 @@ def laurent_family_check(m: int, t: int, u: int, draws: int, seed: int) -> Famil
     """Sampled check of the Laurent bound for forms a x^t + b x^(-u)."""
     ctx = get_context(m)
     n = ctx.n
-    exp_np, trace = _np_tables(ctx)
+    table = trace_table(ctx)
     k = np.arange(n, dtype=np.int64)
+    tk, uk = t * k % n, -u * k % n
     rng = random.Random(seed)
     bound_sq = (t + u) ** 2 << m
     violations = []
     for _ in range(draws):
         a = rng.randrange(1, n + 1)
         b = rng.randrange(1, n + 1)
-        vals = exp_np[(ctx.log[a] + t * k) % n] ^ exp_np[(ctx.log[b] - u * k) % n]
-        s = int(n - 2 * int(trace[vals].sum()))
+        bits = table[ctx.log[a] + tk] ^ table[ctx.log[b] + uk]
+        s = n - 2 * int(np.count_nonzero(bits))
         if s * s > bound_sq:
             violations.append((a, b, s))
     return FamilyCheckReport(

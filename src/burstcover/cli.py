@@ -28,6 +28,7 @@ from .codes import (
 from .corpus import build_corpus, exact_two_primitive_cases, mixed_degree_entries
 from .covering import ThresholdError, burst_cover, verify_certificate
 from .charsums import (
+    find_avoidance_witness,
     gcd_power_inequality_check,
     laurent_family_check,
     niederreiter_check,
@@ -254,10 +255,9 @@ def _cmd_cover(args) -> int:
     code = _resolve_code(args)
     x = int(args.syndrome, 16)
     b_prime = args.bprime if args.bprime is not None else cyclic_burst_radius(code).b
-    cert = burst_cover(code, x, b_prime, debug=args.debug)
+    cert = burst_cover(code, x, b_prime)
     ok = verify_certificate(code, x, cert, b_prime)
-    payload = {**cert.to_json(), "verified": ok, "syndrome_hex": format(x, "#X").replace("0X", "0x"),
-               "b_prime": b_prime}
+    payload = {**cert.to_json(), "verified": ok, "syndrome_hex": to_hex(x), "b_prime": b_prime}
     print(_emit(payload, args.emit,
                 lambda p: f"window start {p['i']}, pattern {p['f_hex']} "
                           f"({to_terms(cert.f)}), width {p['width']}, verified={p['verified']}"))
@@ -294,8 +294,7 @@ def _cmd_lfsr_stats(args) -> int:
     if args.init:
         inits = [tuple(int(b) for b in args.init.replace(",", ""))]
     elif args.orbit_reps:
-        inits = [tuple(lfsr_sequence(LfsrSpec.from_galois(g, rep), r))
-                 for rep in orbit_representatives(g)]
+        inits = [LfsrSpec.from_galois(g, rep).init for rep in orbit_representatives(g)]
     else:
         raise ValueError("give --init bits or --orbit-reps")
     for init in inits:
@@ -386,9 +385,7 @@ def _verify_patterns(args) -> int:
         s_max = m if args.s_max is None else args.s_max
         for s in range(1, s_max + 1):
             reports.append(pattern_theorem_check(code, variant, s).to_json())
-        if args.find_avoidance:
-            from .charsums import find_avoidance_witness
-
+        if args.find_avoidance is not None:
             hit = find_avoidance_witness(code, args.find_avoidance)
             reports.append({
                 "avoidance_search": {"s": args.find_avoidance},
@@ -489,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["orbit", "matrix", "geometric"], default="orbit")
     p.add_argument("--linear", action="store_true",
                    help="non-cyclic windows (matrix method); cyclic by default")
-    p.add_argument("--max-r", type=int, default=MAX_R,
+    p.add_argument("--max-r", type=_positive_int, default=MAX_R,
                    help="largest redundancy r the orbit and matrix methods accept")
     p.add_argument("--dump-matrix", action="store_true",
                    help="print the parity-check matrix, one hex row per line")
@@ -504,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_args(p)
     p.add_argument("--syndrome", required=True, help="hex syndrome")
     p.add_argument("--bprime", type=int)
-    p.add_argument("--debug", action="store_true")
     _add_emit(p, "plain")
 
     p = add_parser("table1", help="radii of BCH(2,m) and Melas(m), m=6..11")
@@ -537,9 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_positive_int, help="patterns: extension degree (default 6)")
     p.add_argument("--s-max", type=_positive_int,
                    help="patterns: longest pattern (default: m)")
-    p.add_argument("--find-avoidance", type=int, metavar="S",
+    p.add_argument("--find-avoidance", type=_positive_int, metavar="S",
                    help="also search for a sequence missing some length-S "
-                        "pattern (informational)")
+                        "pattern, 1 <= S <= m (informational)")
     p.add_argument("--m-max", type=_positive_int, default=8)
     p.add_argument("--laurent-m-max", type=_positive_int, default=10)
     p.add_argument("--draws", type=_positive_int, default=200)

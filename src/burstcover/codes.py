@@ -49,10 +49,6 @@ class CyclicCode:
     family: str = "generic"
     params: tuple[int, ...] = ()
 
-    @property
-    def min_factor_degree(self) -> int:
-        return min(f.degree for f in self.factors)
-
     def describe(self) -> str:
         if self.family == "bch":
             return f"BCH(e={self.params[0]}, m={self.params[1]})"

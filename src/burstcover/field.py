@@ -6,6 +6,12 @@ multiplicative group, and a trace mask so that Tr(v) is the parity of
 popcount(v & trace_mask).  Elements are plain ints (their coefficient
 masks).
 
+trace_table(ctx) is the package's one numpy trace table, Tr(gen^j) for
+j < 2n.  The trace is linear, so Tr(sum c_i x^(e_i)) at x = gen^k is the
+XOR of table[log c_i + (e_i k mod n)]: the radius scan, the character
+sums and trace regeneration all read it that way, without building a
+field element.
+
 The default modulus for each m is the lexicographically smallest
 primitive polynomial of degree m, where coefficient strings compare as
 integers.  This makes every derived object reproducible.
@@ -14,6 +20,8 @@ integers.  This makes every derived object reproducible.
 from __future__ import annotations
 
 import functools
+
+import numpy as np
 
 from . import gf2poly
 from .gf2poly import X, is_irreducible
@@ -171,6 +179,15 @@ def get_context(m: int) -> FieldContext:
 @functools.lru_cache(maxsize=None)
 def context_for_modulus(modulus: int) -> FieldContext:
     return FieldContext(modulus)
+
+
+@functools.lru_cache(maxsize=None)
+def trace_table(ctx: FieldContext) -> np.ndarray:
+    """Tr(gen^j) as bools for j < 2n, so that s + (t*k mod n) needs no reduction."""
+    v = np.array(ctx.exp, dtype=np.int64) & ctx.trace_mask
+    for shift in (16, 8, 4, 2, 1):  # fold the parity of up to 32 bits into bit 0
+        v ^= v >> shift
+    return (v & 1).astype(bool)
 
 
 def cyclotomic_coset(t: int, n: int) -> list[int]:

@@ -22,19 +22,13 @@ from .mersenne import MAX_ORDER_DEGREE, MERSENNE_FACTORS
 
 NEG_INF = float("-inf")
 
-#: The polynomial X, and X + 1.
+#: The polynomial X.
 X = 0b10
-ONE = 0b1
 
 
 def degree(a: int) -> int | float:
     """Degree of polynomial a; NEG_INF for the zero polynomial."""
     return a.bit_length() - 1 if a else NEG_INF
-
-
-def add(a: int, b: int) -> int:
-    """Sum of polynomials a and b (XOR of the masks)."""
-    return a ^ b
 
 
 def mul(a: int, b: int) -> int:

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gf2poly
 from .bitmatrix import row_reduce
-from .field import find_root, get_context
+from .field import find_root, get_context, trace_table
 from .gf2poly import gcd, is_square_free, poly_order, quot, shift_mod
 
 
@@ -296,20 +298,19 @@ def trace_representation(spec: LfsrSpec) -> list[tuple[int, int]]:
 
 
 def regenerate_from_trace(gammas, length: int) -> list[int]:
-    """Sequence sum_i Tr(gamma_i * beta_i^k) for the factors' fixed roots."""
-    parts = []
+    """Sequence sum_i Tr(gamma_i * beta_i^k) for the factors' fixed roots.
+
+    With beta_i = gen^(t_i), term i at step k is
+    trace_table[log gamma_i + (t_i k mod n)]; a zero gamma_i contributes 0.
+    """
+    k = np.arange(length, dtype=np.int64)
+    bits = np.zeros(length, dtype=bool)
     for h, gamma in gammas:
-        ctx = get_context(h.bit_length() - 1)
-        parts.append((ctx, find_root(ctx, h), gamma))
-    out = []
-    powers = [1] * len(parts)
-    for _ in range(length):
-        b = 0
-        for idx, (ctx, beta, gv) in enumerate(parts):
-            b ^= ctx.trace(ctx.mul(gv, powers[idx]))
-            powers[idx] = ctx.mul(powers[idx], beta)
-        out.append(b)
-    return out
+        if gamma:
+            ctx = get_context(h.bit_length() - 1)
+            t = ctx.dlog(find_root(ctx, h))
+            bits ^= trace_table(ctx)[ctx.log[gamma] + t * k % ctx.n]
+    return bits.astype(int).tolist()
 
 
 def _solve_gf2(rows, width: int) -> int:

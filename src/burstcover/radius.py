@@ -7,9 +7,11 @@ Three independent methods compute the radius:
   r-1 minus the zero-run length of the dual sequence starting at k, so
   the radius is r minus the least, over orbits, longest cyclic zero run.
   Each dual sequence has the trace form a_k = sum_i Tr(gamma_i beta_i^k)
-  over the factors of g, so a whole block of orbits is read from per-field
-  trace tables with numpy, one row per orbit, instead of walking all 2^r
-  states (the `lfsr` walker stays behind orbit_representatives).
+  over the factors of g.  By linearity a_k is an XOR of reads from the
+  one trace table of each factor's field (field.trace_table), so a whole
+  block of orbits is read with numpy, one row per orbit, instead of
+  walking all 2^r states (the `lfsr` walker stays behind
+  orbit_representatives).
 * matrix: mark every syndrome reachable as a combination within a
   window of b consecutive columns, growing b until the space is full.
 * geometric: exhaust F_2^n and test membership in some burst ball
@@ -24,7 +26,6 @@ floored with exact integer arithmetic (no floating point in verdicts).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ import numpy as np
 from . import gf2poly
 from .bitmatrix import BinaryMatrix
 from .codes import CodeFactor, CyclicCode, codewords
-from .field import FieldContext
+from .field import trace_table
 from .gf2poly import poly_order, shift_mod, to_hex, to_terms
 from .lfsr import fibonacci_to_galois
 
@@ -108,20 +109,11 @@ def cyclic_burst_radius(code: CyclicCode, max_r: int = MAX_R) -> RadiusResult:
                         n=code.n, r=r)
 
 
-@functools.lru_cache(maxsize=None)
-def _trace_table(ctx: FieldContext) -> np.ndarray:
-    """Tr(gen^j) as bools for j < 2n, so that s + (t*k mod n) needs no reduction."""
-    v = np.array(ctx.exp, dtype=np.int64) & ctx.trace_mask
-    for shift in (16, 8, 4, 2, 1):  # fold the parity of up to 32 bits into bit 0
-        v ^= v >> shift
-    return (v & 1).astype(bool)
-
-
 def _trace_factor(fac: CodeFactor) -> tuple:
     """(table, t, n, order) for a factor whose root is gen^t in its context."""
     n = fac.ctx.n
     t = fac.ctx.dlog(fac.root)
-    return _trace_table(fac.ctx), t, n, n // math.gcd(t, n)
+    return trace_table(fac.ctx), t, n, n // math.gcd(t, n)
 
 
 def _zero_runs(bits: np.ndarray):
@@ -440,7 +432,12 @@ class BoundsReport:
         }
 
 
-def bounds_report(code: CyclicCode, max_subset_factors: int = 16) -> BoundsReport:
+# The run-guarantee bound minimises over all 2^e - 1 nonempty factor
+# subsets; codes with more factors than this skip it.
+_MAX_SUBSET_FACTORS = 16
+
+
+def bounds_report(code: CyclicCode) -> BoundsReport:
     """Evaluate every applicable bound on the burst-covering radius."""
     n, r = code.n, code.r
     degrees = sorted(f.degree for f in code.factors)
@@ -478,7 +475,7 @@ def bounds_report(code: CyclicCode, max_subset_factors: int = 16) -> BoundsRepor
         note="a non-primitive minimal-degree factor rules out the basic lower bound",
     ))
 
-    if e <= max_subset_factors:
+    if e <= _MAX_SUBSET_FACTORS:
         orders = [poly_order(f.poly) for f in code.factors]
         best_k = None
         best_raw = None

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burstcover import gf2poly
+from burstcover import charsums
 from burstcover.charsums import (
     LaurentExponentForm,
     char_sum,
+    find_avoidance_witness,
     gcd_power_inequality_check,
     laurent_family_check,
     laurent_weil_check,
@@ -227,6 +229,16 @@ def test_pattern_theorem_inapplicable_cases():
     assert not pattern_theorem_check(mixed, "equal_degree", 2).applicable
     assert not pattern_theorem_check(make_bch(2, 6), "melas_mixed", 2).applicable
     assert not pattern_theorem_check(make_bch(2, 6), "equal_degree", 7).applicable
+
+
+@pytest.mark.parametrize("s", [-1, 0, 6])
+def test_avoidance_length_checked_before_any_orbit(s, monkeypatch):
+    def no_walk(g):
+        raise AssertionError("walked the orbits")
+
+    monkeypatch.setattr(charsums, "orbit_representatives", no_walk)
+    with pytest.raises(ValueError, match=r"\[1, 5\]"):
+        find_avoidance_witness(make_bch(2, 5), s)
 
 
 def test_pattern_theorem_accepts_raw_polynomial():

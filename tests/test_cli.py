@@ -215,6 +215,15 @@ USAGE_ERRORS = {
     "negative-len": ["lfsr-stats", "--g", "0xB", "--init", "1,0,0", "--len", "-3"],
     "abbreviated-method": ["radius", *BCH24, "--meth", "matrix"],
     "abbreviated-emit": ["verify", "appendix", "--max", "3", "--e", "plain"],
+    "negative-find-avoidance": ["verify", "patterns", "--family", "bch", "--m", "5",
+                                "--find-avoidance", "-1"],
+    "zero-find-avoidance": ["verify", "patterns", "--family", "bch", "--m", "5",
+                            "--find-avoidance", "0"],
+    "find-avoidance-above-m": ["verify", "patterns", "--family", "bch", "--m", "5",
+                               "--find-avoidance", "6"],
+    "negative-max-r": ["radius", *BCH24, "--max-r", "-1"],
+    "zero-max-r": ["radius", *BCH24, "--max-r", "0"],
+    "deleted-cover-debug": ["cover", *BCH24, "--syndrome", "1", "--debug"],
 }
 
 

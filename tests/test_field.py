@@ -11,6 +11,7 @@ from burstcover.field import (
     min_odd_coset_member,
     minimal_polynomial,
     primitive_moduli,
+    trace_table,
 )
 from burstcover.gf2poly import reciprocal
 
@@ -122,6 +123,15 @@ def test_non_primitive_context_still_works():
     assert ctx.mul(0b10, ctx.inv(0b10)) == 1
     zeros = sum(1 for v in range(16) if ctx.trace(v) == 0)
     assert zeros == 8
+
+
+@pytest.mark.parametrize("ctx", [get_context(m) for m in range(1, 9)]
+                         + [FieldContext(0b11111), FieldContext(0b1001001)], ids=repr)
+def test_trace_table_matches_scalar_trace(ctx):
+    # 0b11111 and 0b1001001 are irreducible of orders 5 and 9, not primitive
+    table = trace_table(ctx)
+    assert len(table) == 2 * ctx.n
+    assert table.tolist() == [ctx.trace(ctx.exp[j]) for j in range(2 * ctx.n)]
 
 
 def test_find_root():
