@@ -1,6 +1,6 @@
 """Burst-covering radius toolkit for binary cyclic codes.
 
-Computes and certifies the burst-covering radius (orbit walk, matrix
+Computes and certifies the burst-covering radius (orbit scan, matrix
 brute force, geometric exhaustion), evaluates the known bounds,
 produces covering certificates, and empirically verifies the LFSR
 pattern-frequency and character-sum bounds the analysis rests on.
@@ -52,7 +52,6 @@ from .radius import (
     cyclic_burst_radius,
     geometric_is_covering,
     matrix_burst_radius,
-    syndrome_census,
 )
 
 __version__ = "0.1.0"

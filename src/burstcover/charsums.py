@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2poly
-from .codes import CyclicCode, make_cyclic_code
+from .codes import CyclicCode
 from .field import FieldContext, get_context, min_odd_coset_member, trace_table
 from .gf2poly import poly_order
 from .lfsr import (
@@ -216,14 +216,7 @@ def _positive_odd_exponents(code: CyclicCode) -> list[int]:
     return out
 
 
-def _as_code(code_or_g) -> CyclicCode:
-    if isinstance(code_or_g, CyclicCode):
-        return code_or_g
-    g = code_or_g
-    return make_cyclic_code(poly_order(g), g)
-
-
-def pattern_theorem_check(code_or_g, variant: str, s: int) -> FrequencyReport:
+def pattern_theorem_check(code: CyclicCode, variant: str, s: int) -> FrequencyReport:
     """Sharper pattern bounds for equal-degree connection polynomials.
 
     Counts every length-s pattern in a window of 2^m - 1 terms of every
@@ -237,7 +230,6 @@ def pattern_theorem_check(code_or_g, variant: str, s: int) -> FrequencyReport:
     reports how many sequences satisfy the positive-only bound, which is
     sharper whenever the negative-exponent components are inactive.
     """
-    code = _as_code(code_or_g)
     degrees = {f.degree for f in code.factors}
     if len(degrees) != 1:
         return FrequencyReport(variant, s, 0, 0, 0, (), applicable=False,
@@ -332,14 +324,13 @@ def _guaranteed_pattern_length(m: int, weight: int) -> int:
     return s
 
 
-def find_avoidance_witness(code_or_g, s: int):
+def find_avoidance_witness(code: CyclicCode, s: int):
     """A nonzero sequence missing some length-s pattern, or None.
 
     Such witnesses bound how far the pattern-presence guarantee can be
     pushed; this only searches and asserts nothing about existence.
     Returns (initial load, pattern index) for the first missing pair.
     """
-    code = _as_code(code_or_g)
     m = max(f.degree for f in code.factors)
     if not 1 <= s <= m:
         raise ValueError(f"avoidance pattern length must be in [1, {m}], got {s}")
@@ -413,6 +404,15 @@ def gcd_power_inequality_check(a: int, b: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # exhaustive / sampled family checks used by the verification suites
+
+# Largest m that `verify charsums` runs each family check at (2-vCPU VM,
+# one call each).  The Weil sweep holds several (n+1) x n int64 arrays,
+# n = 2^m - 1, each 4x larger per step of m: 1.3 s / 70 MB peak at m = 10,
+# 16 s / 194 MB at m = 11.  A Laurent call at m = 16 took 0.08 s after
+# 0.28 s for its field context (37 MB); contexts grow 2x per step of m.
+WCU_M_MAX = 11
+LAURENT_M_MAX = 16
+
 
 @dataclass(frozen=True)
 class FamilyCheckReport:

@@ -28,6 +28,8 @@ from .codes import (
 from .corpus import build_corpus, exact_two_primitive_cases, mixed_degree_entries
 from .covering import ThresholdError, burst_cover, verify_certificate
 from .charsums import (
+    LAURENT_M_MAX,
+    WCU_M_MAX,
     find_avoidance_witness,
     gcd_power_inequality_check,
     laurent_family_check,
@@ -291,12 +293,16 @@ def _cmd_table1(args) -> int:
 def _cmd_lfsr_stats(args) -> int:
     g = parse_poly(args.g)
     r = g.bit_length() - 1
+    if not (args.init or args.orbit_reps):
+        raise ValueError("give --init bits or --orbit-reps")
+    # every one of these walks up to 2^r - 1 states
+    if r > MAX_R and (args.orbit_reps or args.zero_runs
+                      or (args.window if args.pattern else args.len) is None):
+        raise BudgetError(f"walk over 2^{r} - 1 states exceeds max_r={MAX_R}")
     if args.init:
         inits = [tuple(int(b) for b in args.init.replace(",", ""))]
-    elif args.orbit_reps:
-        inits = [LfsrSpec.from_galois(g, rep).init for rep in orbit_representatives(g)]
     else:
-        raise ValueError("give --init bits or --orbit-reps")
+        inits = [LfsrSpec.from_galois(g, rep).init for rep in orbit_representatives(g)]
     for init in inits:
         spec = LfsrSpec(g, init)
         init_hex = to_hex(sum(b << i for i, b in enumerate(init)))
@@ -377,9 +383,11 @@ def _verify_bounds(args) -> int:
 
 def _verify_patterns(args) -> int:
     reports = []
-    family = args.family or "bch"
+    family = args.family
     if family in ("bch", "melas"):
         m = 6 if args.m is None else args.m
+        if 2 * m > MAX_R:
+            raise BudgetError(f"orbit walk over 2^{2 * m} states exceeds max_r={MAX_R}")
         code = make_bch(2, m) if family == "bch" else make_melas(m)
         variant = "equal_degree" if family == "bch" else "melas_mixed"
         s_max = m if args.s_max is None else args.s_max
@@ -395,6 +403,8 @@ def _verify_patterns(args) -> int:
             })
         cases = sum(r.get("cases_checked", 0) for r in reports)
     else:  # mixed: the classical per-period bound on the mixed-degree corpus
+        if (args.m, args.s_max, args.find_avoidance) != (None, None, None):
+            raise ValueError("--family mixed takes no --m, --s-max or --find-avoidance")
         cases = 0
         for entry in mixed_degree_entries():
             dmin = min(f.degree for f in entry.code.factors)
@@ -415,6 +425,10 @@ def _verify_patterns(args) -> int:
 
 def _verify_charsums(args) -> int:
     m_max, draws, seed = args.m_max, args.draws, args.seed
+    if m_max > WCU_M_MAX:
+        raise BudgetError(f"--m-max {m_max} exceeds {WCU_M_MAX}")
+    if args.laurent_m_max > LAURENT_M_MAX:
+        raise BudgetError(f"--laurent-m-max {args.laurent_m_max} exceeds {LAURENT_M_MAX}")
     reports = [wcu_family_check(m).to_json() for m in range(2, m_max + 1)]
     cases = sum(r["cases_checked"] for r in reports)
     for m in range(2, args.laurent_m_max + 1):
@@ -455,20 +469,6 @@ def _verify_all(args) -> int:
     return worst
 
 
-_SUITES = {
-    "bounds": _verify_bounds,
-    "patterns": _verify_patterns,
-    "charsums": _verify_charsums,
-    "appendix": _verify_appendix,
-    "equivalence": _verify_equivalence,
-    "all": _verify_all,
-}
-
-
-def _cmd_verify(args) -> int:
-    return _SUITES[args.suite](args)
-
-
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -482,6 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     p = add_parser("radius", help="compute the burst-covering radius")
+    p.set_defaults(run=_cmd_radius)
     _add_code_args(p)
     p.add_argument("--method", choices=["orbit", "matrix", "geometric"], default="orbit")
     p.add_argument("--linear", action="store_true",
@@ -493,17 +494,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_emit(p, "plain")
 
     p = add_parser("bounds", help="evaluate every applicable bound")
+    p.set_defaults(run=_cmd_bounds)
     _add_code_args(p)
     p.add_argument("--with-radius", action="store_true")
     _add_emit(p, "plain")
 
     p = add_parser("cover", help="produce a covering certificate")
+    p.set_defaults(run=_cmd_cover)
     _add_code_args(p)
     p.add_argument("--syndrome", required=True, help="hex syndrome")
     p.add_argument("--bprime", type=int)
     _add_emit(p, "plain")
 
     p = add_parser("table1", help="radii of BCH(2,m) and Melas(m), m=6..11")
+    p.set_defaults(run=_cmd_table1)
     p.add_argument("--m-min", type=int, default=6)
     p.add_argument("--m-max", type=int, default=11)
     p.add_argument("--modulus")
@@ -513,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_emit(p, "plain")
 
     p = add_parser("lfsr-stats", help="dump sequences and pattern counts")
+    p.set_defaults(run=_cmd_lfsr_stats)
     p.add_argument("--g", required=True)
     p.add_argument("--init", help="initial bits, e.g. 1,0,0")
     p.add_argument("--orbit-reps", action="store_true",
@@ -524,35 +529,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero-runs", action="store_true")
 
     p = add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=list(_SUITES),
-                   help="'all' runs every suite at full size and ignores the options")
-    p.add_argument("--max", type=_positive_int, default=40, help="appendix: max a, b")
-    p.add_argument("--nmax", type=_positive_int, default=63,
-                   help="equivalence: max code length")
-    p.add_argument("--family", choices=["bch", "melas", "mixed"])
-    p.add_argument("--m", type=_positive_int, help="patterns: extension degree (default 6)")
-    p.add_argument("--s-max", type=_positive_int,
-                   help="patterns: longest pattern (default: m)")
+    suites = p.add_subparsers(dest="suite", required=True)
+    emit = argparse.ArgumentParser(add_help=False)
+    _add_emit(emit, "json")
+    add_suite = functools.partial(suites.add_parser, allow_abbrev=False, parents=[emit])
+    p = add_suite("bounds", help="bound sandwich on the corpus")
+    p.set_defaults(run=_verify_bounds)
+    p = add_suite("patterns", help="pattern-frequency bounds")
+    p.set_defaults(run=_verify_patterns)
+    p.add_argument("--family", choices=["bch", "melas", "mixed"], default="bch")
+    p.add_argument("--m", type=_positive_int, help="extension degree (default 6)")
+    p.add_argument("--s-max", type=_positive_int, help="longest pattern (default: m)")
     p.add_argument("--find-avoidance", type=_positive_int, metavar="S",
                    help="also search for a sequence missing some length-S "
                         "pattern, 1 <= S <= m (informational)")
-    p.add_argument("--m-max", type=_positive_int, default=8)
-    p.add_argument("--laurent-m-max", type=_positive_int, default=10)
+    p = add_suite("charsums", help="Weil and Laurent character-sum bounds")
+    p.set_defaults(run=_verify_charsums)
+    p.add_argument("--m-max", type=_positive_int, default=8,
+                   help=f"largest m of the Weil sweep (at most {WCU_M_MAX})")
+    p.add_argument("--laurent-m-max", type=_positive_int, default=10,
+                   help=f"largest m of the Laurent samples (at most {LAURENT_M_MAX})")
     p.add_argument("--draws", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    _add_emit(p, "json")
+    p = add_suite("appendix", help="power-gap inequality")
+    p.set_defaults(run=_verify_appendix)
+    p.add_argument("--max", type=_positive_int, default=40, help="max a, b")
+    p = add_suite("equivalence", help="radius methods agree on the corpus")
+    p.set_defaults(run=_verify_equivalence)
+    p.add_argument("--nmax", type=_positive_int, default=63, help="max code length")
+    p = suites.add_parser("all", allow_abbrev=False,
+                          help="run every suite at full size; takes no options")
+    p.set_defaults(run=_verify_all)
 
     return parser
-
-
-_DISPATCH = {
-    "radius": _cmd_radius,
-    "bounds": _cmd_bounds,
-    "cover": _cmd_cover,
-    "table1": _cmd_table1,
-    "lfsr-stats": _cmd_lfsr_stats,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv=None) -> int:
@@ -562,7 +571,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse has printed usage and its `error:` line
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

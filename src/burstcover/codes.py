@@ -178,37 +178,21 @@ def _columns(code: CyclicCode) -> tuple[int, ...]:
     return tuple(parity_check_matrix(code).columns())
 
 
-def lc_eval(code: CyclicCode, i: int, f: int, debug: bool = False) -> int:
+def lc_eval(code: CyclicCode, i: int, f: int) -> int:
     """Syndrome of the window combination (i, f): sum of columns i+j, j in supp(f).
 
-    Column indices wrap modulo n.  With debug=True the stacked field
-    evaluations root^i * f(root) are computed independently and compared.
+    Column indices wrap modulo n.
     """
     if not 0 <= i < code.n:
         raise ValueError("window start out of range")
     cols = _columns(code)
     s = 0
     j = 0
-    ff = f
-    while ff:
-        if ff & 1:
+    while f:
+        if f & 1:
             s ^= cols[(i + j) % code.n]
-        ff >>= 1
+        f >>= 1
         j += 1
-    if debug:
-        alt = 0
-        base = 0
-        for fac in code.factors:
-            ctx = fac.ctx
-            fx = 0
-            for j in range(f.bit_length()):
-                if f >> j & 1:
-                    fx ^= ctx.pow(fac.root, j)
-            v = ctx.mul(ctx.pow(fac.root, i), fx)
-            alt |= v << base
-            base += fac.degree
-        if alt != s:
-            raise AssertionError("column sum and field evaluation disagree")
     return s
 
 
@@ -216,17 +200,6 @@ def codewords(code: CyclicCode):
     """All codewords u*g, deg(u) <= n-r-1, as n-bit masks."""
     for u in range(1 << (code.n - code.r)):
         yield mul(u, code.g)
-
-
-def dual_sequences(code: CyclicCode) -> set[tuple[int, ...]]:
-    """All length-n LFSR outputs with connection g: the dual codewords."""
-    from .lfsr import LfsrSpec, lfsr_sequence
-
-    out = set()
-    for load in range(1 << code.r):
-        spec = LfsrSpec.from_galois(code.g, load)
-        out.add(tuple(lfsr_sequence(spec, code.n)))
-    return out
 
 
 def code_to_descriptor(code: CyclicCode) -> dict:

@@ -68,7 +68,7 @@ class CoverSolver:
                 f |= 1 << i
         return f
 
-    def cover(self, x: int, b_prime: int, debug: bool = False) -> CoveringCertificate:
+    def cover(self, x: int, b_prime: int) -> CoveringCertificate:
         code = self.code
         if not 0 <= x < (1 << code.r):
             raise ValueError(f"syndrome must have {code.r} bits")
@@ -80,8 +80,6 @@ class CoverSolver:
         while f >= limit:
             f = shift_mod(f, code.g)
             t += 1
-            if debug and lc_eval(code, -t % code.n, f) != x:
-                raise AssertionError("loop invariant broken: combination drifted")
             if t > code.n:
                 raise ThresholdError("threshold below radius")
         i = -t % code.n
@@ -101,14 +99,14 @@ def get_solver(code: CyclicCode) -> CoverSolver:
     return CoverSolver(code)
 
 
-def burst_cover(code: CyclicCode, x: int, b_prime: int, debug: bool = False) -> CoveringCertificate:
+def burst_cover(code: CyclicCode, x: int, b_prime: int) -> CoveringCertificate:
     """A window combination of width <= b_prime whose syndrome is x.
 
     b_prime must be at least the burst-covering radius for every
     syndrome to be reachable; the iteration guard reports when it is
     not, instead of looping forever.
     """
-    return get_solver(code).cover(x, b_prime, debug=debug)
+    return get_solver(code).cover(x, b_prime)
 
 
 def verify_certificate(code: CyclicCode, x: int, cert: CoveringCertificate,

@@ -209,20 +209,17 @@ def min_odd_coset_member(t: int, n: int) -> int:
     return min(members)
 
 
-def minimal_polynomial(ctx: FieldContext, t: int, allow_one: bool = False) -> int:
+def minimal_polynomial(ctx: FieldContext, t: int) -> int:
     """Minimal polynomial of alpha^t over GF(2), alpha the context generator.
 
     t is reduced modulo 2^m - 1 and may be negative.  t = 0 names the
-    element 1, whose minimal polynomial X+1 is only returned when the
-    caller opts in.
+    degenerate root 1 and is rejected.
     """
     if not ctx.primitive:
         raise ValueError("minimal polynomials need a primitive context")
     n = ctx.n
     t %= n
     if t == 0:
-        if allow_one:
-            return 0b11
         raise ValueError("t = 0 names the degenerate root 1")
     coeffs = [1]  # polynomial over the field, index = degree
     for c in cyclotomic_coset(t, n):

@@ -237,13 +237,6 @@ def orbit_representatives(g: int) -> list[int]:
     return list(_orbit_minima(g))
 
 
-def orbit_size(g: int, f: int) -> int:
-    """Length of the orbit of load f: the order of g / gcd(f, g)."""
-    if f == 0:
-        return 1
-    return poly_order(quot(g, gcd(g, f)))
-
-
 def trace_representation(spec: LfsrSpec) -> list[tuple[int, int]]:
     """Pairs (h_i, gamma_i) with a_k = sum_i Tr(gamma_i * beta_i^k).
 

@@ -282,95 +282,8 @@ def geometric_is_covering(code_or_matrix, b: int, max_n: int = 20,
     return bool(covered.all())
 
 
-@dataclass(frozen=True)
-class CensusResult:
-    b: int
-    cyclic: bool
-    total_combinations: int
-    zero_syndrome_multiplicity: int
-    min_multiplicity: int      # over nonzero syndromes
-    max_multiplicity: int      # over nonzero syndromes
-    count_of_uncovered: int    # nonzero syndromes with multiplicity 0
-    histogram: dict            # multiplicity -> number of syndromes (all 2^r)
-    perfect: bool              # non-cyclic equality case: every nonzero exactly once
-
-    def to_json(self) -> dict:
-        d = dict(self.__dict__)
-        d["histogram"] = {str(k): v for k, v in self.histogram.items()}
-        return d
-
-
-def syndrome_census(
-    H: BinaryMatrix,
-    b: int,
-    cyclic: bool = True,
-    max_r: int = 24,  # below MAX_R: the counts are int64, 8 bytes per syndrome
-    max_work: int = 1 << 26,
-) -> CensusResult:
-    """Multiplicity of every syndrome among window-b combinations.
-
-    A combination is (rightmost column i, coefficients for the b-1
-    columns before it, rightmost coefficient forced nonzero), so the
-    cyclic total is n * 2^(b-1) and truncated left windows reduce the
-    non-cyclic total accordingly.
-    """
-    r, n = H.rows, H.cols
-    if r > max_r:
-        raise BudgetError(f"census table of 2^{r} entries exceeds max_r={max_r}")
-    if not 1 <= b <= n:
-        raise ValueError("window size must be in [1, n]")
-    cols = H.columns()
-    full = 1 << r
-    expected = n << (b - 1) if cyclic else ((n - b + 1) << (b - 1)) + (1 << (b - 1)) - 1
-    if expected > max_work:
-        raise BudgetError(f"{expected} combinations exceed the budget {max_work}")
-    counts = np.zeros(full, dtype=np.int64)
-    chunk = []
-    chunk_size = 0
-    for i in range(n):
-        width = b - 1 if cyclic else min(b - 1, i)
-        prev = [cols[(i - 1 - j) % n] for j in range(width)]
-        arr = _closure(prev) ^ cols[i]
-        chunk.append(arr)
-        chunk_size += arr.size
-        if chunk_size >= (1 << 20):
-            counts += np.bincount(np.concatenate(chunk), minlength=full)
-            chunk, chunk_size = [], 0
-    if chunk:
-        counts += np.bincount(np.concatenate(chunk), minlength=full)
-    total = int(counts.sum())
-    if total != expected:
-        raise AssertionError("combination count does not match the formula")
-    nonzero = counts[1:]
-    mults, freq = np.unique(counts, return_counts=True)
-    hist = {int(m): int(c) for m, c in zip(mults, freq)}
-    mn = int(nonzero.min()) if r >= 1 else 0
-    mx = int(nonzero.max()) if r >= 1 else 0
-    return CensusResult(
-        b=b,
-        cyclic=cyclic,
-        total_combinations=total,
-        zero_syndrome_multiplicity=int(counts[0]),
-        min_multiplicity=mn,
-        max_multiplicity=mx,
-        count_of_uncovered=int((nonzero == 0).sum()),
-        histogram=hist,
-        perfect=(not cyclic) and mn == 1 and mx == 1,
-    )
-
-
 # ---------------------------------------------------------------------------
 # bounds
-
-def min_length_cyclic(q: int, r: int, b: int) -> int:
-    """Shortest length of an [n, n-r]_q code covering with cyclic b-bursts (b >= 2)."""
-    return (q ** (r - b + 1) - 1) // (q - 1) + 1
-
-
-def min_length_noncyclic(q: int, r: int, b: int) -> int:
-    """Shortest length with non-cyclic b-bursts; equality means a perfect code."""
-    return (q ** (r - b + 1) - 1) // (q - 1) + b - 1
-
 
 def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length()

@@ -241,11 +241,6 @@ def test_avoidance_length_checked_before_any_orbit(s, monkeypatch):
         find_avoidance_witness(make_bch(2, 5), s)
 
 
-def test_pattern_theorem_accepts_raw_polynomial():
-    rep = pattern_theorem_check(make_bch(2, 5).g, "equal_degree", 2)
-    assert rep.applicable and rep.ok
-
-
 def test_melas_mixed_theorem():
     code = make_melas(6)
     rep = pattern_theorem_check(code, "melas_mixed", 1)

@@ -224,6 +224,12 @@ USAGE_ERRORS = {
     "negative-max-r": ["radius", *BCH24, "--max-r", "-1"],
     "zero-max-r": ["radius", *BCH24, "--max-r", "0"],
     "deleted-cover-debug": ["cover", *BCH24, "--syndrome", "1", "--debug"],
+    "mixed-with-degree-options": ["verify", "patterns", "--family", "mixed", "--m", "3",
+                                  "--s-max", "2", "--find-avoidance", "3"],
+    "mixed-with-s-max": ["verify", "patterns", "--family", "mixed", "--s-max", "2"],
+    "appendix-with-seed": ["verify", "appendix", "--max", "3", "--seed", "1"],
+    "bounds-with-m": ["verify", "bounds", "--m", "3"],
+    "all-with-draws": ["verify", "all", "--draws", "3"],
 }
 
 
@@ -234,6 +240,62 @@ def test_usage_errors(name, bad_files, capsys):
     assert rc == EXIT_USAGE
     assert "Traceback" not in err
     assert "error:" in err.strip().splitlines()[-1]
+
+
+def _fail_if_called(monkeypatch, module, *names):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    for name in names:
+        monkeypatch.setattr(module, name, fail)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--m-max", "12"],
+    ["--laurent-m-max", "17"],
+])
+def test_charsums_ceilings_checked_first(argv, monkeypatch, capsys):
+    import burstcover.charsums as charsums_mod
+    import burstcover.cli as cli_mod
+
+    _fail_if_called(monkeypatch, cli_mod, "wcu_family_check", "laurent_family_check")
+    _fail_if_called(monkeypatch, charsums_mod, "get_context")
+    assert main(["verify", "charsums", *argv]) == EXIT_BUDGET
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["bch", "melas"])
+def test_patterns_degree_capped_by_max_r(family, monkeypatch, capsys):
+    import burstcover.cli as cli_mod
+
+    _fail_if_called(monkeypatch, cli_mod, "make_bch", "make_melas",
+                    "pattern_theorem_check", "find_avoidance_witness")
+    assert main(["verify", "patterns", "--family", family, "--m", "14"]) == EXIT_BUDGET
+    assert "max_r=26" in capsys.readouterr().err
+
+
+G27 = ["--g", "x^27+x^5+x^2+x+1"]
+INIT27 = ["--init", "1" + "0" * 26]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--orbit-reps"],
+    [*INIT27],
+    [*INIT27, "--pattern", "1"],
+    [*INIT27, "--len", "5", "--zero-runs"],
+])
+def test_lfsr_stats_full_period_capped_by_max_r(argv, monkeypatch, capsys):
+    import burstcover.cli as cli_mod
+
+    _fail_if_called(monkeypatch, cli_mod, "orbit_representatives", "lfsr_sequence",
+                    "pattern_count", "max_zero_run")
+    assert main(["lfsr-stats", *G27, *argv]) == EXIT_BUDGET
+    assert "max_r=26" in capsys.readouterr().err
+
+
+def test_lfsr_stats_explicit_length_is_not_capped(capsys):
+    rc, out = run(capsys, "lfsr-stats", *G27, *INIT27, "--len", "5")
+    assert rc == EXIT_OK and out.endswith(" : 10000\n")
 
 
 def test_help_exits_ok(capsys):

@@ -8,7 +8,6 @@ from burstcover.codes import (
     code_from_descriptor,
     code_to_descriptor,
     codewords,
-    dual_sequences,
     lc_eval,
     make_bch,
     make_cyclic_code,
@@ -16,6 +15,7 @@ from burstcover.codes import (
     parity_check_matrix,
 )
 from burstcover.gf2poly import mul, reciprocal
+from burstcover.lfsr import LfsrSpec, lfsr_sequence
 
 
 def test_hamming_code():
@@ -129,8 +129,19 @@ def test_lc_shift_identity(i, f):
 @given(st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=255))
 @settings(max_examples=60)
 def test_lc_eval_debug_cross_check(i, f):
+    # oracle: the stacked field evaluations root^i * f(root), one per factor
     code = make_cyclic_code(21, mul(0b111, 0xB))
-    lc_eval(code, i % code.n, f, debug=True)  # raises on mismatch
+    i %= code.n
+    expected, base = 0, 0
+    for fac in code.factors:
+        ctx = fac.ctx
+        fx = 0
+        for j in range(f.bit_length()):
+            if f >> j & 1:
+                fx ^= ctx.pow(fac.root, j)
+        expected |= ctx.mul(ctx.pow(fac.root, i), fx) << base
+        base += fac.degree
+    assert lc_eval(code, i, f) == expected
 
 
 def test_first_window_spans_all_syndromes():
@@ -153,7 +164,9 @@ def test_dual_sequences_equal_row_space(n, g):
     for row in H.row_masks:
         space |= {v ^ row for v in space}
     as_tuples = {tuple((v >> j) & 1 for j in range(n)) for v in space}
-    assert dual_sequences(code) == as_tuples
+    duals = {tuple(lfsr_sequence(LfsrSpec.from_galois(g, load), n))
+             for load in range(1 << code.r)}
+    assert duals == as_tuples
 
 
 def test_codeword_count():

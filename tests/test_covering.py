@@ -10,7 +10,7 @@ from burstcover.covering import (
     get_solver,
     verify_certificate,
 )
-from burstcover.gf2poly import mul
+from burstcover.gf2poly import mul, shift_mod
 from burstcover.radius import cyclic_burst_radius
 
 
@@ -35,17 +35,23 @@ def test_random_syndromes_verify_at_radius():
     rng = random.Random(42)
     for _ in range(300):
         x = rng.randrange(1 << code.r)
-        cert = burst_cover(code, x, b, debug=False)
+        cert = burst_cover(code, x, b)
         assert cert.width <= b
         assert cert.iterations <= code.n
         assert verify_certificate(code, x, cert, b)
 
 
 def test_debug_mode_checks_invariant():
+    # the loop invariant of CoverSolver.cover, walked here: after t shifts
+    # the load reproduces x from window start -t mod n
     code = make_melas(5)
     b = cyclic_burst_radius(code).b
     for x in (5, 99, 1000):
-        cert = burst_cover(code, x, b, debug=True)
+        cert = burst_cover(code, x, b)
+        f = get_solver(code).solve_basis(x)
+        for t in range(cert.iterations + 1):
+            assert lc_eval(code, -t % code.n, f) == x
+            f = shift_mod(f, code.g)
         assert verify_certificate(code, x, cert, b)
 
 

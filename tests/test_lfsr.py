@@ -12,7 +12,6 @@ from burstcover.lfsr import (
     minimal_connection,
     minimal_period,
     orbit_representatives,
-    orbit_size,
     pattern_count,
     regenerate_from_trace,
     trace_representation,
@@ -187,6 +186,14 @@ def test_window_histogram_matches_pattern_count(params, s, L):
     spec = LfsrSpec.from_galois(g, f)
     for y in range(1 << s):
         assert counts[y] == pattern_count(spec, [(y >> i) & 1 for i in range(s)], L).count
+
+
+def orbit_size(g: int, f: int) -> int:
+    """Shifts of f -> X*f mod g until f returns: an oracle apart from poly_order."""
+    x, size = gf2poly.shift_mod(f, g), 1
+    while x != f:
+        x, size = gf2poly.shift_mod(x, g), size + 1
+    return size
 
 
 def test_orbits_primitive_single():

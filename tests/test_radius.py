@@ -19,9 +19,6 @@ from burstcover.radius import (
     cyclic_burst_radius,
     geometric_is_covering,
     matrix_burst_radius,
-    min_length_cyclic,
-    min_length_noncyclic,
-    syndrome_census,
     witness_recheck,
 )
 
@@ -256,51 +253,6 @@ def test_table_methods_share_the_max_r_default():
         assert inspect.signature(fn).parameters["max_r"].default == MAX_R == 26
 
 
-def test_census_totals_and_coverage():
-    code = make_bch(2, 4)
-    H = parity_check_matrix(code)
-    b = cyclic_burst_radius(code).b
-    census = syndrome_census(H, b, cyclic=True)
-    assert census.total_combinations == code.n << (b - 1)
-    assert census.count_of_uncovered == 0
-    below = syndrome_census(H, b - 1, cyclic=True)
-    assert below.count_of_uncovered > 0
-    assert sum(k * v for k, v in census.histogram.items()) == census.total_combinations
-
-
-def test_census_noncyclic_total():
-    H = EXT_HAMMING
-    b = 3
-    census = syndrome_census(H, b, cyclic=False)
-    n = H.cols
-    assert census.total_combinations == ((n - b + 1) << (b - 1)) + (1 << (b - 1)) - 1
-
-
-def test_census_perfect_detection():
-    # Hamming columns exhaust the nonzero syndromes, so width-1 windows
-    # (non-cyclic) produce every nonzero syndrome exactly once
-    H = parity_check_matrix(make_bch(1, 3))
-    census = syndrome_census(H, 1, cyclic=False)
-    assert census.perfect
-    assert census.min_multiplicity == census.max_multiplicity == 1
-    assert not syndrome_census(H, 2, cyclic=False).perfect
-
-
-def test_census_zero_uncovered_at_b_equals_r():
-    code = make_cyclic_code(15, mul(0b111, 0x13))
-    H = parity_check_matrix(code)
-    census = syndrome_census(H, code.r, cyclic=True)
-    assert census.count_of_uncovered == 0
-
-
-def test_census_monotone_coverage():
-    code = make_bch(2, 4)
-    H = parity_check_matrix(code)
-    uncovered = [syndrome_census(H, b).count_of_uncovered for b in range(1, code.r + 1)]
-    assert uncovered == sorted(uncovered, reverse=True)
-    assert uncovered[-1] == 0
-
-
 def _radius_oracle(cols, r, cyclic):
     # straightforward set-based reference, independent of the numpy path
     n = len(cols)
@@ -333,36 +285,6 @@ def test_matrix_radius_matches_set_oracle(seed, cyclic):
             break
     res = matrix_burst_radius(M, cyclic=cyclic)
     assert res.b == _radius_oracle(cols, r, cyclic)
-
-
-def test_census_matches_naive_count():
-    code = make_bch(2, 4)
-    H = parity_check_matrix(code)
-    cols = H.columns()
-    n, r, b = code.n, code.r, 5
-    for cyclic in (True, False):
-        naive = [0] * (1 << r)
-        for i in range(n):
-            width = b - 1 if cyclic else min(b - 1, i)
-            for p in range(1 << width):
-                s = cols[i]
-                for j in range(width):
-                    if p >> j & 1:
-                        s ^= cols[(i - 1 - j) % n]
-                naive[s] += 1
-        census = syndrome_census(H, b, cyclic=cyclic)
-        hist = {}
-        for c in naive:
-            hist[c] = hist.get(c, 0) + 1
-        assert census.histogram == hist
-        assert census.zero_syndrome_multiplicity == naive[0]
-
-
-def test_min_length_formulas():
-    assert min_length_cyclic(2, 5, 2) == (2**4 - 1) + 1
-    assert min_length_noncyclic(2, 5, 2) == (2**4 - 1) + 1
-    assert min_length_cyclic(3, 4, 2) == (3**3 - 1) // 2 + 1
-    assert min_length_noncyclic(3, 4, 3) == (3**2 - 1) // 2 + 2
 
 
 def test_bounds_report_bch_uppers():
