@@ -36,12 +36,10 @@ from .field import FieldContext, get_context, minimal_polynomial
 from .gf2poly import NEG_INF, classify, degree, parse_poly, poly_order, to_hex, to_terms
 from .lfsr import (
     LfsrSpec,
-    PatternStats,
     galois_run,
     lfsr_sequence,
     max_zero_run,
     orbit_representatives,
-    pattern_count,
     trace_representation,
 )
 from .radius import (

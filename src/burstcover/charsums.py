@@ -410,8 +410,11 @@ def gcd_power_inequality_check(a: int, b: int) -> bool:
 # n = 2^m - 1, each 4x larger per step of m: 1.3 s / 70 MB peak at m = 10,
 # 16 s / 194 MB at m = 11.  A Laurent call at m = 16 took 0.08 s after
 # 0.28 s for its field context (37 MB); contexts grow 2x per step of m.
+# 1000 Laurent draws at m = 16 took 0.29 s, so 2000 draws for each of the
+# 9 forms take about 5 s at m = 16 and about twice that over all m <= 16.
 WCU_M_MAX = 11
 LAURENT_M_MAX = 16
+LAURENT_DRAWS_MAX = 2000
 
 
 @dataclass(frozen=True)

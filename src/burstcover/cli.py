@@ -19,15 +19,17 @@ import sys
 
 from . import gf2poly
 from .codes import (
+    FAMILY_PARAMS,
+    code_from_descriptor,
     load_descriptor,
     make_bch,
-    make_cyclic_code,
     make_melas,
     parity_check_matrix,
 )
 from .corpus import build_corpus, exact_two_primitive_cases, mixed_degree_entries
 from .covering import ThresholdError, burst_cover, verify_certificate
 from .charsums import (
+    LAURENT_DRAWS_MAX,
     LAURENT_M_MAX,
     WCU_M_MAX,
     find_avoidance_witness,
@@ -39,7 +41,8 @@ from .charsums import (
 )
 from .field import primitive_moduli
 from .gf2poly import parse_poly, to_hex, to_terms
-from .lfsr import LfsrSpec, lfsr_sequence, max_zero_run, orbit_representatives, pattern_count
+from .lfsr import (LfsrSpec, fibonacci_to_galois, lfsr_sequence, max_zero_run,
+                   orbit_representatives, window_histogram)
 from .radius import (
     MAX_R,
     BudgetError,
@@ -95,10 +98,8 @@ def compute_table1(m_min: int = 6, m_max: int = 11, modulus=None,
             row["matches_fixture"] = not mismatch
             if mismatch or sensitivity:
                 row["sensitivity"] = _modulus_sweep(m)
-                attained = any(
-                    (c["bch"], c["melas"]) == fixture[:2] for c in row["sensitivity"]
-                )
-                row["fixture_attained_by_some_class"] = attained
+                row["fixture_attained_by_some_class"] = any(
+                    (c["bch"], c["melas"]) == fixture[:2] for c in row["sensitivity"])
                 if mismatch:
                     row["modulus_dependent"] = True
         rows.append(row)
@@ -106,24 +107,17 @@ def compute_table1(m_min: int = 6, m_max: int = 11, modulus=None,
 
 
 def _modulus_sweep(m: int) -> list[dict]:
-    out = []
-    for p in primitive_moduli(m):
-        out.append({
-            "modulus_hex": to_hex(p),
-            "bch": cyclic_burst_radius(make_bch(2, m, p)).b,
-            "melas": cyclic_burst_radius(make_melas(m, p)).b,
-        })
-    return out
+    return [{"modulus_hex": to_hex(p),
+             "bch": cyclic_burst_radius(make_bch(2, m, p)).b,
+             "melas": cyclic_burst_radius(make_melas(m, p)).b}
+            for p in primitive_moduli(m)]
 
 
 def _table1_exit(rows: list[dict]) -> int:
-    for row in rows:
-        if "matches_fixture" not in row:
-            continue
-        if row["matches_fixture"]:
-            continue
-        if not row.get("fixture_attained_by_some_class"):
-            return EXIT_FIXTURE_MISMATCH
+    """Exit 3 when a row misses its fixture under every primitive class."""
+    if any(row.get("matches_fixture") is False
+           and not row.get("fixture_attained_by_some_class") for row in rows):
+        return EXIT_FIXTURE_MISMATCH
     return EXIT_OK
 
 
@@ -137,33 +131,47 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _bits(text: str) -> tuple[int, ...]:
+    """A nonempty bit string such as 101 or 1,0,1."""
+    digits = text.replace(",", "")
+    if not digits or digits.strip("01"):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a bit string")
+    return tuple(int(b) for b in digits)
+
+
+def _refuse(args, mode: str, *dests: str):
+    """Reject each option among `dests` given on the command line: `mode` does not read it."""
+    for dest in dests:
+        if getattr(args, dest) not in (None, False):
+            raise ValueError(f"{mode} takes no --{dest.replace('_', '-')}")
+
+
 def _add_code_args(p: argparse.ArgumentParser):
     p.add_argument("--code", help="path to a code descriptor JSON file")
     p.add_argument("--family", choices=["bch", "melas", "generic"])
     p.add_argument("--e", type=int, help="BCH designed-distance parameter")
     p.add_argument("--m", type=int, help="extension degree")
-    p.add_argument("--n", type=int, help="code length (generic family)")
-    p.add_argument("--g", help="generator polynomial (generic family)")
+    p.add_argument("--n", type=int, help="code length (required for generic)")
+    p.add_argument("--g", help="generator polynomial (required for generic)")
     p.add_argument("--modulus", help="field modulus override (primitive)")
 
 
 def _resolve_code(args):
-    sources = [args.code is not None, args.family is not None]
-    if sum(sources) != 1:
+    """The code of `--code FILE`, or of the `--family` flags read as the
+    descriptor keys `params` (--e, --m), `n`, `g_hex` and `modulus_hex`."""
+    if (args.code is None) == (args.family is None):
         raise ValueError("specify exactly one code source: --code or --family")
-    if args.code:
+    if args.code is not None:
+        _refuse(args, "--code", "e", "m", "n", "g", "modulus")
         return load_descriptor(args.code)
-    if args.family == "bch":
-        if args.e is None or args.m is None:
-            raise ValueError("--family bch needs --e and --m")
-        return make_bch(args.e, args.m, args.modulus)
-    if args.family == "melas":
-        if args.m is None:
-            raise ValueError("--family melas needs --m")
-        return make_melas(args.m, args.modulus)
-    if args.n is None or args.g is None:
-        raise ValueError("--family generic needs --n and --g")
-    return make_cyclic_code(args.n, parse_poly(args.g), args.modulus)
+    params = {"e": args.e, "m": args.m}
+    names = FAMILY_PARAMS[args.family]
+    _refuse(args, f"--family {args.family}", *(k for k in params if k not in names))
+    desc = {"family": args.family, "n": args.n, "g_hex": args.g,
+            "modulus_hex": args.modulus}
+    if names:
+        desc["params"] = [params[k] for k in names]
+    return code_from_descriptor(desc)
 
 
 def _add_emit(p: argparse.ArgumentParser, default: str):
@@ -171,13 +179,11 @@ def _add_emit(p: argparse.ArgumentParser, default: str):
 
 
 def _emit(payload, fmt: str, plain_renderer=None) -> str:
-    if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2)
     if fmt == "csv":
         return _to_csv(payload)
-    if plain_renderer is not None:
-        return plain_renderer(payload)
-    return json.dumps(payload, sort_keys=True, indent=2)
+    if fmt == "json" or plain_renderer is None:
+        return json.dumps(payload, sort_keys=True, indent=2)
+    return plain_renderer(payload)
 
 
 def _to_csv(payload) -> str:
@@ -199,19 +205,30 @@ def _to_csv(payload) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
+# The options each radius mode does not read.
+RADIUS_REFUSES = {
+    "--method orbit": ("linear",),
+    "--method matrix": (),
+    "--method geometric": ("linear", "max_r"),
+    "--dump-matrix": ("method", "linear", "max_r", "emit"),
+}
+
+
 def _cmd_radius(args) -> int:
+    method = args.method or "orbit"
+    mode = "--dump-matrix" if args.dump_matrix else f"--method {method}"
+    _refuse(args, mode, *RADIUS_REFUSES[mode])
     code = _resolve_code(args)
     if args.dump_matrix:
         for line in parity_check_matrix(code).hex_rows():
             print(line)
         return EXIT_OK
-    if args.method == "orbit":
-        if args.linear:
-            raise ValueError("the orbit method computes the cyclic radius")
-        result = cyclic_burst_radius(code, max_r=args.max_r)
-    elif args.method == "matrix":
+    max_r = args.max_r or MAX_R
+    if method == "orbit":
+        result = cyclic_burst_radius(code, max_r=max_r)
+    elif method == "matrix":
         result = matrix_burst_radius(parity_check_matrix(code), cyclic=not args.linear,
-                                     max_r=args.max_r)
+                                     max_r=max_r)
     else:
         b = 1
         while not geometric_is_covering(code, b):
@@ -291,27 +308,41 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_lfsr_stats(args) -> int:
+    if args.pattern is None:
+        _refuse(args, "lfsr-stats without --pattern", "window")
+    else:
+        _refuse(args, "--pattern", "len", "zero_runs")
     g = parse_poly(args.g)
     r = g.bit_length() - 1
-    if not (args.init or args.orbit_reps):
-        raise ValueError("give --init bits or --orbit-reps")
-    # every one of these walks up to 2^r - 1 states
-    if r > MAX_R and (args.orbit_reps or args.zero_runs
-                      or (args.window if args.pattern else args.len) is None):
-        raise BudgetError(f"walk over 2^{r} - 1 states exceeds max_r={MAX_R}")
-    if args.init:
-        inits = [tuple(int(b) for b in args.init.replace(",", ""))]
+    if r < 1:
+        raise ValueError("connection polynomial must have degree >= 1")
+    period = (1 << r) - 1
+    # One budget for every mode: at most 2^MAX_R - 1 values walked, printed
+    # or counted.  --orbit-reps and --zero-runs walk a full period whatever
+    # --len says, and the histogram of a length-s pattern has 2^s cells.
+    values = max(args.len or args.window or period,
+                 period if args.orbit_reps or args.zero_runs else 0,
+                 1 << len(args.pattern or ()))
+    if values >= 1 << MAX_R:
+        raise BudgetError(f"{values} values exceed 2^{MAX_R} - 1 (max_r={MAX_R})")
+    if args.init is not None:
+        loads = [fibonacci_to_galois(g, args.init)]
     else:
-        inits = [LfsrSpec.from_galois(g, rep).init for rep in orbit_representatives(g)]
-    for init in inits:
-        spec = LfsrSpec(g, init)
-        init_hex = to_hex(sum(b << i for i, b in enumerate(init)))
-        if args.pattern:
-            window = (1 << r) - 1 if args.window is None else args.window
-            stats = pattern_count(spec, [int(b) for b in args.pattern], window)
-            print(json.dumps({"init": init_hex, **stats.to_json()}, sort_keys=True))
+        loads = orbit_representatives(g)
+    for load in loads:
+        spec = LfsrSpec.from_galois(g, load)
+        init_hex = to_hex(sum(b << i for i, b in enumerate(spec.init)))
+        if args.pattern is not None:
+            if load == 0:
+                raise ValueError("the all-zero sequence is excluded")
+            window = args.window or period
+            y = sum(b << i for i, b in enumerate(args.pattern))
+            count = window_histogram(g, load, len(args.pattern), window)[y]
+            print(json.dumps({"count": count, "init": init_hex, "window": window,
+                              "pattern": "".join(map(str, args.pattern))},
+                             sort_keys=True))
         else:
-            bits = lfsr_sequence(spec, (1 << r) - 1 if args.len is None else args.len)
+            bits = lfsr_sequence(spec, args.len or period)
             line = f"{init_hex} : {''.join(str(b) for b in bits)}"
             if args.zero_runs:
                 line += f"  Z={max_zero_run(spec)}"
@@ -429,6 +460,8 @@ def _verify_charsums(args) -> int:
         raise BudgetError(f"--m-max {m_max} exceeds {WCU_M_MAX}")
     if args.laurent_m_max > LAURENT_M_MAX:
         raise BudgetError(f"--laurent-m-max {args.laurent_m_max} exceeds {LAURENT_M_MAX}")
+    if draws > LAURENT_DRAWS_MAX:
+        raise BudgetError(f"--draws {draws} exceeds {LAURENT_DRAWS_MAX}")
     reports = [wcu_family_check(m).to_json() for m in range(2, m_max + 1)]
     cases = sum(r["cases_checked"] for r in reports)
     for m in range(2, args.laurent_m_max + 1):
@@ -484,14 +517,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("radius", help="compute the burst-covering radius")
     p.set_defaults(run=_cmd_radius)
     _add_code_args(p)
-    p.add_argument("--method", choices=["orbit", "matrix", "geometric"], default="orbit")
+    p.add_argument("--method", choices=["orbit", "matrix", "geometric"],
+                   help="radius method (default orbit)")
     p.add_argument("--linear", action="store_true",
-                   help="non-cyclic windows (matrix method); cyclic by default")
-    p.add_argument("--max-r", type=_positive_int, default=MAX_R,
-                   help="largest redundancy r the orbit and matrix methods accept")
+                   help="non-cyclic windows (matrix method only); cyclic by default")
+    p.add_argument("--max-r", type=_positive_int,
+                   help=f"largest redundancy r the orbit and matrix methods accept "
+                        f"(default {MAX_R})")
     p.add_argument("--dump-matrix", action="store_true",
-                   help="print the parity-check matrix, one hex row per line")
-    _add_emit(p, "plain")
+                   help="print the parity-check matrix, one hex row per line; "
+                        "takes no --method, --linear, --max-r or --emit")
+    _add_emit(p, None)
 
     p = add_parser("bounds", help="evaluate every applicable bound")
     p.set_defaults(run=_cmd_bounds)
@@ -519,14 +555,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("lfsr-stats", help="dump sequences and pattern counts")
     p.set_defaults(run=_cmd_lfsr_stats)
     p.add_argument("--g", required=True)
-    p.add_argument("--init", help="initial bits, e.g. 1,0,0")
-    p.add_argument("--orbit-reps", action="store_true",
-                   help="one sequence per shift-orbit")
-    p.add_argument("--len", type=_positive_int, help="bits to print (default: 2^r - 1)")
-    p.add_argument("--pattern", help="bit string to count")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--init", type=_bits, help="initial bits, e.g. 1,0,0")
+    source.add_argument("--orbit-reps", action="store_true",
+                        help="one sequence per shift-orbit")
+    p.add_argument("--len", type=_positive_int,
+                   help="bits to print (default: 2^r - 1); not with --pattern")
+    p.add_argument("--zero-runs", action="store_true", help="not with --pattern")
+    p.add_argument("--pattern", type=_bits, help="bit string to count")
     p.add_argument("--window", type=_positive_int,
-                   help="pattern starts to count (default: 2^r - 1)")
-    p.add_argument("--zero-runs", action="store_true")
+                   help="pattern starts to count (default: 2^r - 1); needs --pattern")
 
     p = add_parser("verify", help="run a verification suite")
     suites = p.add_subparsers(dest="suite", required=True)
@@ -549,7 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"largest m of the Weil sweep (at most {WCU_M_MAX})")
     p.add_argument("--laurent-m-max", type=_positive_int, default=10,
                    help=f"largest m of the Laurent samples (at most {LAURENT_M_MAX})")
-    p.add_argument("--draws", type=_positive_int, default=200)
+    p.add_argument("--draws", type=_positive_int, default=200,
+                   help=f"Laurent draws per form (at most {LAURENT_DRAWS_MAX})")
     p.add_argument("--seed", type=int, default=0)
     p = add_suite("appendix", help="power-gap inequality")
     p.set_defaults(run=_verify_appendix)

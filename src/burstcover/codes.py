@@ -223,7 +223,9 @@ def code_to_descriptor(code: CyclicCode) -> dict:
     }
 
 
-_FAMILY_ARITY = {"bch": 2, "melas": 1, "generic": 0}
+# The `params` of each family, in order: bch codes are built from (e, m),
+# melas codes from (m,), generic codes from `n` and `g_hex` instead.
+FAMILY_PARAMS = {"bch": ("e", "m"), "melas": ("m",), "generic": ()}
 
 
 def _descriptor_value(desc: dict, key: str):
@@ -248,7 +250,7 @@ def code_from_descriptor(desc: dict) -> CyclicCode:
     if not isinstance(desc, dict):
         raise ValueError("a code descriptor is a JSON object")
     family = desc.get("family", "generic")
-    if family not in _FAMILY_ARITY:
+    if family not in FAMILY_PARAMS:
         raise ValueError(f"descriptor key 'family': unknown family {family!r}")
     modulus = _descriptor_value(desc, "modulus_hex")
     if family == "generic":
@@ -258,11 +260,12 @@ def code_from_descriptor(desc: dict) -> CyclicCode:
                              "are required for a generic code")
         code = make_cyclic_code(n, g, modulus)
     else:
+        names = FAMILY_PARAMS[family]
         params = desc.get("params")
-        if not (isinstance(params, list) and len(params) == _FAMILY_ARITY[family]
+        if not (isinstance(params, list) and len(params) == len(names)
                 and all(isinstance(p, int) for p in params)):
-            raise ValueError(f"descriptor key 'params': {family} needs "
-                             f"{_FAMILY_ARITY[family]} integers, got {params!r}")
+            raise ValueError(f"descriptor key 'params': {family} needs the integers "
+                             f"[{', '.join(names)}], got {params!r}")
         code = (make_bch if family == "bch" else make_melas)(*params, modulus)
     built = code_to_descriptor(code)
     for key in ("params", "n", "r", "g_hex", "modulus_hex"):

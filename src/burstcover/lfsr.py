@@ -123,78 +123,35 @@ def minimal_period(spec: LfsrSpec) -> int:
 
 def max_zero_run(spec: LfsrSpec) -> int:
     """Longest run of zeros in the periodic sequence, read cyclically."""
-    pi = minimal_period(spec)
-    bits = lfsr_sequence(spec, pi)
-    best = cur = 0
-    for b in bits:
-        if b:
-            cur = 0
-        else:
-            cur += 1
-            if cur > best:
-                best = cur
-    if bits[0] == 0 and bits[-1] == 0 and best < pi:
-        # wrap the trailing run into the leading one
-        lead = next(i for i, b in enumerate(bits) if b)
-        tail = next(i for i, b in enumerate(reversed(bits)) if b)
-        best = max(best, lead + tail)
-    return best
-
-
-@dataclass(frozen=True)
-class PatternStats:
-    pattern: tuple[int, ...]
-    window_length: int
-    count: int
-
-    def to_json(self) -> dict:
-        return {
-            "pattern": "".join(str(b) for b in self.pattern),
-            "window": self.window_length,
-            "count": self.count,
-        }
-
-
-def pattern_count(spec: LfsrSpec, y, window_length: int) -> PatternStats:
-    """Occurrences of pattern y at starts k < window_length.
-
-    Reads continue past the window into the periodic sequence, so a
-    window equal to one period counts cyclic occurrences.
-    """
-    y = tuple(int(b) for b in y)
-    s = len(y)
-    if s < 1:
-        raise ValueError("pattern must be nonempty")
-    if window_length < 1:
-        raise ValueError("window length must be >= 1")
-    if not any(spec.init):
-        raise ValueError("the all-zero sequence is excluded")
-    bits = lfsr_sequence(spec, window_length + s - 1)
-    target = sum(b << j for j, b in enumerate(y))
-    w = sum(bits[j] << j for j in range(s))
-    count = 0
-    for k in range(window_length):
-        if w == target:
-            count += 1
-        if k + 1 < window_length:
-            w = (w >> 1) | (bits[k + s] << (s - 1))
-    return PatternStats(y, window_length, count)
+    bits = lfsr_sequence(spec, minimal_period(spec))
+    runs = "".join(map(str, bits)).split("1")  # a nonzero period holds a 1
+    # the trailing run wraps into the leading one
+    return max([len(runs[0]) + len(runs[-1]), *map(len, runs[1:-1])])
 
 
 def window_histogram(g: int, load: int, s: int, window_length: int) -> list[int]:
     """Counts of every length-s pattern over the Galois output for `load`.
 
-    Index j of the result counts the pattern whose bit i is (j >> i) & 1.
-    One rolling pass, so checking all 2^s patterns costs one sequence
-    generation instead of 2^s.
+    Index j of the result counts the pattern whose bit i is (j >> i) & 1
+    at starts k < window_length; reads run on past the window, so a window
+    of one period counts cyclic occurrences.  One rolling pass holding
+    only the s-bit window, so all 2^s patterns cost one generation.
     """
-    _, bits = galois_run(g, load, window_length + s - 1)
+    r = g.bit_length() - 1
+    if r < 1 or load.bit_length() > r:
+        raise ValueError("need deg(g) >= 1 and deg(load) < deg(g)")
+    if s < 1 or window_length < 1:
+        raise ValueError("pattern and window lengths must be >= 1")
     counts = [0] * (1 << s)
-    w = sum(bits[j] << j for j in range(s))
-    for k in range(window_length):
-        counts[w] += 1
-        if k + 1 < window_length:
-            w = (w >> 1) | (bits[k + s] << (s - 1))
+    size, top, high = 1 << r, r - 1, s - 1
+    w = 0
+    for k in range(window_length + high):
+        w = (w >> 1) | (load >> top & 1) << high
+        if k >= high:
+            counts[w] += 1
+        load <<= 1  # the shift X*f mod g, inline as in _orbit_minima
+        if load & size:
+            load ^= g
     return counts
 
 

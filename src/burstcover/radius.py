@@ -44,6 +44,12 @@ from .lfsr import fibonacci_to_galois
 # bounded blocks, but its time still grows as 2^r.
 MAX_R = 26
 
+# Work limits of the brute-force methods: window combinations marked by the
+# matrix method; length n and codeword x pattern pairs of the geometric one.
+MATRIX_MAX_WORK = 1 << 28
+GEOMETRIC_MAX_N = 20
+GEOMETRIC_MAX_WORK = 1 << 27
+
 # Steps per numpy block of the orbit scan: rows shorter than this are
 # batched up to it, and a longer row is scanned in segments of it.
 _BLOCK = 1 << 15
@@ -195,12 +201,8 @@ def _closure(cols) -> np.ndarray:
     return arr
 
 
-def matrix_burst_radius(
-    H: BinaryMatrix,
-    cyclic: bool = True,
-    max_r: int = MAX_R,
-    max_work: int = 1 << 28,
-) -> RadiusResult:
+def matrix_burst_radius(H: BinaryMatrix, cyclic: bool = True,
+                        max_r: int = MAX_R) -> RadiusResult:
     """Smallest b making every syndrome a window-b column combination.
 
     Brute force over window sizes: for each b the reachable syndromes
@@ -229,8 +231,8 @@ def matrix_burst_radius(
             raise AssertionError("full coverage must occur by b = n")
         starts = range(n) if cyclic else range(max(1, n - b + 1))
         work += len(starts) << b
-        if work > max_work:
-            raise BudgetError(f"window enumeration work {work} exceeds {max_work}")
+        if work > MATRIX_MAX_WORK:
+            raise BudgetError(f"window enumeration work {work} exceeds {MATRIX_MAX_WORK}")
         covered = np.zeros(full, dtype=bool)
         covered[0] = True
         for i in starts:
@@ -249,8 +251,7 @@ def _burst_patterns(n: int, b: int) -> np.ndarray:
     return np.fromiter(pats, dtype=np.int64, count=len(pats))
 
 
-def geometric_is_covering(code_or_matrix, b: int, max_n: int = 20,
-                          max_work: int = 1 << 27) -> bool:
+def geometric_is_covering(code_or_matrix, b: int) -> bool:
     """Exhaustive check that burst balls of size b around codewords cover F_2^n."""
     is_code = isinstance(code_or_matrix, CyclicCode)
     if is_code:
@@ -263,8 +264,8 @@ def geometric_is_covering(code_or_matrix, b: int, max_n: int = 20,
             raise ValueError("matrix is rank deficient")
     if r < 1:
         raise ValueError("the full space is not a covering code instance")
-    if n > max_n:
-        raise ValueError(f"exhaustive space 2^{n} exceeds max_n={max_n}")
+    if n > GEOMETRIC_MAX_N:
+        raise ValueError(f"exhaustive space 2^{n} exceeds max_n={GEOMETRIC_MAX_N}")
     if b >= n:
         return True
     if is_code:
@@ -274,7 +275,7 @@ def geometric_is_covering(code_or_matrix, b: int, max_n: int = 20,
         for v in H.nullspace_basis():
             cw.extend(c ^ v for c in list(cw))
     pats = _burst_patterns(n, b)
-    if len(cw) * len(pats) > max_work:
+    if len(cw) * len(pats) > GEOMETRIC_MAX_WORK:
         raise BudgetError("codeword/pattern product exceeds the budget")
     covered = np.zeros(1 << n, dtype=bool)
     for c in cw:
@@ -390,8 +391,7 @@ def bounds_report(code: CyclicCode) -> BoundsReport:
 
     if e <= _MAX_SUBSET_FACTORS:
         orders = [poly_order(f.poly) for f in code.factors]
-        best_k = None
-        best_raw = None
+        best_k = best_raw = -math.inf
         for mask in range(1, 1 << e):
             L = 1
             D = 0
@@ -399,12 +399,8 @@ def bounds_report(code: CyclicCode) -> BoundsReport:
                 if mask >> j & 1:
                     L = math.lcm(L, orders[j])
                     D += code.factors[j].degree
-            k = (2 * r + D - _ceil_log2(L * L)) // 2
-            raw = r - (math.log2(L) - D / 2)
-            if best_k is None or k > best_k:
-                best_k = k
-            if best_raw is None or raw > best_raw:
-                best_raw = raw
+            best_k = max(best_k, (2 * r + D - _ceil_log2(L * L)) // 2)
+            best_raw = max(best_raw, r - (math.log2(L) - D / 2))
         entries.append(BoundEntry(
             name="run_guarantee_upper", kind="upper", value=best_k,
             applicable=True, raw=best_raw,
@@ -429,7 +425,7 @@ def bounds_report(code: CyclicCode) -> BoundsReport:
                 name="bch_upper", kind="upper",
                 value=_floor_plus_half_log(2 * m * eb - m + 2, eb - 1),
                 applicable=True,
-                raw=m * (eb - 0.5) + (math.log2(eb - 1) if eb > 1 else 0.0) + 1,
+                raw=m * (eb - 0.5) + math.log2(eb - 1) + 1,
                 note="pattern-frequency guarantee for the BCH dual sequences",
             ))
         entries.append(BoundEntry(
@@ -474,13 +470,10 @@ def witness_recheck(code: CyclicCode, result: RadiusResult) -> bool:
     Equivalently no window of size b - 1 can produce the syndrome of the
     witness load, certifying tightness of the computed radius.
     """
-    f = result.witness
-    start = f
-    mind = f
-    while True:
-        f = shift_mod(f, code.g)
+    start = mind = result.witness
+    f = shift_mod(start, code.g)
+    while f != start:
         if f < mind:
             mind = f
-        if f == start:
-            break
+        f = shift_mod(f, code.g)
     return mind.bit_length() - 1 == result.b - 1

@@ -16,7 +16,7 @@ from burstcover.cli import (
     compute_table1,
     main,
 )
-from burstcover.codes import code_to_descriptor, make_bch
+from burstcover.codes import code_to_descriptor, make_bch, make_melas
 
 
 def run(capsys, *argv):
@@ -182,13 +182,16 @@ def test_violation_exit_code(capsys, monkeypatch):
 
 
 BCH24 = ["--family", "bch", "--e", "2", "--m", "4"]
+BCH25 = ["--family", "bch", "--e", "2", "--m", "5"]
 BCH26 = ["--family", "bch", "--e", "2", "--m", "6"]
+LFSR_B = ["lfsr-stats", "--g", "0xB", "--init", "1,0,0"]
 
 
 @pytest.fixture
 def bad_files(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not.json").write_text("{not json")
+    (tmp_path / "melas6.json").write_text(json.dumps(code_to_descriptor(make_melas(6))))
 
 
 # Every bad input exits EXIT_USAGE through cli.main, never with a traceback.
@@ -230,6 +233,27 @@ USAGE_ERRORS = {
     "appendix-with-seed": ["verify", "appendix", "--max", "3", "--seed", "1"],
     "bounds-with-m": ["verify", "bounds", "--m", "3"],
     "all-with-draws": ["verify", "all", "--draws", "3"],
+    "code-with-modulus": ["radius", "--code", "melas6.json", "--modulus", "0x67"],
+    "melas-with-e": ["radius", "--family", "melas", "--m", "5", "--e", "3"],
+    "bch-with-other-g": ["radius", *BCH25, "--g", "0x13"],
+    "bch-with-other-n": ["radius", *BCH25, "--n", "33"],
+    "bch-without-m": ["radius", "--family", "bch", "--e", "2"],
+    "generic-with-m": ["radius", "--family", "generic", "--n", "15", "--g", "x^4+x+1",
+                       "--m", "9"],
+    "geometric-linear": ["radius", *BCH24, "--method", "geometric", "--linear"],
+    "geometric-max-r": ["radius", *BCH24, "--method", "geometric", "--max-r", "1"],
+    "orbit-linear": ["radius", *BCH24, "--linear"],
+    "dump-matrix-emit": ["radius", *BCH24, "--dump-matrix", "--emit", "json"],
+    "dump-matrix-method": ["radius", *BCH24, "--dump-matrix", "--method", "orbit"],
+    "init-and-orbit-reps": [*LFSR_B, "--orbit-reps"],
+    "no-init-or-orbit-reps": ["lfsr-stats", "--g", "0xB"],
+    "window-without-pattern": [*LFSR_B, "--window", "3"],
+    "pattern-zero-runs": [*LFSR_B, "--pattern", "1", "--zero-runs"],
+    "pattern-len": [*LFSR_B, "--pattern", "1", "--len", "3"],
+    "pattern-not-bits": [*LFSR_B, "--pattern", "12"],
+    "pattern-empty": [*LFSR_B, "--pattern="],
+    "init-not-bits": ["lfsr-stats", "--g", "0xB", "--init", "1,2,0"],
+    "zero-init-pattern": ["lfsr-stats", "--g", "0xB", "--init", "0,0,0", "--pattern", "1"],
 }
 
 
@@ -253,6 +277,7 @@ def _fail_if_called(monkeypatch, module, *names):
 @pytest.mark.parametrize("argv", [
     ["--m-max", "12"],
     ["--laurent-m-max", "17"],
+    ["--draws", "2001"],
 ])
 def test_charsums_ceilings_checked_first(argv, monkeypatch, capsys):
     import burstcover.charsums as charsums_mod
@@ -278,6 +303,10 @@ G27 = ["--g", "x^27+x^5+x^2+x+1"]
 INIT27 = ["--init", "1" + "0" * 26]
 
 
+LFSR_WORK = ["orbit_representatives", "fibonacci_to_galois", "lfsr_sequence",
+             "window_histogram", "max_zero_run"]
+
+
 @pytest.mark.parametrize("argv", [
     ["--orbit-reps"],
     [*INIT27],
@@ -287,15 +316,55 @@ INIT27 = ["--init", "1" + "0" * 26]
 def test_lfsr_stats_full_period_capped_by_max_r(argv, monkeypatch, capsys):
     import burstcover.cli as cli_mod
 
-    _fail_if_called(monkeypatch, cli_mod, "orbit_representatives", "lfsr_sequence",
-                    "pattern_count", "max_zero_run")
+    _fail_if_called(monkeypatch, cli_mod, *LFSR_WORK)
     assert main(["lfsr-stats", *G27, *argv]) == EXIT_BUDGET
+    assert "max_r=26" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--len", str(1 << 26)],
+    ["--pattern", "1", "--window", str(1 << 26)],
+    ["--pattern", "1" * 26, "--window", "3"],
+])
+def test_lfsr_stats_explicit_sizes_capped_by_max_r(argv, monkeypatch, capsys):
+    import burstcover.cli as cli_mod
+
+    _fail_if_called(monkeypatch, cli_mod, *LFSR_WORK)
+    assert main([*LFSR_B, *argv]) == EXIT_BUDGET
     assert "max_r=26" in capsys.readouterr().err
 
 
 def test_lfsr_stats_explicit_length_is_not_capped(capsys):
     rc, out = run(capsys, "lfsr-stats", *G27, *INIT27, "--len", "5")
     assert rc == EXIT_OK and out.endswith(" : 10000\n")
+
+
+def test_consistent_code_flags_are_accepted(capsys):
+    rc, out = run(capsys, "radius", *BCH25)
+    assert rc == EXIT_OK
+    assert run(capsys, "radius", *BCH25, "--n", "31") == (rc, out)
+    assert run(capsys, "radius", *BCH25, "--g", "0x769", "--modulus", "0x25") == (rc, out)
+
+
+def test_every_option_is_read():
+    """Every option of every parser is read as args.<dest> somewhere in cli.py."""
+    import argparse
+    import re
+
+    import burstcover.cli as cli_mod
+
+    source = Path(cli_mod.__file__).read_text()
+    read = set(re.findall(r"\bargs\.(\w+)", source))
+    parsers = [cli_mod.build_parser()]
+    dests = set()
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            dests.add(action.dest)
+        dests.update(parser._defaults)
+    assert dests - {"command", "suite", "run", "help"} - read == set()
 
 
 def test_help_exits_ok(capsys):

@@ -12,7 +12,6 @@ from burstcover.lfsr import (
     minimal_connection,
     minimal_period,
     orbit_representatives,
-    pattern_count,
     regenerate_from_trace,
     trace_representation,
     window_histogram,
@@ -145,21 +144,21 @@ def test_pattern_count_pn_census():
     from burstcover.field import default_modulus
 
     g = default_modulus(m)
-    spec = LfsrSpec(g, (1,) + (0,) * (m - 1))
+    load = fibonacci_to_galois(g, (1,) + (0,) * (m - 1))
     n = (1 << m) - 1
     for s in range(1, m + 1):
+        counts = window_histogram(g, load, s, n)
         for y in range(1 << s):
-            bits = [(y >> i) & 1 for i in range(s)]
-            c = pattern_count(spec, bits, n).count
-            assert c == ((1 << (m - s)) - 1 if y == 0 else 1 << (m - s))
+            assert counts[y] == ((1 << (m - s)) - 1 if y == 0 else 1 << (m - s))
 
 
 def test_pattern_count_length_m_unique():
     m = 6
     from burstcover.field import default_modulus
 
-    spec = LfsrSpec(default_modulus(m), (1,) + (0,) * (m - 1))
-    assert pattern_count(spec, [1] * m, (1 << m) - 1).count == 1
+    g = default_modulus(m)
+    load = fibonacci_to_galois(g, (1,) + (0,) * (m - 1))
+    assert window_histogram(g, load, m, (1 << m) - 1)[(1 << m) - 1] == 1
 
 
 @given(specs, st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=40))
@@ -168,24 +167,27 @@ def test_pattern_counts_partition_window(params, s, L):
     g, f = params
     if f == 0:
         return
-    spec = LfsrSpec.from_galois(g, f)
-    total = sum(
-        pattern_count(spec, [(y >> i) & 1 for i in range(s)], L).count
-        for y in range(1 << s)
-    )
-    assert total == L
+    assert sum(window_histogram(g, f, s, L)) == L
 
 
 @given(specs, st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=40))
 @settings(max_examples=60)
 def test_window_histogram_matches_pattern_count(params, s, L):
+    """The Galois-mode histogram against a count over the Fibonacci sequence."""
     g, f = params
     if f == 0:
         return
     counts = window_histogram(g, f, s, L)
-    spec = LfsrSpec.from_galois(g, f)
+    bits = lfsr_sequence(LfsrSpec.from_galois(g, f), L + s - 1)
+    windows = [sum(bits[k + i] << i for i in range(s)) for k in range(L)]
     for y in range(1 << s):
-        assert counts[y] == pattern_count(spec, [(y >> i) & 1 for i in range(s)], L).count
+        assert counts[y] == windows.count(y)
+
+
+@pytest.mark.parametrize("load, s, window", [(8, 1, 7), (1, 0, 7), (1, 2, 0)])
+def test_window_histogram_rejects_bad_sizes(load, s, window):
+    with pytest.raises(ValueError):
+        window_histogram(0xB, load, s, window)
 
 
 def orbit_size(g: int, f: int) -> int:

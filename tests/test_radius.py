@@ -61,10 +61,11 @@ def test_rank_deficient_rejected():
         matrix_burst_radius(M)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     H = parity_check_matrix(make_bch(2, 6))
+    monkeypatch.setattr(radius_mod, "MATRIX_MAX_WORK", 100)
     with pytest.raises(BudgetError):
-        matrix_burst_radius(H, max_work=100)
+        matrix_burst_radius(H)
     with pytest.raises(BudgetError):
         matrix_burst_radius(H, max_r=5)
 
@@ -153,7 +154,15 @@ def test_geometric_rejects_large_space(monkeypatch):
     monkeypatch.setattr(radius_mod, "codewords", no_enumeration)
     for code in (make_bch(2, 5), make_bch(2, 6)):
         with pytest.raises(ValueError):
-            geometric_is_covering(code, 3, max_n=20)
+            geometric_is_covering(code, 3)
+
+
+def test_geometric_work_budget(monkeypatch):
+    code = make_cyclic_code(15, 0x13)  # 2^11 codewords
+    assert geometric_is_covering(code, 3)
+    monkeypatch.setattr(radius_mod, "GEOMETRIC_MAX_WORK", 1 << 11)
+    with pytest.raises(BudgetError):
+        geometric_is_covering(code, 3)
 
 
 def test_orbit_budget_guard():
