@@ -3,10 +3,13 @@
 The canonical additive character is chi(v) = (-1)^Tr(v).  Sums are read
 from the one trace table, field.trace_table: by linearity the trace of
 sum c_i x^(e_i) at x = gen^k is the XOR of table[log c_i + (e_i k mod n)],
-so no field element is built.  Every verdict here is computed in exact
-integer arithmetic: a bound of the shape |S| <= c * 2^(m/2) is tested as
-S^2 <= c^2 * 2^m, so half-integer powers of two never touch floating
-point.  Floats appear only in reports, for human consumption.
+so no field element is built.  Every bound checked here has the shifted
+form |x| <= a * 2^(m/2) + b (b = 0 for the plain form |x| <= a * 2^(m/2)),
+and every verdict goes through the one predicate _within(x, m, a, b).
+It compares |x| with isqrt(a^2 * 2^m) + b in exact integers, so
+half-integer powers of two never touch floating point, and it works
+elementwise on int64 arrays.  Floats appear only in reports, for human
+consumption.
 
 Checked bounds:
 
@@ -40,6 +43,15 @@ from .lfsr import (
     orbit_representatives,
     window_histogram,
 )
+
+
+def _within(x, m: int, a: int, b: int = 0):
+    """|x| <= a * 2^(m/2) + b, exactly; elementwise for an int64 array x.
+
+    |x| - b is an integer, so it is at most a * 2^(m/2) iff it is at most
+    the floor of that, isqrt(a^2 * 2^m).
+    """
+    return abs(x) <= math.isqrt(a * a << m) + b
 
 
 @dataclass(frozen=True)
@@ -123,8 +135,7 @@ def wcu_check(ctx: FieldContext, coeffs) -> SumCheck:
     # nonzero x term by term, plus chi(c_0) for x = 0
     s = _nonzero_sum(ctx, [(c, j) for j, c in enumerate(coeffs) if c])
     s += 1 - 2 * ctx.trace(coeffs[0])
-    ok = s * s <= (deg - 1) ** 2 << ctx.m
-    return SumCheck(s, (deg - 1) * math.sqrt(2**ctx.m), ok)
+    return SumCheck(s, (deg - 1) * math.sqrt(2**ctx.m), _within(s, ctx.m, deg - 1))
 
 
 def laurent_weil_check(ctx: FieldContext, form: LaurentExponentForm) -> SumCheck:
@@ -140,8 +151,7 @@ def laurent_weil_check(ctx: FieldContext, form: LaurentExponentForm) -> SumCheck
                         note="needs at least one positive-exponent term")
     s = char_sum(ctx, form, domain="nonzero")
     c = form.t_top + form.u_top
-    ok = s * s <= c * c << ctx.m
-    return SumCheck(s, c * math.sqrt(2**ctx.m), ok)
+    return SumCheck(s, c * math.sqrt(2**ctx.m), _within(s, ctx.m, c))
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +202,11 @@ def niederreiter_check(spec: LfsrSpec, s: int) -> FrequencyReport:
     pi = poly_order(gmin)
     load = fibonacci_to_galois(spec.connection, spec.init)
     counts = window_histogram(spec.connection, load, s, pi)
-    lhs_bound_sq = ((1 << s) - 1) ** 2 << rmin
-    violations = []
-    for y in range(1 << s):
-        d = (counts[y] << s) - pi
-        if d * d > lhs_bound_sq:
-            violations.append((y, counts[y]))
-    vacuous = pi * pi <= lhs_bound_sq
+    slack = (1 << s) - 1
+    violations = tuple((y, c) for y, c in enumerate(counts)
+                       if not _within((c << s) - pi, rmin, slack))
     return FrequencyReport(
-        "niederreiter", s, pi, 1, 1 << s, tuple(violations), vacuous=vacuous,
+        "niederreiter", s, pi, 1, 1 << s, violations, vacuous=_within(pi, rmin, slack),
         note=f"minimal polynomial degree {rmin}, period {pi}",
     )
 
@@ -231,95 +237,67 @@ def pattern_theorem_check(code: CyclicCode, variant: str, s: int) -> FrequencyRe
     sharper whenever the negative-exponent components are inactive.
     """
     degrees = {f.degree for f in code.factors}
-    if len(degrees) != 1:
-        return FrequencyReport(variant, s, 0, 0, 0, (), applicable=False,
-                               note="factors must share one degree")
-    m = degrees.pop()
-    ctx = code.factors[0].ctx
-    if not ctx.primitive or len({f.ctx for f in code.factors}) != 1:
-        return FrequencyReport(variant, s, 0, 0, 0, (), applicable=False,
-                               note="factors must share one primitive field context")
-    if not 1 <= s <= m:
-        return FrequencyReport(variant, s, 0, 0, 0, (), applicable=False,
-                               note=f"s must be in [1, {m}]")
+    m = max(degrees)
     window = (1 << m) - 1
-
-    if variant == "equal_degree":
-        ts = _positive_odd_exponents(code)
-        t_max = max(ts)
-        if t_max < 3:
-            return FrequencyReport(variant, s, window, 0, 0, (), applicable=False,
-                                   note="max exponent 1 gives a PN sequence; bound not needed")
-        # |2^s N - (2^m - 1)| <= (2^s - 1)((t_max - 1) 2^(m/2) + 1)
-        slack = (1 << s) - 1
-        main_sq = (slack * (t_max - 1)) ** 2 << m
-        guaranteed = _guaranteed_pattern_length(m, t_max - 1)
-
-        def within(dev: int) -> bool:
-            d = abs(dev) - slack
-            return d <= 0 or d * d <= main_sq
-
-        stronger = None
+    exps = [f.exponent for f in code.factors]
+    # the bound is |2^s N - window| <= (2^s - 1)(weight 2^(m/2) + shift)
+    if len(degrees) != 1:
+        window, note = 0, "factors must share one degree"
+    elif (not code.factors[0].ctx.primitive
+          or len({f.ctx for f in code.factors}) != 1):
+        window, note = 0, "factors must share one primitive field context"
+    elif not 1 <= s <= m:
+        window, note = 0, f"s must be in [1, {m}]"
+    elif variant == "equal_degree":
+        t_max = max(_positive_odd_exponents(code))
+        weight, shift, positive_weight = t_max - 1, 1, None
+        note = "max exponent 1 gives a PN sequence; bound not needed" if t_max < 3 else ""
     elif variant == "melas_mixed":
-        n = ctx.n
-        ts = [f.exponent for f in code.factors if f.exponent is not None and f.exponent > 0]
-        us = [-f.exponent for f in code.factors if f.exponent is not None and f.exponent < 0]
+        ts = [t for t in exps if t is not None and t > 0]
+        us = [-t for t in exps if t is not None and t < 0]
         if not ts or not us:
-            return FrequencyReport(variant, s, window, 0, 0, (), applicable=False,
-                                   note="needs both positive and negative exponents")
-        if any(t % 2 == 0 for t in ts) or any(u % 2 == 0 for u in us):
-            return FrequencyReport(variant, s, window, 0, 0, (), applicable=False,
-                                   note="exponents must be odd")
-        t_max, u_max = max(ts), max(us)
-        slack = (1 << s) - 1
-        main_sq = (slack * (t_max + u_max)) ** 2 << m
-        guaranteed = _guaranteed_pattern_length(m, t_max + u_max)
-
-        def within(dev: int) -> bool:
-            return dev * dev <= main_sq
-
-        # sharper positive-only bound, relevant when the negative parts idle
-        st_max = max(ts)
-        st_sq = (slack * (st_max - 1)) ** 2 << m
-
-        def within_stronger(dev: int) -> bool:
-            d = abs(dev) - slack
-            return d <= 0 or d * d <= st_sq
-
-        stronger = 0
+            note = "needs both positive and negative exponents"
+        elif any(e % 2 == 0 for e in ts + us):
+            note = "exponents must be odd"
+        else:
+            weight, shift, note = max(ts) + max(us), 0, ""
+            # sharper positive-only bound, met when the negative parts idle
+            positive_weight = max(ts) - 1
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    if note:
+        return FrequencyReport(variant, s, window, 0, 0, (), applicable=False, note=note)
 
+    slack = (1 << s) - 1
+    guaranteed = _guaranteed_pattern_length(m, weight)
+    # a verdict depends only on the count c <= window: tabulate it per c
+    devs = (np.arange(window + 1, dtype=np.int64) << s) - window
+    within = _within(devs, m, slack * weight, slack * shift).tolist()
+    if positive_weight is not None:
+        within_positive = _within(devs, m, slack * positive_weight, slack).tolist()
     reps = orbit_representatives(code.g)
     violations = []
     misses = []
-    cases = 0
+    stronger = 0
     for rep in reps:
         counts = window_histogram(code.g, rep, s, window)
-        seq_ok_stronger = True
-        for y in range(1 << s):
-            cases += 1
-            dev = (counts[y] << s) - window
-            if not within(dev):
-                violations.append((rep, y, counts[y]))
-            if stronger is not None and not within_stronger(dev):
-                seq_ok_stronger = False
-            if s <= guaranteed and counts[y] == 0:
-                misses.append((rep, y))
-        if stronger is not None and seq_ok_stronger:
-            stronger += 1
+        violations += [(rep, y, c) for y, c in enumerate(counts) if not within[c]]
+        if s <= guaranteed:
+            misses += [(rep, y) for y, c in enumerate(counts) if c == 0]
+        if positive_weight is not None:
+            stronger += all(within_positive[c] for c in counts)
     return FrequencyReport(
-        variant, s, window, len(reps), cases, tuple(violations),
+        variant, s, window, len(reps), len(reps) << s, tuple(violations),
         guaranteed_s=guaranteed, corollary_misses=tuple(misses),
-        stronger_bound_sequences=stronger,
-        note=f"m={m}, exponents={[f.exponent for f in code.factors]}",
+        stronger_bound_sequences=None if positive_weight is None else stronger,
+        note=f"m={m}, exponents={exps}",
     )
 
 
 def _guaranteed_pattern_length(m: int, weight: int) -> int:
     """Largest s with s <= m/2 - log2(weight); 0 when none exists."""
     s = 0
-    while (weight << (s + 1)) ** 2 <= 1 << m:
+    while _within(weight << (s + 1), m, 1):
         s += 1
     return s
 
@@ -470,17 +448,17 @@ def wcu_family_check(m: int) -> FamilyCheckReport:
     if int(s1[0].sum()) + 1 != 1 << m or not (sums1 == 0).all():
         violations.append(("deg1", "nonzero sum"))
 
-    # degree 3: x^3 + c x, bound (3-1)^2 * 2^m
+    # degree 3: x^3 + c x, bound (3-1) * 2^(m/2)
     sums3 = 1 + s1 @ s3_monic
     cases += n + 1
-    bad = np.flatnonzero(sums3 * sums3 > 4 << m)
+    bad = np.flatnonzero(~_within(sums3, m, 2))
     violations.extend(("deg3", int(i)) for i in bad)
 
-    # degree 5: x^5 + b x^3 + c x, bound (5-1)^2 * 2^m
+    # degree 5: x^5 + b x^3 + c x, bound (5-1) * 2^(m/2)
     weighted = s3 * s5_monic[None, :]
     sums5 = 1 + weighted @ s1.T
     cases += (n + 1) ** 2
-    bad_b, bad_c = np.nonzero(sums5 * sums5 > 16 << m)
+    bad_b, bad_c = np.nonzero(~_within(sums5, m, 4))
     violations.extend(("deg5", int(b), int(c)) for b, c in zip(bad_b, bad_c))
 
     return FamilyCheckReport(
@@ -499,18 +477,13 @@ def laurent_family_check(m: int, t: int, u: int, draws: int, seed: int) -> Famil
     k = np.arange(n, dtype=np.int64)
     tk, uk = t * k % n, -u * k % n
     rng = random.Random(seed)
-    bound_sq = (t + u) ** 2 << m
-    violations = []
-    for _ in range(draws):
-        a = rng.randrange(1, n + 1)
-        b = rng.randrange(1, n + 1)
-        bits = table[ctx.log[a] + tk] ^ table[ctx.log[b] + uk]
-        s = n - 2 * int(np.count_nonzero(bits))
-        if s * s > bound_sq:
-            violations.append((a, b, s))
+    coeffs = [(rng.randrange(1, n + 1), rng.randrange(1, n + 1)) for _ in range(draws)]
+    sums = np.array([n - 2 * int(np.count_nonzero(table[ctx.log[a] + tk] ^ table[ctx.log[b] + uk]))
+                     for a, b in coeffs], dtype=np.int64)
+    bad = np.flatnonzero(~_within(sums, m, t + u))
     return FamilyCheckReport(
         name="laurent_weil_bound",
         hypotheses={"m": m, "t": t, "u": u, "draws": draws, "seed": seed},
         cases_checked=draws,
-        violations=tuple(violations),
+        violations=tuple((*coeffs[i], int(sums[i])) for i in bad),
     )

@@ -79,7 +79,10 @@ def compute_table1(m_min: int = 6, m_max: int = 11, modulus=None,
     With the default modulus, any fixture mismatch triggers a sweep over
     every primitive-modulus class of that degree; the row then reports
     which classes attain the fixture value and flags the dependence.
+    A modulus fixes the degree, so it needs m_min == m_max.
     """
+    if modulus is not None and m_min != m_max:
+        raise ValueError("--modulus fixes one degree: it needs --m-min equal to --m-max")
     rows = []
     for m in range(m_min, m_max + 1):
         bch_code = make_bch(2, m, modulus)
@@ -419,6 +422,9 @@ def _verify_patterns(args) -> int:
         m = 6 if args.m is None else args.m
         if 2 * m > MAX_R:
             raise BudgetError(f"orbit walk over 2^{2 * m} states exceeds max_r={MAX_R}")
+        for flag, s in (("--s-max", args.s_max), ("--find-avoidance", args.find_avoidance)):
+            if s is not None and s > m:
+                raise ValueError(f"{flag} must be in [1, {m}], got {s}")
         code = make_bch(2, m) if family == "bch" else make_melas(m)
         variant = "equal_degree" if family == "bch" else "melas_mixed"
         s_max = m if args.s_max is None else args.s_max

@@ -110,7 +110,7 @@ def burst_cover(code: CyclicCode, x: int, b_prime: int) -> CoveringCertificate:
 
 
 def verify_certificate(code: CyclicCode, x: int, cert: CoveringCertificate,
-                       b_prime: int | None = None) -> bool:
+                       b_prime: int) -> bool:
     """Recompute the combination and the width constraints."""
     if not 0 <= cert.i < code.n:
         return False
@@ -119,6 +119,6 @@ def verify_certificate(code: CyclicCode, x: int, cert: CoveringCertificate,
         return False
     if cert.f and not cert.f & 1:
         return False
-    if b_prime is not None and cert.width > b_prime:
+    if cert.width > b_prime:
         return False
     return lc_eval(code, cert.i, cert.f) == x

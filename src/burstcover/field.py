@@ -35,19 +35,14 @@ def default_modulus(m: int) -> int:
     if m < 1:
         raise ValueError("extension degree must be >= 1")
     p = (1 << m) | 1
-    while True:
-        if is_irreducible(p) and gf2poly._order_irreducible(p) == (1 << m) - 1:
-            return p
+    while not gf2poly.is_primitive(p):
         p += 2
+    return p
 
 
 def primitive_moduli(m: int) -> list[int]:
     """All primitive polynomials of degree m, ascending."""
-    out = []
-    for p in range((1 << m) | 1, 1 << (m + 1), 2):
-        if is_irreducible(p) and gf2poly._order_irreducible(p) == (1 << m) - 1:
-            out.append(p)
-    return out
+    return [p for p in range((1 << m) | 1, 1 << (m + 1), 2) if gf2poly.is_primitive(p)]
 
 
 class FieldContext:

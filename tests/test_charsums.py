@@ -1,6 +1,8 @@
+import decimal
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -91,6 +93,32 @@ def test_wcu_even_degree_inapplicable():
     ctx = get_context(5)
     res = wcu_check(ctx, [1, 0, 1])
     assert not res.applicable
+
+
+@st.composite
+def _bound_cases(draw):
+    """(xs, m, a, b), the xs spread at random or within 2 of the bound."""
+    m = draw(st.integers(min_value=0, max_value=40))
+    a = draw(st.integers(min_value=0, max_value=50))
+    b = draw(st.integers(min_value=0, max_value=1000))
+    edge = math.isqrt(a * a << m) + b
+    near = st.builds(lambda sign, delta: sign * (edge + delta),
+                     st.sampled_from([1, -1]), st.integers(min_value=-2, max_value=2))
+    xs = draw(st.lists(near | st.integers(min_value=-10**9, max_value=10**9),
+                       min_size=1, max_size=8))
+    return xs, m, a, b
+
+
+@given(_bound_cases())
+@settings(max_examples=300, deadline=None)
+def test_within_matches_decimal_oracle(case):
+    """The one exact bound test against |x| <= a sqrt(2^m) + b at 60 digits."""
+    xs, m, a, b = case
+    with decimal.localcontext(decimal.Context(prec=60)):
+        bound = a * decimal.Decimal(2**m).sqrt() + b
+        expected = [abs(x) <= bound for x in xs]
+    assert [charsums._within(x, m, a, b) for x in xs] == expected
+    assert charsums._within(np.array(xs, dtype=np.int64), m, a, b).tolist() == expected
 
 
 @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=10**6))

@@ -254,11 +254,23 @@ USAGE_ERRORS = {
     "pattern-empty": [*LFSR_B, "--pattern="],
     "init-not-bits": ["lfsr-stats", "--g", "0xB", "--init", "1,2,0"],
     "zero-init-pattern": ["lfsr-stats", "--g", "0xB", "--init", "0,0,0", "--pattern", "1"],
+    "s-max-above-m": ["verify", "patterns", "--family", "bch", "--m", "4", "--s-max", "9"],
+    "table1-modulus-range": ["table1", "--m-max", "7", "--modulus", "0x43"],
+}
+
+# Rows whose check must come before this work in cli.py (patched to fail).
+CHECKED_BEFORE = {
+    "s-max-above-m": ["make_bch", "make_melas", "pattern_theorem_check"],
+    "find-avoidance-above-m": ["make_bch", "make_melas", "pattern_theorem_check"],
+    "table1-modulus-range": ["make_bch", "make_melas", "cyclic_burst_radius"],
 }
 
 
 @pytest.mark.parametrize("name", USAGE_ERRORS)
-def test_usage_errors(name, bad_files, capsys):
+def test_usage_errors(name, bad_files, monkeypatch, capsys):
+    import burstcover.cli as cli_mod
+
+    _fail_if_called(monkeypatch, cli_mod, *CHECKED_BEFORE.get(name, ()))
     rc = main(USAGE_ERRORS[name])
     err = capsys.readouterr().err
     assert rc == EXIT_USAGE
@@ -268,11 +280,10 @@ def test_usage_errors(name, bad_files, capsys):
 
 def _fail_if_called(monkeypatch, module, *names):
     def fail(*args, **kwargs):
-        raise AssertionError("work started before the budget check")
+        raise AssertionError("work started before the check that limits it")
 
     for name in names:
         monkeypatch.setattr(module, name, fail)
-
 
 @pytest.mark.parametrize("argv", [
     ["--m-max", "12"],
