@@ -33,7 +33,7 @@ from .covering import (
     verify_certificate,
 )
 from .field import FieldContext, get_context, minimal_polynomial
-from .gf2poly import NEG_INF, classify, degree, parse_poly, poly_order, to_hex, to_terms
+from .gf2poly import parse_poly, poly_order, to_hex, to_terms
 from .lfsr import (
     LfsrSpec,
     galois_run,

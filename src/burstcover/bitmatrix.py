@@ -70,9 +70,6 @@ class BinaryMatrix:
                     masks[i] |= 1 << j
         return cls(rows, len(columns), tuple(masks))
 
-    def entry(self, i: int, j: int) -> int:
-        return self.row_masks[i] >> j & 1
-
     def column(self, j: int) -> int:
         c = 0
         for i, m in enumerate(self.row_masks):
@@ -92,25 +89,7 @@ class BinaryMatrix:
     def rank(self) -> int:
         return len(row_reduce(self.row_masks, self.cols)[1])
 
-    def nullspace_basis(self) -> list[int]:
-        """Basis vectors v (bit j = coordinate j) with self.mul_vec(v) = 0."""
-        rows, pivot_cols = row_reduce(self.row_masks, self.cols)
-        free_cols = [c for c in range(self.cols) if c not in pivot_cols]
-        basis = []
-        for fc in free_cols:
-            v = 1 << fc
-            for i, pc in enumerate(pivot_cols):
-                if rows[i] >> fc & 1:
-                    v |= 1 << pc
-            basis.append(v)
-        return basis
-
     def hex_rows(self) -> list[str]:
         """One hex string per row; bit j of the mask is column j."""
         return ["0x" + format(m, "X") for m in self.row_masks]
 
-    def __str__(self):
-        return "\n".join(
-            "".join(str(self.entry(i, j)) for j in range(self.cols))
-            for i in range(self.rows)
-        )

@@ -193,7 +193,7 @@ def niederreiter_check(spec: LfsrSpec, s: int) -> FrequencyReport:
     if gmin == 1:
         raise ValueError("the all-zero sequence is excluded")
     rmin = gmin.bit_length() - 1
-    min_factor_degree = min(d for _, d in gf2poly.classify(gmin).distinct_irreducible_factors)
+    min_factor_degree = min(h.bit_length() - 1 for h, _ in gf2poly.factor(gmin))
     if s < 1 or s > min_factor_degree:
         return FrequencyReport(
             "niederreiter", s, 0, 0, 0, (), applicable=False,

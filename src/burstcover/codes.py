@@ -23,8 +23,8 @@ from .bitmatrix import BinaryMatrix
 from .field import (
     FieldContext,
     context_for_modulus,
+    default_modulus,
     find_root,
-    get_context,
     min_odd_coset_member,
     minimal_polynomial,
 )
@@ -57,12 +57,17 @@ class CyclicCode:
         return f"cyclic[n={self.n}, g={to_hex(self.g)}]"
 
 
+def _field(m: int, modulus) -> FieldContext:
+    """The context of GF(2^m) under `modulus` (any parse_poly form), or the default one."""
+    return context_for_modulus(parse_poly(modulus) if modulus else default_modulus(m))
+
+
 def _resolve_factors(factors: list[int], modulus: int | None) -> tuple[CodeFactor, ...]:
     degrees = [h.bit_length() - 1 for h in factors]
     shared_degree = degrees[0] if len(set(degrees)) == 1 else None
     out = []
     if shared_degree is not None:
-        ctx = context_for_modulus(modulus) if modulus else get_context(shared_degree)
+        ctx = _field(shared_degree, modulus)
         if ctx.m != shared_degree:
             raise ValueError("modulus degree does not match the factor degree")
         for h in factors:
@@ -73,7 +78,7 @@ def _resolve_factors(factors: list[int], modulus: int | None) -> tuple[CodeFacto
         if modulus is not None:
             raise ValueError("a single modulus needs equal-degree factors")
         for h, d in zip(factors, degrees):
-            ctx = get_context(d)
+            ctx = _field(d, None)
             root = find_root(ctx, h)
             out.append(CodeFactor(h, d, ctx, root, None))
     return tuple(out)
@@ -89,12 +94,11 @@ def make_cyclic_code(n: int, g, modulus=None) -> CyclicCode:
         raise ValueError("generator degree must satisfy 1 <= deg(g) < n")
     if rem((1 << n) | 1, g) != 0:
         raise ValueError("generator does not divide X^n - 1")
-    report = gf2poly.classify(g)
-    if not report.square_free:
+    factors = gf2poly.factor(g)
+    if any(k > 1 for _, k in factors):
         raise ValueError("generator has repeated factors")
-    factors = [h for h, _ in report.distinct_irreducible_factors]
     modulus = parse_poly(modulus) if modulus is not None else None
-    return CyclicCode(n, g, r, _resolve_factors(factors, modulus))
+    return CyclicCode(n, g, r, _resolve_factors([h for h, _ in factors], modulus))
 
 
 def make_bch(e: int, m: int, modulus=None) -> CyclicCode:
@@ -111,7 +115,7 @@ def make_bch(e: int, m: int, modulus=None) -> CyclicCode:
             f"long-code condition violated: 2^ceil(m/2) = {1 << ((m + 1) // 2)}"
             f" must exceed 2e-1 = {2 * e - 1}"
         )
-    ctx = context_for_modulus(parse_poly(modulus)) if modulus else get_context(m)
+    ctx = _field(m, modulus)
     if not ctx.primitive or ctx.m != m:
         raise ValueError("modulus must be primitive of degree m")
     n = (1 << m) - 1
@@ -134,7 +138,7 @@ def make_melas(m: int, modulus=None) -> CyclicCode:
     """Melas code of length 2^m - 1: roots alpha and alpha^(-1), m >= 3."""
     if m < 3:
         raise ValueError("need m >= 3")
-    ctx = context_for_modulus(parse_poly(modulus)) if modulus else get_context(m)
+    ctx = _field(m, modulus)
     if not ctx.primitive or ctx.m != m:
         raise ValueError("modulus must be primitive of degree m")
     m1 = ctx.modulus

@@ -103,7 +103,7 @@ def mixed_degree_entries() -> list[CorpusEntry]:
             if len({f.degree for f in e.code.factors}) > 1]
 
 
-def exact_two_primitive_cases(max_total_degree: int = 14) -> list[CorpusEntry]:
+def exact_two_primitive_cases() -> list[CorpusEntry]:
     """Products of two primitive factors with the radius pinned at d2 + 1.
 
     Conditions: d1 < d2 and (gcd(d1, d2) < d2 - d1 or d2 - d1 <= 2).
@@ -114,8 +114,6 @@ def exact_two_primitive_cases(max_total_degree: int = 14) -> list[CorpusEntry]:
         (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (5, 9), (6, 7), (6, 8),
     ]
     for d1, d2 in pairs:
-        if d1 + d2 > max_total_degree:
-            continue
         assert math.gcd(d1, d2) < d2 - d1 or d2 - d1 <= 2
         g1, g2 = default_modulus(d1), default_modulus(d2)
         assert is_primitive(g1) and is_primitive(g2)

@@ -1,10 +1,12 @@
-"""GF(2^m) arithmetic in the polynomial basis {1, x, ..., x^(m-1)}.
+"""GF(2^m) as tables over gf2poly, in the polynomial basis {1, x, ..., x^(m-1)}.
 
-A FieldContext wraps an irreducible modulus of degree m and exposes
-table-driven multiplication: exp/log tables over a generator of the
-multiplicative group, and a trace mask so that Tr(v) is the parity of
-popcount(v & trace_mask).  Elements are plain ints (their coefficient
-masks).
+A FieldContext wraps an irreducible modulus of degree m.  Its exp/log
+tables over a generator of the multiplicative group are stepped with
+gf2poly.mul and gf2poly.rem, and its trace mask (Tr(v) is the parity of
+popcount(v & trace_mask)) is read from those tables, so this module does
+no polynomial arithmetic of its own.  Elements are plain ints (their
+coefficient masks).  There is one cached context per modulus:
+get_context(m) is context_for_modulus(default_modulus(m)).
 
 trace_table(ctx) is the package's one numpy trace table, Tr(gen^j) for
 j < 2n.  The trace is linear, so Tr(sum c_i x^(e_i)) at x = gen^k is the
@@ -25,6 +27,7 @@ import numpy as np
 
 from . import gf2poly
 from .gf2poly import X, is_irreducible
+from .mersenne import MERSENNE_FACTORS
 
 _MAX_TABLE_M = 22
 
@@ -57,69 +60,35 @@ class FieldContext:
         self.m = m
         self.modulus = modulus
         self.n = (1 << m) - 1  # multiplicative group order
-        self.primitive = gf2poly._order_irreducible(modulus) == self.n
+        self.primitive = gf2poly.is_primitive(modulus)
         self._build_tables()
 
     def _build_tables(self):
-        gen = X if self.primitive or self.m == 1 else self._find_generator()
-        n = self.n
+        m, n, modulus = self.m, self.n, self.modulus
+        # the least element of order n: no proper divisor n/p of n kills it
+        gen = X if self.primitive else next(
+            v for v in range(1, 1 << m)
+            if all(gf2poly.pow_mod(v, n // p, modulus) != 1 for p in MERSENNE_FACTORS[m]))
         exp = [1] * (2 * n)
         log = [0] * (n + 1)
         v = 1
         for k in range(n):
-            exp[k] = v
-            exp[k + n] = v
+            exp[k] = exp[k + n] = v
             log[v] = k
-            v = self._mul_raw(v, gen)
+            v = gf2poly.rem(gf2poly.mul(v, gen), modulus)
         self.exp = exp
         self.log = log
         self.generator = gen
+        # Tr(x^l) is the sum of the conjugates (x^l)^(2^i), read from the tables
         mask = 0
-        for l in range(self.m):
-            if self._trace_raw(1 << l):
-                mask |= 1 << l
+        for l in range(m):
+            t = 0
+            for i in range(m):
+                t ^= exp[(log[1 << l] << i) % n]
+            if t not in (0, 1):
+                raise AssertionError("trace left the prime field")
+            mask |= t << l
         self.trace_mask = mask
-
-    def _find_generator(self):
-        from .mersenne import MERSENNE_FACTORS
-
-        primes = MERSENNE_FACTORS[self.m]
-        for g in range(2, 1 << self.m):
-            if all(self._pow_raw(g, self.n // p) != 1 for p in primes):
-                return g
-        raise AssertionError("no generator found")  # unreachable
-
-    def _mul_raw(self, a, b):
-        r = 0
-        top = 1 << (self.m - 1)
-        for _ in range(self.m):
-            if b & 1:
-                r ^= a
-            b >>= 1
-            if a & top:
-                a = (a << 1) ^ self.modulus
-            else:
-                a <<= 1
-        return r
-
-    def _pow_raw(self, a, e):
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return r
-
-    def _trace_raw(self, a):
-        t = a
-        v = a
-        for _ in range(self.m - 1):
-            v = self._mul_raw(v, v)
-            t ^= v
-        if t not in (0, 1):
-            raise AssertionError("trace left the prime field")
-        return t
 
     # -- table-driven operations on raw masks ------------------------------
 
@@ -127,11 +96,6 @@ class FieldContext:
         if a == 0 or b == 0:
             return 0
         return self.exp[self.log[a] + self.log[b]]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return self.exp[self.n - self.log[a]]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -165,14 +129,14 @@ class FieldContext:
         return f"FieldContext(m={self.m}, modulus={gf2poly.to_hex(self.modulus)})"
 
 
-@functools.lru_cache(maxsize=None)
 def get_context(m: int) -> FieldContext:
-    """The cached default context for GF(2^m)."""
-    return FieldContext(default_modulus(m))
+    """The context of GF(2^m) under its default modulus."""
+    return context_for_modulus(default_modulus(m))
 
 
 @functools.lru_cache(maxsize=None)
 def context_for_modulus(modulus: int) -> FieldContext:
+    """The one cached context for each modulus, the default ones included."""
     return FieldContext(modulus)
 
 

@@ -3,10 +3,10 @@
 A polynomial sum(c_i * X^i) is represented by the integer whose bit i is
 c_i.  The zero polynomial is 0, X^3+X+1 is 0b1011 = 0xB, and polynomial
 equality is integer equality, so the representation is canonical by
-construction.  Addition is XOR.
-
-The degree of the zero polynomial is the distinguished value NEG_INF,
-which compares below every integer.
+construction.  Addition is XOR, and a nonzero a has degree
+a.bit_length() - 1.  This is the package's one implementation of
+arithmetic in GF(2)[X]: field builds its GF(2^m) tables from mul, rem,
+pow_mod and is_primitive.
 
 Three text forms are accepted by parse_poly and used throughout the CLI:
 a hex mask little-endian by coefficient index ("0xB"), a human-readable
@@ -15,20 +15,12 @@ sum of terms ("x^3+x+1"), and a coefficient list ("[1,1,0,1]" = c0..c3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .mersenne import MAX_ORDER_DEGREE, MERSENNE_FACTORS
 
-NEG_INF = float("-inf")
-
 #: The polynomial X.
 X = 0b10
-
-
-def degree(a: int) -> int | float:
-    """Degree of polynomial a; NEG_INF for the zero polynomial."""
-    return a.bit_length() - 1 if a else NEG_INF
 
 
 def mul(a: int, b: int) -> int:
@@ -219,28 +211,6 @@ def is_primitive(g: int) -> bool:
     return _order_irreducible(g) == (1 << d) - 1
 
 
-@dataclass(frozen=True)
-class FactorReport:
-    irreducible: bool
-    primitive: bool
-    square_free: bool
-    distinct_irreducible_factors: tuple[tuple[int, int], ...]  # (poly, degree)
-
-
-def classify(g: int) -> FactorReport:
-    """Factor g and report irreducibility, primitivity and square-freeness."""
-    factors = factor(g)
-    square_free = all(m == 1 for _, m in factors)
-    irreducible = len(factors) == 1 and factors[0][1] == 1 and factors[0][0] == g
-    primitive = irreducible and g & 1 == 1 and _order_irreducible(g) == (1 << (g.bit_length() - 1)) - 1
-    return FactorReport(
-        irreducible=irreducible,
-        primitive=primitive,
-        square_free=square_free,
-        distinct_irreducible_factors=tuple((h, h.bit_length() - 1) for h, _ in factors),
-    )
-
-
 # ---------------------------------------------------------------------------
 # text forms
 
@@ -249,7 +219,7 @@ def to_hex(a: int) -> str:
     return "0x" + format(a, "X")
 
 
-def to_terms(a: int, x: str = "x") -> str:
+def to_terms(a: int) -> str:
     """Human form as a sum of powers, highest degree first."""
     if a == 0:
         return "0"
@@ -259,9 +229,9 @@ def to_terms(a: int, x: str = "x") -> str:
             if i == 0:
                 parts.append("1")
             elif i == 1:
-                parts.append(x)
+                parts.append("x")
             else:
-                parts.append(f"{x}^{i}")
+                parts.append(f"x^{i}")
     return "+".join(parts)
 
 

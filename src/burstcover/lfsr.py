@@ -113,20 +113,39 @@ def minimal_connection(spec: LfsrSpec) -> int:
     return quot(spec.connection, gcd(spec.connection, f))
 
 
-def minimal_period(spec: LfsrSpec) -> int:
-    """Minimal period of the sequence (init not all-zero)."""
-    gmin = minimal_connection(spec)
-    if gmin == 1:
-        raise ValueError("the all-zero sequence has no period statistics")
-    return poly_order(gmin)
-
-
 def max_zero_run(spec: LfsrSpec) -> int:
-    """Longest run of zeros in the periodic sequence, read cyclically."""
-    bits = lfsr_sequence(spec, minimal_period(spec))
-    runs = "".join(map(str, bits)).split("1")  # a nonzero period holds a 1
-    # the trailing run wraps into the leading one
-    return max([len(runs[0]) + len(runs[-1]), *map(len, runs[1:-1])])
+    """Longest run of zeros in the periodic sequence, read cyclically.
+
+    A run of exactly j zeros starts at step k when the Galois state
+    X^k * f mod g has degree r - 1 - j, so the longest run is r minus the
+    bit length of the smallest state on the load's orbit.
+    """
+    g = spec.connection
+    if g & 1 == 0:
+        raise ValueError("periodic statistics need a connection with g(0) = 1")
+    f = fibonacci_to_galois(g, spec.init)
+    if f == 0:
+        raise ValueError("the all-zero sequence has no period statistics")
+    return spec.order - orbit_minimum(g, f).bit_length()
+
+
+def orbit_minimum(g: int, f: int) -> int:
+    """Smallest state on the orbit of the load f under f -> X*f mod g.
+
+    The caller guarantees g(0) = 1 and f nonzero, so the orbit returns to
+    f.  The shift is inline and the minimum a comparison, as this loop
+    runs once per state of the orbit.
+    """
+    size = 1 << (g.bit_length() - 1)
+    start = least = f
+    while True:
+        f <<= 1
+        if f & size:
+            f ^= g
+        if f == start:
+            return least
+        if f < least:
+            least = f
 
 
 def window_histogram(g: int, load: int, s: int, window_length: int) -> list[int]:

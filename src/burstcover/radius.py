@@ -35,12 +35,12 @@ from . import gf2poly
 from .bitmatrix import BinaryMatrix
 from .codes import CodeFactor, CyclicCode, codewords
 from .field import trace_table
-from .gf2poly import poly_order, shift_mod, to_hex, to_terms
-from .lfsr import fibonacci_to_galois
+from .gf2poly import poly_order, to_hex, to_terms
+from .lfsr import fibonacci_to_galois, orbit_minimum
 
 
-# Default redundancy limit of the orbit and matrix methods.  The matrix
-# method holds one byte per syndrome, 2^r bytes; the orbit scan holds only
+# Redundancy limit of the orbit and matrix methods.  The matrix method
+# holds one byte per syndrome, 2^r bytes; the orbit scan holds only
 # bounded blocks, but its time still grows as 2^r.
 MAX_R = 26
 
@@ -80,7 +80,7 @@ class RadiusResult:
         }
 
 
-def cyclic_burst_radius(code: CyclicCode, max_r: int = MAX_R) -> RadiusResult:
+def cyclic_burst_radius(code: CyclicCode) -> RadiusResult:
     """Exact radius of a cyclic code, scanning one dual sequence per shift orbit.
 
     b = r - Z, where Z is the smallest longest cyclic zero run over the
@@ -89,8 +89,8 @@ def cyclic_burst_radius(code: CyclicCode, max_r: int = MAX_R) -> RadiusResult:
     a one starts at step k exactly when the Galois state X^k * f mod g has
     degree r - 1 - Z, and the r bits read from k give that state.
     """
-    if code.r > max_r:
-        raise BudgetError(f"orbit scan over 2^{code.r} states exceeds max_r={max_r}")
+    if code.r > MAX_R:
+        raise BudgetError(f"orbit scan over 2^{code.r} states exceeds max_r={MAX_R}")
     r = code.r
     factors = [_trace_factor(fac) for fac in code.factors]
     best = r  # a nonzero sequence never holds r zeros in a row
@@ -201,8 +201,7 @@ def _closure(cols) -> np.ndarray:
     return arr
 
 
-def matrix_burst_radius(H: BinaryMatrix, cyclic: bool = True,
-                        max_r: int = MAX_R) -> RadiusResult:
+def matrix_burst_radius(H: BinaryMatrix, cyclic: bool = True) -> RadiusResult:
     """Smallest b making every syndrome a window-b column combination.
 
     Brute force over window sizes: for each b the reachable syndromes
@@ -215,8 +214,8 @@ def matrix_burst_radius(H: BinaryMatrix, cyclic: bool = True,
         raise ValueError("need at least one parity row")
     if H.rank() != r:
         raise ValueError("matrix is rank deficient")
-    if r > max_r:
-        raise BudgetError(f"syndrome bitmap of 2^{r} entries exceeds max_r={max_r}")
+    if r > MAX_R:
+        raise BudgetError(f"syndrome bitmap of 2^{r} entries exceeds max_r={MAX_R}")
     cols = H.columns()
     full = 1 << r
     covered = np.zeros(full, dtype=bool)
@@ -251,29 +250,14 @@ def _burst_patterns(n: int, b: int) -> np.ndarray:
     return np.fromiter(pats, dtype=np.int64, count=len(pats))
 
 
-def geometric_is_covering(code_or_matrix, b: int) -> bool:
+def geometric_is_covering(code: CyclicCode, b: int) -> bool:
     """Exhaustive check that burst balls of size b around codewords cover F_2^n."""
-    is_code = isinstance(code_or_matrix, CyclicCode)
-    if is_code:
-        code = code_or_matrix
-        n, r = code.n, code.r
-    else:
-        H = code_or_matrix
-        n, r = H.cols, H.rows
-        if H.rank() != r:
-            raise ValueError("matrix is rank deficient")
-    if r < 1:
-        raise ValueError("the full space is not a covering code instance")
+    n = code.n
     if n > GEOMETRIC_MAX_N:
         raise ValueError(f"exhaustive space 2^{n} exceeds max_n={GEOMETRIC_MAX_N}")
     if b >= n:
         return True
-    if is_code:
-        cw = list(codewords(code))
-    else:
-        cw = [0]
-        for v in H.nullspace_basis():
-            cw.extend(c ^ v for c in list(cw))
+    cw = list(codewords(code))
     pats = _burst_patterns(n, b)
     if len(cw) * len(pats) > GEOMETRIC_MAX_WORK:
         raise BudgetError("codeword/pattern product exceeds the budget")
@@ -470,10 +454,4 @@ def witness_recheck(code: CyclicCode, result: RadiusResult) -> bool:
     Equivalently no window of size b - 1 can produce the syndrome of the
     witness load, certifying tightness of the computed radius.
     """
-    start = mind = result.witness
-    f = shift_mod(start, code.g)
-    while f != start:
-        if f < mind:
-            mind = f
-        f = shift_mod(f, code.g)
-    return mind.bit_length() - 1 == result.b - 1
+    return orbit_minimum(code.g, result.witness).bit_length() - 1 == result.b - 1

@@ -120,7 +120,7 @@ def test_criterion_05_bound_sandwich():
             b = cyclic_burst_radius(entry.code).b
             violations = bounds_report(entry.code).validate(b)
             assert violations == [], (entry.name, violations)
-        for entry in exact_two_primitive_cases(max_total_degree=14):
+        for entry in exact_two_primitive_cases():
             b = cyclic_burst_radius(entry.code).b
             d2 = max(f.degree for f in entry.code.factors)
             assert b == d2 + 1, entry.name

@@ -18,10 +18,9 @@ def matrices(draw, max_rows=8, max_cols=10):
 @given(matrices())
 @settings(max_examples=80, deadline=None)
 def test_rank_nullity_and_kernel(M):
-    basis = M.nullspace_basis()
-    assert M.rank() + len(basis) == M.cols
-    assert all(M.mul_vec(v) == 0 for v in basis)
-    assert BinaryMatrix.from_rows(basis, M.cols).rank() == len(basis)
+    # the kernel, counted by brute force over all 2^cols vectors
+    kernel = sum(1 for v in range(1 << M.cols) if M.mul_vec(v) == 0)
+    assert kernel == 1 << (M.cols - M.rank())
 
 
 @given(matrices(max_rows=8, max_cols=8), st.integers(min_value=0, max_value=255))

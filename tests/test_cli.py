@@ -44,9 +44,12 @@ def test_radius_from_descriptor(tmp_path, capsys):
     assert json.loads(out)["b"] == 8
 
 
-def test_radius_budget_exit_code(capsys):
+def test_radius_budget_exit_code(capsys, monkeypatch):
+    import burstcover.radius as radius_mod
+
+    monkeypatch.setattr(radius_mod, "MAX_R", 5)
     rc, _ = run(capsys, "radius", "--family", "bch", "--e", "2", "--m", "6",
-                "--method", "matrix", "--max-r", "5")
+                "--method", "matrix")
     assert rc == EXIT_BUDGET
 
 
@@ -224,6 +227,7 @@ USAGE_ERRORS = {
                             "--find-avoidance", "0"],
     "find-avoidance-above-m": ["verify", "patterns", "--family", "bch", "--m", "5",
                                "--find-avoidance", "6"],
+    # --max-r is no longer an option: radius.MAX_R is a constant
     "negative-max-r": ["radius", *BCH24, "--max-r", "-1"],
     "zero-max-r": ["radius", *BCH24, "--max-r", "0"],
     "deleted-cover-debug": ["cover", *BCH24, "--syndrome", "1", "--debug"],
@@ -260,6 +264,7 @@ USAGE_ERRORS = {
 
 # Rows whose check must come before this work in cli.py (patched to fail).
 CHECKED_BEFORE = {
+    "appendix-above-ceiling": ["gcd_power_inequality_check"],
     "s-max-above-m": ["make_bch", "make_melas", "pattern_theorem_check"],
     "find-avoidance-above-m": ["make_bch", "make_melas", "pattern_theorem_check"],
     "table1-modulus-range": ["make_bch", "make_melas", "cyclic_burst_radius"],
@@ -276,6 +281,29 @@ def test_usage_errors(name, bad_files, monkeypatch, capsys):
     assert rc == EXIT_USAGE
     assert "Traceback" not in err
     assert "error:" in err.strip().splitlines()[-1]
+
+
+# Each exits EXIT_BUDGET before any of its work starts.
+BUDGET_ERRORS = {
+    "appendix-above-ceiling": ["verify", "appendix", "--max", "2001"],
+}
+
+
+@pytest.mark.parametrize("name", BUDGET_ERRORS)
+def test_budget_errors(name, monkeypatch, capsys):
+    import burstcover.cli as cli_mod
+
+    _fail_if_called(monkeypatch, cli_mod, *CHECKED_BEFORE[name])
+    assert main(BUDGET_ERRORS[name]) == EXIT_BUDGET
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_appendix_ceiling_is_inclusive(monkeypatch, capsys):
+    import burstcover.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "gcd_power_inequality_check", lambda a, b: True)
+    rc, out = run(capsys, "verify", "appendix", "--max", "2000")
+    assert rc == EXIT_OK and json.loads(out)["cases_checked"] == 2000 * 2000
 
 
 def _fail_if_called(monkeypatch, module, *names):
@@ -380,11 +408,14 @@ def test_every_option_is_read():
 
 def test_help_exits_ok(capsys):
     assert main(["radius", "--help"]) == EXIT_OK
-    assert "--max-r" in capsys.readouterr().out
+    assert "--dump-matrix" in capsys.readouterr().out
 
 
-def test_orbit_method_honours_max_r(capsys):
-    rc = main(["radius", *BCH26, "--max-r", "11"])
+def test_orbit_method_honours_max_r(capsys, monkeypatch):
+    import burstcover.radius as radius_mod
+
+    monkeypatch.setattr(radius_mod, "MAX_R", 11)
+    rc = main(["radius", *BCH26])
     assert rc == EXIT_BUDGET
     assert "max_r=11" in capsys.readouterr().err
 

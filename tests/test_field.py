@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from burstcover import gf2poly
 from burstcover.field import (
     FieldContext,
+    context_for_modulus,
     cyclotomic_coset,
     default_modulus,
     find_root,
@@ -13,7 +16,11 @@ from burstcover.field import (
     primitive_moduli,
     trace_table,
 )
-from burstcover.gf2poly import reciprocal
+from burstcover.gf2poly import is_irreducible, reciprocal
+
+# Every irreducible modulus of degree <= 10 with a nonzero constant term
+# (226 of them; X itself is irreducible but names no multiplicative group).
+SMALL_MODULI = [p for p in range(3, 1 << 11, 2) if is_irreducible(p)]
 
 
 def test_default_moduli_are_smallest_primitive():
@@ -113,13 +120,13 @@ def test_exp_log_tables():
         assert ctx.log[ctx.exp[k]] == k
     a, b = 0b101, 0b11001
     assert ctx.mul(a, b) == gf2poly.rem(gf2poly.mul(a, b), ctx.modulus)
-    assert ctx.mul(a, ctx.inv(a)) == 1
+    assert ctx.mul(a, ctx.exp[ctx.n - ctx.log[a]]) == 1
 
 
 def test_non_primitive_context_still_works():
     ctx = FieldContext(0b11111)  # irreducible, order 5
     assert not ctx.primitive
-    assert ctx.mul(0b10, ctx.inv(0b10)) == 1
+    assert ctx.mul(0b10, ctx.exp[ctx.n - ctx.log[0b10]]) == 1
     zeros = sum(1 for v in range(16) if ctx.trace(v) == 0)
     assert zeros == 8
 
@@ -131,6 +138,57 @@ def test_trace_table_matches_scalar_trace(ctx):
     table = trace_table(ctx)
     assert len(table) == 2 * ctx.n
     assert table.tolist() == [ctx.trace(ctx.exp[j]) for j in range(2 * ctx.n)]
+
+
+def _power_sum_trace(v: int, modulus: int) -> int:
+    """Tr(v) = v + v^2 + ... + v^(2^(m-1)), by gf2poly alone."""
+    acc = 0
+    for _ in range(modulus.bit_length() - 1):
+        acc ^= v
+        v = gf2poly.rem(gf2poly.mul(v, v), modulus)
+    return acc
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_every_small_modulus_multiplies_and_traces(m):
+    """ctx.mul against gf2poly, and ctx.trace against the power sum, for
+    every irreducible modulus of degree m, primitive or not.  Both traces
+    are linear, so they agree everywhere once they agree on the basis."""
+    rng = random.Random(m)
+    for modulus in (p for p in SMALL_MODULI if p.bit_length() - 1 == m):
+        ctx = FieldContext(modulus)
+        assert ctx.primitive == gf2poly.is_primitive(modulus)
+        elements = range(1 << m)
+        others = [0, 1, *rng.sample(elements, min(2, 1 << m))]
+        for a in elements:
+            for b in others:
+                assert ctx.mul(a, b) == gf2poly.rem(gf2poly.mul(a, b), modulus)
+        for l in range(m):
+            assert ctx.trace(1 << l) == _power_sum_trace(1 << l, modulus)
+
+
+def _order(v: int, modulus: int) -> int:
+    k, x = 1, v
+    while x != 1:
+        k, x = k + 1, gf2poly.rem(gf2poly.mul(x, v), modulus)
+    return k
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_generator_is_least_element_of_full_order(m):
+    for modulus in (p for p in SMALL_MODULI if p.bit_length() - 1 == m):
+        ctx = FieldContext(modulus)
+        gen = gf2poly.rem(ctx.generator, modulus)  # X is 1 modulo X + 1
+        assert _order(gen, modulus) == ctx.n
+        assert all(_order(v, modulus) < ctx.n for v in range(1, gen))
+        if ctx.primitive:
+            assert ctx.generator == 0b10
+
+
+def test_one_context_per_modulus():
+    for m in range(1, 9):
+        assert get_context(m) is context_for_modulus(default_modulus(m))
+    assert get_context(6) is context_for_modulus(0x43)
 
 
 def test_find_root():

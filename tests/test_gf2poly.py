@@ -4,9 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burstcover.gf2poly import (
-    NEG_INF,
-    classify,
-    degree,
     derivative,
     divmod_poly,
     factor,
@@ -31,13 +28,6 @@ def monic(d: int, low: int) -> int:
     return (1 << d) | (low & ((1 << d) - 1))
 
 
-def test_degree_of_zero_is_neg_inf():
-    assert degree(0) == NEG_INF
-    assert degree(0) < -(10**9)
-    assert degree(1) == 0
-    assert degree(0xB) == 3
-
-
 def test_characteristic_two_addition():
     assert (0b11 ^ 0b11) == 0
 
@@ -54,7 +44,7 @@ def test_x7_plus_1_divisible_by_period_7_polynomial():
 def test_divmod_reconstructs(a, b):
     q, r = divmod_poly(a, b)
     assert mul(q, b) ^ r == a
-    assert degree(r) < degree(b)
+    assert r.bit_length() < b.bit_length()
 
 
 def test_division_by_zero_rejected():
@@ -120,16 +110,16 @@ def test_order_of_coprime_product_is_lcm(d1, low1, d2, low2):
     assert poly_order(mul(g1, g2)) == math.lcm(poly_order(g1), poly_order(g2))
 
 
-def test_classify_fixed_cases():
-    rep = classify(0xB)
-    assert rep.irreducible and rep.primitive and rep.square_free
+def test_factor_and_primitivity_fixed_cases():
+    assert factor(0xB) == [(0xB, 1)]
+    assert is_irreducible(0xB) and is_primitive(0xB) and is_square_free(0xB)
 
-    rep = classify(0b11111)  # order 5, not 15
-    assert rep.irreducible and not rep.primitive
+    assert factor(0b11111) == [(0b11111, 1)]  # order 5, not 15
+    assert is_irreducible(0b11111) and not is_primitive(0b11111)
 
-    rep = classify(0b101)  # (X+1)^2
-    assert not rep.square_free and not rep.irreducible
-    assert rep.distinct_irreducible_factors == ((0b11, 1),)
+    assert factor(0b101) == [(0b11, 2)]  # (X+1)^2
+    assert not is_square_free(0b101) and not is_irreducible(0b101)
+    assert not is_primitive(0b101)
 
 
 @given(nonzero_polys)
@@ -147,7 +137,7 @@ def test_factor_reconstructs_and_is_irreducible(g):
 def test_reciprocal_involution(d, low):
     g = monic(d, low | 1)
     assert reciprocal(reciprocal(g)) == g
-    assert degree(reciprocal(g)) == degree(g)
+    assert reciprocal(g).bit_length() == g.bit_length()
 
 
 def test_reciprocal_example():

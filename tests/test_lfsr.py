@@ -10,7 +10,7 @@ from burstcover.lfsr import (
     lfsr_sequence,
     max_zero_run,
     minimal_connection,
-    minimal_period,
+    orbit_minimum,
     orbit_representatives,
     regenerate_from_trace,
     trace_representation,
@@ -53,7 +53,7 @@ def test_primitive_connection_reaches_full_period(m, init_bits):
     if not any(init):
         return
     spec = LfsrSpec(g, init)
-    assert minimal_period(spec) == (1 << m) - 1
+    assert gf2poly.poly_order(minimal_connection(spec)) == (1 << m) - 1
     bits = lfsr_sequence(spec, 2 * ((1 << m) - 1))
     assert bits[:(1 << m) - 1] == bits[(1 << m) - 1:]
 
@@ -92,10 +92,9 @@ def test_degree_equals_top_minus_zero_run(params):
         j = 0
         while out[k + j] == 0 and j <= r:
             j += 1
-        expected = gf2poly.degree(states[k])
         if states[k] == 0:
             continue
-        assert expected == r - 1 - j
+        assert states[k].bit_length() - 1 == r - 1 - j
 
 
 def test_max_zero_run_pn():
@@ -124,6 +123,48 @@ def test_all_ones_sequence_has_no_zeros():
 def test_max_zero_run_rejects_zero_state():
     with pytest.raises(ValueError):
         max_zero_run(LfsrSpec(0xB, (0, 0, 0)))
+
+
+def test_max_zero_run_rejects_connection_without_constant_term():
+    # with g(0) = 0 the orbit of the load never returns to it
+    with pytest.raises(ValueError, match="g\\(0\\) = 1"):
+        max_zero_run(LfsrSpec(0b1010, (1, 0, 0)))
+
+
+@given(specs)
+@settings(max_examples=200)
+def test_max_zero_run_matches_runs_of_one_period(params):
+    """The state-degree identity against the zero runs of one period, read
+    cyclically: the trailing run wraps into the leading one."""
+    g, f = params
+    if f == 0:
+        return
+    spec = LfsrSpec.from_galois(g, f)
+    runs = "".join(map(str, lfsr_sequence(spec, orbit_size(g, f)))).split("1")
+    assert max_zero_run(spec) == max([len(runs[0]) + len(runs[-1]), *map(len, runs[1:-1])])
+
+
+@given(specs)
+@settings(max_examples=100)
+def test_orbit_minimum_is_least_state(params):
+    g, f = params
+    if f == 0:
+        return
+    states, _ = galois_run(g, f, orbit_size(g, f))
+    assert orbit_minimum(g, f) == min(states)
+
+
+def test_max_zero_run_holds_no_period(monkeypatch):
+    import burstcover.lfsr as lfsr_mod
+    from burstcover.field import default_modulus
+
+    def fail(*args):
+        raise AssertionError("the period was generated")
+
+    for name in ("lfsr_sequence", "galois_run", "poly_order"):
+        monkeypatch.setattr(lfsr_mod, name, fail)
+    spec = LfsrSpec(default_modulus(16), (1,) + (0,) * 15)
+    assert max_zero_run(spec) == 15
 
 
 @given(specs)

@@ -66,8 +66,9 @@ def test_budget_guard(monkeypatch):
     monkeypatch.setattr(radius_mod, "MATRIX_MAX_WORK", 100)
     with pytest.raises(BudgetError):
         matrix_burst_radius(H)
-    with pytest.raises(BudgetError):
-        matrix_burst_radius(H, max_r=5)
+    monkeypatch.setattr(radius_mod, "MAX_R", 5)
+    with pytest.raises(BudgetError, match="max_r=5"):
+        matrix_burst_radius(H)
 
 
 def test_witness_is_uncovered_at_previous_level():
@@ -139,12 +140,6 @@ def test_geometric_thresholds():
         assert not geometric_is_covering(code, b - 1)
 
 
-def test_geometric_from_matrix():
-    b = matrix_burst_radius(EXT_HAMMING).b
-    assert geometric_is_covering(EXT_HAMMING, b)
-    assert not geometric_is_covering(EXT_HAMMING, b - 1)
-
-
 def test_geometric_rejects_large_space(monkeypatch):
     import burstcover.radius as radius_mod
 
@@ -165,9 +160,10 @@ def test_geometric_work_budget(monkeypatch):
         geometric_is_covering(code, 3)
 
 
-def test_orbit_budget_guard():
+def test_orbit_budget_guard(monkeypatch):
+    monkeypatch.setattr(radius_mod, "MAX_R", 11)
     with pytest.raises(BudgetError):
-        cyclic_burst_radius(make_bch(2, 6), max_r=11)
+        cyclic_burst_radius(make_bch(2, 6))
 
 
 def test_orbit_budget_checked_before_any_work(monkeypatch):
@@ -175,8 +171,9 @@ def test_orbit_budget_checked_before_any_work(monkeypatch):
         raise AssertionError("field tables built before the max_r check")
 
     monkeypatch.setattr(radius_mod, "_trace_factor", no_work)
+    monkeypatch.setattr(radius_mod, "MAX_R", 11)
     with pytest.raises(BudgetError):
-        cyclic_burst_radius(make_bch(2, 6), max_r=11)
+        cyclic_burst_radius(make_bch(2, 6))
 
 
 def _walk_radius(code):
@@ -257,9 +254,17 @@ def test_orbit_radius_does_not_walk_the_states(monkeypatch):
     assert (res.b, res.witness) == (12, 2055)  # the walk's values
 
 
-def test_table_methods_share_the_max_r_default():
+def test_table_methods_share_the_max_r_default(monkeypatch):
+    # MAX_R is a constant of the module, not a keyword of either method
+    assert MAX_R == 26
     for fn in (cyclic_burst_radius, matrix_burst_radius):
-        assert inspect.signature(fn).parameters["max_r"].default == MAX_R == 26
+        assert "max_r" not in inspect.signature(fn).parameters
+    code = make_bch(2, 6)
+    monkeypatch.setattr(radius_mod, "MAX_R", 11)
+    with pytest.raises(BudgetError, match="max_r=11"):
+        cyclic_burst_radius(code)
+    with pytest.raises(BudgetError, match="max_r=11"):
+        matrix_burst_radius(parity_check_matrix(code))
 
 
 def _radius_oracle(cols, r, cyclic):
