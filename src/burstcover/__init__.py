@@ -7,15 +7,7 @@ pattern-frequency and character-sum bounds the analysis rests on.
 """
 
 from .bitmatrix import BinaryMatrix
-from .charsums import (
-    LaurentExponentForm,
-    char_sum,
-    gcd_power_inequality_check,
-    laurent_weil_check,
-    niederreiter_check,
-    pattern_theorem_check,
-    wcu_check,
-)
+from .charsums import gcd_power_inequality_check, niederreiter_check, pattern_theorem_check
 from .codes import (
     CyclicCode,
     code_from_descriptor,

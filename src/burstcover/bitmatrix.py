@@ -43,33 +43,6 @@ class BinaryMatrix:
         if any(m >> self.cols for m in self.row_masks):
             raise ValueError("row mask wider than the column count")
 
-    @classmethod
-    def from_rows(cls, rows, cols: int | None = None) -> "BinaryMatrix":
-        """Build from an iterable of rows (ints, or iterables of bits)."""
-        masks = []
-        for row in rows:
-            if isinstance(row, int):
-                masks.append(row)
-            else:
-                bits = list(row)
-                masks.append(sum(int(b) << j for j, b in enumerate(bits)))
-                if cols is None:
-                    cols = len(bits)
-        if cols is None:
-            cols = max((m.bit_length() for m in masks), default=0)
-        return cls(len(masks), cols, tuple(masks))
-
-    @classmethod
-    def from_columns(cls, columns, rows: int) -> "BinaryMatrix":
-        """Build from column masks (bit i of a column = row i)."""
-        columns = list(columns)
-        masks = [0] * rows
-        for j, c in enumerate(columns):
-            for i in range(rows):
-                if c >> i & 1:
-                    masks[i] |= 1 << j
-        return cls(rows, len(columns), tuple(masks))
-
     def column(self, j: int) -> int:
         c = 0
         for i, m in enumerate(self.row_masks):
@@ -78,13 +51,6 @@ class BinaryMatrix:
 
     def columns(self) -> list[int]:
         return [self.column(j) for j in range(self.cols)]
-
-    def mul_vec(self, v: int) -> int:
-        """Matrix-vector product over GF(2); v has bit j = coordinate j."""
-        s = 0
-        for i, m in enumerate(self.row_masks):
-            s |= ((m & v).bit_count() & 1) << i
-        return s
 
     def rank(self) -> int:
         return len(row_reduce(self.row_masks, self.cols)[1])

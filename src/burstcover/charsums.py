@@ -1,21 +1,22 @@
 """Exponential sums over GF(2^m) and empirical checks of frequency bounds.
 
-The canonical additive character is chi(v) = (-1)^Tr(v).  Sums are read
-from the one trace table, field.trace_table: by linearity the trace of
-sum c_i x^(e_i) at x = gen^k is the XOR of table[log c_i + (e_i k mod n)],
-so no field element is built.  Every bound checked here has the shifted
-form |x| <= a * 2^(m/2) + b (b = 0 for the plain form |x| <= a * 2^(m/2)),
-and every verdict goes through the one predicate _within(x, m, a, b).
-It compares |x| with isqrt(a^2 * 2^m) + b in exact integers, so
-half-integer powers of two never touch floating point, and it works
-elementwise on int64 arrays.  Floats appear only in reports, for human
-consumption.
+The canonical additive character is chi(v) = (-1)^Tr(v).  The Weil and
+Laurent sums are computed only by the family checks, wcu_family_check
+and laurent_family_check; their reference is the table-free oracle of
+tests/test_charsums.py, which evaluates each polynomial with raw gf2poly
+arithmetic.  They read the one trace table, field.trace_table: by
+linearity the trace of sum c_i x^(e_i) at x = gen^k is the XOR of
+table[log c_i + (e_i k mod n)], so no field element is built.  Every
+bound checked here has the form |x| <= a * 2^(m/2) + b, and every
+verdict goes through the one predicate _within(x, m, a, b): |x| against
+isqrt(a^2 * 2^m) + b in exact integers, elementwise on int64 arrays too,
+so no verdict touches floating point.
 
 Checked bounds:
 
 * Weil-Carlitz-Uchiyama for odd-degree polynomials: (deg-1) * sqrt(q).
-* Its rational-function extension for Laurent forms with odd positive
-  and negative exponents: (t_top + u_top) * sqrt(q) over nonzero x.
+* Its rational-function extension for Laurent forms a x^t + b x^(-u)
+  with odd t, u: (t + u) * sqrt(q) over nonzero x.
 * Niederreiter's pattern-frequency bound over one minimal period.
 * The sharper pattern bounds for connection polynomials splitting into
   equal-degree factors (exponent labels all odd, or split into positive
@@ -52,106 +53,6 @@ def _within(x, m: int, a: int, b: int = 0):
     the floor of that, isqrt(a^2 * 2^m).
     """
     return abs(x) <= math.isqrt(a * a << m) + b
-
-
-@dataclass(frozen=True)
-class LaurentExponentForm:
-    """sum(a_i x^(t_i)) + sum(b_j x^(-u_j)) with odd increasing exponents."""
-
-    positive: tuple[tuple[int, int], ...]  # (coefficient mask, exponent)
-    negative: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        for terms in (self.positive, self.negative):
-            exps = [t for _, t in terms]
-            if any(t < 1 or t % 2 == 0 for t in exps):
-                raise ValueError("exponents must be odd positive integers")
-            if sorted(exps) != exps or len(set(exps)) != len(exps):
-                raise ValueError("exponents must be strictly increasing")
-            if any(c == 0 for c, _ in terms):
-                raise ValueError("coefficients must be nonzero")
-
-    @property
-    def t_top(self) -> int:
-        return self.positive[-1][1] if self.positive else 0
-
-    @property
-    def u_top(self) -> int:
-        return self.negative[-1][1] if self.negative else 0
-
-
-def _nonzero_sum(ctx: FieldContext, terms) -> int:
-    """Exact sum of chi(sum c * x^e) over nonzero x, for (c, e) in terms.
-
-    Coefficients c are nonzero field elements, exponents e any integers:
-    at x = gen^k the trace of c x^e is trace_table[log c + (e*k mod n)].
-    """
-    n = ctx.n
-    table = trace_table(ctx)
-    k = np.arange(n, dtype=np.int64)
-    bits = np.zeros(n, dtype=bool)
-    for c, e in terms:
-        bits ^= table[ctx.log[c] + e * k % n]
-    return n - 2 * int(np.count_nonzero(bits))
-
-
-def char_sum(ctx: FieldContext, form: LaurentExponentForm, domain: str = "nonzero") -> int:
-    """Exact sum of chi(f(x)) over the field or its nonzero elements."""
-    if domain not in ("all", "nonzero"):
-        raise ValueError("domain is 'all' or 'nonzero'")
-    if form.negative and domain == "all":
-        raise ValueError("the form has a pole at zero; use domain='nonzero'")
-    if any(c > ctx.n for c, _ in form.positive + form.negative):
-        raise ValueError("coefficient mask out of range for the field")
-    s = _nonzero_sum(ctx, [*form.positive, *((c, -u) for c, u in form.negative)])
-    if domain == "all":
-        s += 1  # f(0) = 0 for a polynomial form with positive exponents
-    return s
-
-
-@dataclass(frozen=True)
-class SumCheck:
-    sum: int
-    bound: float
-    ok: bool
-    applicable: bool = True
-    note: str = ""
-
-    def to_json(self) -> dict:
-        return dict(self.__dict__)
-
-
-def wcu_check(ctx: FieldContext, coeffs) -> SumCheck:
-    """Weil bound |sum chi(f(x))| <= (deg f - 1) sqrt(q) for odd deg f."""
-    coeffs = list(coeffs)
-    if any(not 0 <= c <= ctx.n for c in coeffs):
-        raise ValueError("coefficient mask out of range for the field")
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    deg = len(coeffs) - 1
-    if deg < 1 or deg % 2 == 0:
-        return SumCheck(0, 0.0, ok=True, applicable=False,
-                        note="degree must be odd and positive in characteristic 2")
-    # nonzero x term by term, plus chi(c_0) for x = 0
-    s = _nonzero_sum(ctx, [(c, j) for j, c in enumerate(coeffs) if c])
-    s += 1 - 2 * ctx.trace(coeffs[0])
-    return SumCheck(s, (deg - 1) * math.sqrt(2**ctx.m), _within(s, ctx.m, deg - 1))
-
-
-def laurent_weil_check(ctx: FieldContext, form: LaurentExponentForm) -> SumCheck:
-    """Rational Weil bound |sum over nonzero x| <= (t_top + u_top) sqrt(q)."""
-    if not form.negative:
-        # no pole at zero: plain polynomial route
-        coeffs = [0] * (form.t_top + 1)
-        for c, t in form.positive:
-            coeffs[t] = c
-        return wcu_check(ctx, coeffs)
-    if not form.positive:
-        return SumCheck(0, 0.0, ok=True, applicable=False,
-                        note="needs at least one positive-exponent term")
-    s = char_sum(ctx, form, domain="nonzero")
-    c = form.t_top + form.u_top
-    return SumCheck(s, c * math.sqrt(2**ctx.m), _within(s, ctx.m, c))
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +316,12 @@ class FamilyCheckReport:
 def wcu_family_check(m: int) -> FamilyCheckReport:
     """Weil bound over every monic odd-degree polynomial of degree <= 5.
 
-    Squaring maps chi(a x^(2k)) to chi(sqrt(a) x^k), so every monic
-    polynomial of degree 1, 3 or 5 has the same absolute character sum
-    as a reduced form x^5 + b x^3 + c x (or x^3 + c x, or x) for some
-    field elements b, c, up to the sign contributed by the constant
-    term.  Sweeping all (b, c) therefore covers the whole family, and
-    the verdicts stay exact: sums are integer matrix products.
+    Tr(a x^2) = Tr(sqrt(a) x), so the sum over the field for
+    a0 + a1 x + ... + a4 x^4 + x^5 is chi(a0) times that for the reduced
+    form x^5 + b x^3 + c x, b = a3 and c = a1 + a2^(1/2) + a4^(1/4)
+    (likewise x^3 + c x and x below).  Sweeping all (b, c) covers the
+    family, and the verdicts stay exact: sums are integer matrix
+    products.  An element indexes a row as 0 for 0 and j + 1 for gen^j.
     """
     ctx = get_context(m)
     n = ctx.n
@@ -455,8 +356,7 @@ def wcu_family_check(m: int) -> FamilyCheckReport:
     violations.extend(("deg3", int(i)) for i in bad)
 
     # degree 5: x^5 + b x^3 + c x, bound (5-1) * 2^(m/2)
-    weighted = s3 * s5_monic[None, :]
-    sums5 = 1 + weighted @ s1.T
+    sums5 = 1 + (s3 * s5_monic[None, :]) @ s1.T
     cases += (n + 1) ** 2
     bad_b, bad_c = np.nonzero(~_within(sums5, m, 4))
     violations.extend(("deg5", int(b), int(c)) for b, c in zip(bad_b, bad_c))
@@ -469,17 +369,22 @@ def wcu_family_check(m: int) -> FamilyCheckReport:
     )
 
 
-def laurent_family_check(m: int, t: int, u: int, draws: int, seed: int) -> FamilyCheckReport:
-    """Sampled check of the Laurent bound for forms a x^t + b x^(-u)."""
-    ctx = get_context(m)
+def _laurent_sums(ctx: FieldContext, t: int, u: int, coeffs) -> np.ndarray:
+    """Sum of chi(a x^t + b x^(-u)) over nonzero x, for each (a, b) in coeffs."""
     n = ctx.n
     table = trace_table(ctx)
     k = np.arange(n, dtype=np.int64)
     tk, uk = t * k % n, -u * k % n
-    rng = random.Random(seed)
-    coeffs = [(rng.randrange(1, n + 1), rng.randrange(1, n + 1)) for _ in range(draws)]
-    sums = np.array([n - 2 * int(np.count_nonzero(table[ctx.log[a] + tk] ^ table[ctx.log[b] + uk]))
+    return np.array([n - 2 * int(np.count_nonzero(table[ctx.log[a] + tk] ^ table[ctx.log[b] + uk]))
                      for a, b in coeffs], dtype=np.int64)
+
+
+def laurent_family_check(m: int, t: int, u: int, draws: int, seed: int) -> FamilyCheckReport:
+    """Sampled check of the Laurent bound for forms a x^t + b x^(-u)."""
+    ctx = get_context(m)
+    rng = random.Random(seed)
+    coeffs = [(rng.randrange(1, ctx.n + 1), rng.randrange(1, ctx.n + 1)) for _ in range(draws)]
+    sums = _laurent_sums(ctx, t, u, coeffs)
     bad = np.flatnonzero(~_within(sums, m, t + u))
     return FamilyCheckReport(
         name="laurent_weil_bound",

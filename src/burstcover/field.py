@@ -53,14 +53,16 @@ class FieldContext:
 
     def __init__(self, modulus: int):
         m = modulus.bit_length() - 1
-        if m < 1 or not is_irreducible(modulus):
-            raise ValueError("modulus must be irreducible of degree >= 1")
         if m > _MAX_TABLE_M:
             raise ValueError(f"field tables limited to degree {_MAX_TABLE_M}")
+        # is_primitive includes the irreducibility test: only a
+        # non-primitive modulus needs it again
+        self.primitive = gf2poly.is_primitive(modulus)
+        if m < 1 or not (self.primitive or is_irreducible(modulus)):
+            raise ValueError("modulus must be irreducible of degree >= 1")
         self.m = m
         self.modulus = modulus
         self.n = (1 << m) - 1  # multiplicative group order
-        self.primitive = gf2poly.is_primitive(modulus)
         self._build_tables()
 
     def _build_tables(self):
@@ -97,18 +99,9 @@ class FieldContext:
             return 0
         return self.exp[self.log[a] + self.log[b]]
 
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("zero to a negative power")
-            return 0
-        return self.exp[(self.log[a] * e) % self.n]
-
     def alpha_pow(self, k: int) -> int:
         """x^k mod modulus, exponent taken modulo 2^m - 1."""
-        return self.pow(X if self.m > 1 else 1, k)
+        return self.exp[self.log[X if self.m > 1 else 1] * k % self.n]
 
     def trace(self, a: int) -> int:
         return (a & self.trace_mask).bit_count() & 1
@@ -161,7 +154,13 @@ def cyclotomic_coset(t: int, n: int) -> list[int]:
 
 
 def min_odd_coset_member(t: int, n: int) -> int:
-    """Smallest odd member of the doubling coset of t modulo n (n odd)."""
+    """Smallest odd member of the doubling coset of t modulo n (n odd).
+
+    Modulo 1 every t is congruent to 1, so the coset [0] of GF(2), whose
+    root 1 gives the parity factor X + 1, is labelled 1.
+    """
+    if n == 1:
+        return 1
     members = [c for c in cyclotomic_coset(t, n) if c & 1]
     if not members:
         raise ValueError("coset has no odd member")

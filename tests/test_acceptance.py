@@ -68,18 +68,9 @@ def test_criterion_01_table1_reproduction():
 def test_criterion_02_example_matrices():
     with criterion(2, "example matrix fixtures"):
         t0 = time.perf_counter()
-        H = BinaryMatrix.from_rows([
-            [1, 1, 1, 1, 1, 1, 1, 1],
-            [0, 0, 0, 0, 1, 1, 1, 1],
-            [0, 0, 1, 1, 0, 0, 1, 1],
-            [0, 1, 0, 1, 0, 1, 0, 1],
-        ])
-        Hp = BinaryMatrix.from_rows([
-            [1, 1, 1, 1, 1, 1, 1, 1],
-            [0, 0, 1, 1, 1, 0, 0, 1],
-            [0, 0, 0, 1, 1, 1, 1, 0],
-            [0, 1, 0, 0, 1, 1, 0, 1],
-        ])
+        # row masks, bit j = column j: read each row right to left
+        H = BinaryMatrix(4, 8, (0b11111111, 0b11110000, 0b11001100, 0b10101010))
+        Hp = BinaryMatrix(4, 8, (0b11111111, 0b10011100, 0b01111000, 0b10110010))
         assert matrix_burst_radius(H).b == 4
         assert matrix_burst_radius(Hp).b == 3
         assert time.perf_counter() - t0 < 1.0

@@ -9,90 +9,132 @@ from hypothesis import given, settings, strategies as st
 from burstcover import gf2poly
 from burstcover import charsums
 from burstcover.charsums import (
-    LaurentExponentForm,
-    char_sum,
     find_avoidance_witness,
     gcd_power_inequality_check,
     laurent_family_check,
-    laurent_weil_check,
     niederreiter_check,
     pattern_count_via_charsums,
     pattern_theorem_check,
-    wcu_check,
     wcu_family_check,
 )
 from burstcover.codes import make_bch, make_cyclic_code, make_melas
-from burstcover.field import default_modulus, get_context
+from burstcover.field import default_modulus
 from burstcover.gf2poly import mul
 from burstcover.lfsr import LfsrSpec, trace_representation, window_histogram
 
 
+# The reference for every sum the family checks judge: raw gf2poly
+# arithmetic modulo the default modulus, whose generator is X, no tables.
+
+def _oracle_trace(m, v):
+    """Tr(v) = v + v^2 + ... + v^(2^(m-1)), by repeated squaring."""
+    mod = default_modulus(m)
+    acc = 0
+    for _ in range(m):
+        acc ^= v
+        v = gf2poly.rem(gf2poly.mul(v, v), mod)
+    return acc
+
+
 def _char_sum_oracle(m, eval_f):
-    """Independent evaluation via raw polynomial arithmetic, no tables."""
-    mod = default_modulus(m)
+    """Sum of chi(eval_f(x)) over nonzero x, one field element at a time."""
+    return sum(1 - 2 * _oracle_trace(m, eval_f(x)) for x in range(1, 1 << m))
 
-    def trace(v):
-        acc, p = 0, v
-        for _ in range(m):
-            acc ^= p
-            p = gf2poly.rem(gf2poly.mul(p, p), mod)
+
+def _mulmod(m, a, b):
+    return gf2poly.rem(gf2poly.mul(a, b), default_modulus(m))
+
+
+def _poly(m, coeffs):
+    """x -> sum coeffs[i] x^i by Horner's rule."""
+    def f(x):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = _mulmod(m, acc, x) ^ c
         return acc
-
-    return sum(1 - 2 * trace(eval_f(x)) for x in range(1, 1 << m))
-
-
-def test_char_sum_of_x():
-    ctx = get_context(5)
-    form = LaurentExponentForm(positive=((1, 1),))
-    assert char_sum(ctx, form, domain="all") == 0
-    assert char_sum(ctx, form, domain="nonzero") == -1
+    return f
 
 
-def test_char_sum_cubic_against_oracle():
-    m = 4
-    ctx = get_context(m)
-    form = LaurentExponentForm(positive=((1, 3),))
-    s = char_sum(ctx, form, domain="nonzero")
+def _elements(m):
+    """The element each row of the family sums stands for: 0, then gen^j."""
     mod = default_modulus(m)
-    oracle = _char_sum_oracle(m, lambda x: gf2poly.rem(
-        gf2poly.mul(gf2poly.mul(x, x), x), mod))
-    assert s == oracle
-    assert abs(s + 1) <= 2 * 2 ** (m / 2)  # (3-1) sqrt(q) on the full field
+    return [0] + [gf2poly.pow_mod(gf2poly.X, j, mod) for j in range((1 << m) - 1)]
 
 
-def test_char_sum_domain_consistency():
-    ctx = get_context(6)
-    for coeff, t in ((1, 3), (5, 5), (17, 1)):
-        form = LaurentExponentForm(positive=((coeff, t),))
-        assert char_sum(ctx, form, "all") == 1 + char_sum(ctx, form, "nonzero")
+def _spy(monkeypatch, name):
+    """Record (args, result) of every call of charsums.<name> from now on."""
+    calls = []
+    real = getattr(charsums, name)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(charsums, name, spy)
+    return calls
 
 
-def test_char_sum_pole_rejected():
-    ctx = get_context(4)
-    form = LaurentExponentForm(positive=((1, 1),), negative=((1, 1),))
-    with pytest.raises(ValueError):
-        char_sum(ctx, form, domain="all")
+def _weil_sums(m, monkeypatch):
+    """The degree-3 and degree-5 sums wcu_family_check(m) judges, by bound weight."""
+    calls = _spy(monkeypatch, "_within")
+    assert wcu_family_check(m).ok
+    return {args[2]: args[0] for args, _ in calls}
 
 
-def test_laurent_form_validation():
-    with pytest.raises(ValueError):
-        LaurentExponentForm(positive=((1, 2),))  # even exponent
-    with pytest.raises(ValueError):
-        LaurentExponentForm(positive=((0, 1),))  # zero coefficient
-    with pytest.raises(ValueError):
-        LaurentExponentForm(positive=((1, 3), (1, 1)))  # not increasing
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_weil_family_sums_match_oracle(m, monkeypatch):
+    sums = _weil_sums(m, monkeypatch)
+    elems = _elements(m)
+    mod = default_modulus(m)
+    cubes = {x: gf2poly.pow_mod(x, 3, mod) for x in range(1 << m)}
+    fifths = {x: gf2poly.pow_mod(x, 5, mod) for x in range(1 << m)}
+    for c, cv in enumerate(elems):
+        # f(0) = 0 adds chi(0) = 1 for x = 0
+        cubic = _char_sum_oracle(m, lambda x: cubes[x] ^ _mulmod(m, cv, x))
+        assert sums[2][c] == 1 + cubic
+        for b, bv in enumerate(elems):
+            quintic = _char_sum_oracle(
+                m, lambda x: fifths[x] ^ _mulmod(m, bv, cubes[x]) ^ _mulmod(m, cv, x))
+            assert sums[4][b, c] == 1 + quintic, (b, c)
 
 
-def test_wcu_degree_one_sum_is_zero():
-    ctx = get_context(7)
-    res = wcu_check(ctx, [0, 1])
-    assert res.applicable and res.ok and res.sum == 0
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_monic_quintics_reduce_to_swept_forms(m, monkeypatch):
+    """sum chi(a0 + a1 x + ... + a4 x^4 + x^5) = chi(a0) S5[a3, a1 + a2^(1/2) + a4^(1/4)]."""
+    sums5 = _weil_sums(m, monkeypatch)[4]
+    index = {v: i for i, v in enumerate(_elements(m))}
+    mod = default_modulus(m)
+
+    def root(a, e):  # a^(1/2^e) = a^(2^(m-e))
+        return gf2poly.pow_mod(a, 1 << (m - e), mod)
+
+    rng = random.Random(m)
+    for _ in range(40):
+        a = [rng.randrange(1 << m) for _ in range(5)] + [1]
+        chi0 = 1 - 2 * _oracle_trace(m, a[0])
+        whole = chi0 + _char_sum_oracle(m, _poly(m, a))
+        c = a[1] ^ root(a[2], 1) ^ root(a[4], 2)
+        assert whole == chi0 * sums5[index[a[3]], index[c]], a
 
 
-def test_wcu_even_degree_inapplicable():
-    ctx = get_context(5)
-    res = wcu_check(ctx, [1, 0, 1])
-    assert not res.applicable
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_laurent_family_sums_match_oracle(m, monkeypatch):
+    n = (1 << m) - 1
+    mod = default_modulus(m)
+    calls = _spy(monkeypatch, "_laurent_sums")
+    forms = [(t, u) for t in (1, 3, 5) for u in (1, 3, 5)]
+    for t, u in forms:
+        assert laurent_family_check(m, t, u, draws=30, seed=10 * t + u).ok
+    assert [args[1:3] for args, _ in calls] == forms
+    for (_, t, u, coeffs), sums in calls:
+        pos = {x: gf2poly.pow_mod(x, t, mod) for x in range(1, n + 1)}
+        neg = {x: gf2poly.pow_mod(x, n - u, mod) for x in range(1, n + 1)}  # x^(-u)
+        assert len(sums) == len(coeffs) == 30
+        for (a, b), s in zip(coeffs, sums):
+            oracle = _char_sum_oracle(
+                m, lambda x: _mulmod(m, a, pos[x]) ^ _mulmod(m, b, neg[x]))
+            assert s == oracle, (t, u, a, b)
 
 
 @st.composite
@@ -119,81 +161,6 @@ def test_within_matches_decimal_oracle(case):
         expected = [abs(x) <= bound for x in xs]
     assert [charsums._within(x, m, a, b) for x in xs] == expected
     assert charsums._within(np.array(xs, dtype=np.int64), m, a, b).tolist() == expected
-
-
-@given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=40, deadline=None)
-def test_wcu_random_cubics(m, seed):
-    ctx = get_context(m)
-    rng = random.Random(seed)
-    coeffs = [rng.randrange(1 << m) for _ in range(3)] + [rng.randrange(1, 1 << m)]
-    res = wcu_check(ctx, coeffs)
-    assert res.applicable and res.ok
-
-
-def test_wcu_matches_scalar_oracle():
-    m = 5
-    ctx = get_context(m)
-    mod = default_modulus(m)
-    coeffs = [3, 7, 0, 1]  # x^3 + 7x + 3
-    res = wcu_check(ctx, coeffs)
-
-    def f(x):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = gf2poly.rem(gf2poly.mul(acc, x), mod) ^ c
-        return acc
-
-    oracle = _char_sum_oracle(m, f) + (1 - 2 * ctx.trace(coeffs[0]))
-    assert res.sum == oracle
-
-
-@given(st.integers(min_value=2, max_value=6), st.sampled_from([1, 3, 5]),
-       st.lists(st.integers(min_value=0, max_value=63), min_size=6, max_size=6))
-@settings(max_examples=40, deadline=None)
-def test_wcu_sum_matches_scalar_oracle_any_polynomial(m, deg, raw):
-    ctx = get_context(m)
-    mod = default_modulus(m)
-    coeffs = [c & ctx.n for c in raw[:deg]] + [(raw[deg] & ctx.n) or 1]
-
-    def f(x):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = gf2poly.rem(gf2poly.mul(acc, x), mod) ^ c
-        return acc
-
-    oracle = _char_sum_oracle(m, f) + (1 - 2 * ctx.trace(coeffs[0]))
-    assert wcu_check(ctx, coeffs).sum == oracle
-
-
-def test_laurent_kloosterman_shape():
-    ctx = get_context(8)
-    for a, b in ((1, 1), (2, 77), (130, 9)):
-        form = LaurentExponentForm(positive=((a, 1),), negative=((b, 1),))
-        res = laurent_weil_check(ctx, form)
-        assert res.applicable and res.ok
-        assert res.bound == 2 * math.sqrt(256)
-
-
-def test_laurent_empty_negative_routes_to_wcu():
-    ctx = get_context(6)
-    form = LaurentExponentForm(positive=((1, 3),))
-    res = laurent_weil_check(ctx, form)
-    assert res.applicable  # handled by the polynomial bound
-    assert res.ok
-
-
-def test_laurent_random_small_forms():
-    rng = random.Random(11)
-    for m in range(2, 11):
-        ctx = get_context(m)
-        for _ in range(30):
-            t = rng.choice((1, 3, 5))
-            u = rng.choice((1, 3, 5))
-            a = rng.randrange(1, 1 << m)
-            b = rng.randrange(1, 1 << m)
-            form = LaurentExponentForm(positive=((a, t),), negative=((b, u),))
-            assert laurent_weil_check(ctx, form).ok
 
 
 def test_wcu_family_checks():

@@ -30,10 +30,12 @@ def test_radius_family_flags(capsys):
 
 
 def test_radius_generic_and_methods(capsys):
-    for method in ("orbit", "matrix", "geometric"):
-        rc, out = run(capsys, "radius", "--family", "generic", "--n", "7",
-                      "--g", "x^3+x+1", "--method", method)
-        assert rc == EXIT_OK and "radius 1" in out
+    # x + 1 is the even-weight (parity) code
+    for g in ("x^3+x+1", "x+1"):
+        for method in ("orbit", "matrix", "geometric"):
+            rc, out = run(capsys, "radius", "--family", "generic", "--n", "7",
+                          "--g", g, "--method", method)
+            assert rc == EXIT_OK and "radius 1" in out
 
 
 def test_radius_from_descriptor(tmp_path, capsys):
@@ -227,9 +229,6 @@ USAGE_ERRORS = {
                             "--find-avoidance", "0"],
     "find-avoidance-above-m": ["verify", "patterns", "--family", "bch", "--m", "5",
                                "--find-avoidance", "6"],
-    # --max-r is no longer an option: radius.MAX_R is a constant
-    "negative-max-r": ["radius", *BCH24, "--max-r", "-1"],
-    "zero-max-r": ["radius", *BCH24, "--max-r", "0"],
     "deleted-cover-debug": ["cover", *BCH24, "--syndrome", "1", "--debug"],
     "mixed-with-degree-options": ["verify", "patterns", "--family", "mixed", "--m", "3",
                                   "--s-max", "2", "--find-avoidance", "3"],
@@ -245,7 +244,6 @@ USAGE_ERRORS = {
     "generic-with-m": ["radius", "--family", "generic", "--n", "15", "--g", "x^4+x+1",
                        "--m", "9"],
     "geometric-linear": ["radius", *BCH24, "--method", "geometric", "--linear"],
-    "geometric-max-r": ["radius", *BCH24, "--method", "geometric", "--max-r", "1"],
     "orbit-linear": ["radius", *BCH24, "--linear"],
     "dump-matrix-emit": ["radius", *BCH24, "--dump-matrix", "--emit", "json"],
     "dump-matrix-method": ["radius", *BCH24, "--dump-matrix", "--method", "orbit"],

@@ -97,7 +97,7 @@ def test_parity_check_annihilates_codewords(u):
     code = make_cyclic_code(15, mul(0b111, 0x13))  # r = 6, dimension 9
     H = parity_check_matrix(code)
     c = mul(u & ((1 << 9) - 1), code.g)
-    assert H.mul_vec(c) == 0
+    assert all((m & c).bit_count() % 2 == 0 for m in H.row_masks)
 
 
 def test_melas_column_stacking():
@@ -138,8 +138,8 @@ def test_lc_eval_debug_cross_check(i, f):
         fx = 0
         for j in range(f.bit_length()):
             if f >> j & 1:
-                fx ^= ctx.pow(fac.root, j)
-        expected |= ctx.mul(ctx.pow(fac.root, i), fx) << base
+                fx ^= ctx.exp[ctx.log[fac.root] * j % ctx.n]
+        expected |= ctx.mul(ctx.exp[ctx.log[fac.root] * i % ctx.n], fx) << base
         base += fac.degree
     assert lc_eval(code, i, f) == expected
 

@@ -9,6 +9,7 @@ from burstcover import gf2poly
 from burstcover.bitmatrix import BinaryMatrix
 from burstcover.codes import make_bch, make_cyclic_code, make_melas, parity_check_matrix
 from burstcover.corpus import build_corpus
+from burstcover.covering import burst_cover, verify_certificate
 from burstcover.field import primitive_moduli
 from burstcover.gf2poly import mul, poly_order
 from burstcover.lfsr import _orbit_minima
@@ -22,14 +23,27 @@ from burstcover.radius import (
     witness_recheck,
 )
 
-EXT_HAMMING = BinaryMatrix.from_rows([
+
+def _from_bit_rows(rows):
+    """The matrix whose row i has bit j = rows[i][j]."""
+    masks = tuple(sum(bit << j for j, bit in enumerate(row)) for row in rows)
+    return BinaryMatrix(len(rows), len(rows[0]), masks)
+
+
+def _from_columns(cols, r):
+    """The r-row matrix whose column j has bit i = row i."""
+    return BinaryMatrix(r, len(cols), tuple(sum((c >> i & 1) << j for j, c in enumerate(cols))
+                                            for i in range(r)))
+
+
+EXT_HAMMING = _from_bit_rows([
     [1, 1, 1, 1, 1, 1, 1, 1],
     [0, 0, 0, 0, 1, 1, 1, 1],
     [0, 0, 1, 1, 0, 0, 1, 1],
     [0, 1, 0, 1, 0, 1, 0, 1],
 ])
 
-EXT_HAMMING_PERMUTED = BinaryMatrix.from_rows([
+EXT_HAMMING_PERMUTED = _from_bit_rows([
     [1, 1, 1, 1, 1, 1, 1, 1],
     [0, 0, 1, 1, 1, 0, 0, 1],
     [0, 0, 0, 1, 1, 1, 1, 0],
@@ -44,19 +58,19 @@ def test_example_matrices():
 
 def test_identity_matrix_radius_is_r():
     for r in (2, 3, 5):
-        eye = BinaryMatrix.from_columns([1 << i for i in range(r)], r)
+        eye = BinaryMatrix(r, r, tuple(1 << i for i in range(r)))
         assert matrix_burst_radius(eye).b == r
 
 
 def test_first_r_columns_alone_need_full_window():
     code = make_bch(2, 4)
     H = parity_check_matrix(code)
-    sub = BinaryMatrix.from_columns(H.columns()[:code.r], code.r)
+    sub = _from_columns(H.columns()[:code.r], code.r)
     assert matrix_burst_radius(sub).b == code.r
 
 
 def test_rank_deficient_rejected():
-    M = BinaryMatrix.from_rows([[1, 0, 1], [1, 0, 1]])
+    M = BinaryMatrix(2, 3, (0b101, 0b101))
     with pytest.raises(ValueError):
         matrix_burst_radius(M)
 
@@ -129,6 +143,18 @@ def test_degree_one_factor_forces_b_equal_r():
         g = mul(0b11, g2)
         code = make_cyclic_code((1 << (g2.bit_length() - 1)) - 1, g)
         assert cyclic_burst_radius(code).b == code.r
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 15])
+def test_parity_code_radius_is_one(n):
+    # g = X + 1: the one syndrome bit is the parity, covered by any single 1
+    code = make_cyclic_code(n, 0x3)
+    assert code.r == 1 and code.factors[0].exponent == 1
+    assert cyclic_burst_radius(code).b == 1
+    assert matrix_burst_radius(parity_check_matrix(code)).b == 1
+    assert geometric_is_covering(code, 1)
+    assert bounds_report(code).validate(1) == []
+    assert verify_certificate(code, 1, burst_cover(code, 1, 1), 1)
 
 
 def test_geometric_thresholds():
@@ -294,7 +320,7 @@ def test_matrix_radius_matches_set_oracle(seed, cyclic):
     n = rng.randrange(r, 9)
     while True:
         cols = [rng.randrange(1 << r) for _ in range(n)]
-        M = BinaryMatrix.from_columns(cols, r)
+        M = _from_columns(cols, r)
         if M.rank() == r:
             break
     res = matrix_burst_radius(M, cyclic=cyclic)

@@ -1,9 +1,10 @@
 """The package exports nothing that only its tests reach.
 
 A public top-level function or class of `src/burstcover` must be named
-somewhere other than its own definition: in another place in the
-package (`__init__`'s re-exports do not count), in the benchmark's
-non-test modules, or in README.md.
+somewhere other than its own definition, and a public method of a public
+class must be called or read as `.name` somewhere: in the package
+(`__init__`'s re-exports do not count), in the benchmark's non-test
+modules, or in README.md.
 """
 
 import ast
@@ -15,40 +16,59 @@ PACKAGE = ROOT / "src" / "burstcover"
 
 # Scalar references: each restates, one element or one step at a time,
 # a fact of the paper that the package otherwise computes in bulk, and
-# the tests check the two against each other.
+# the named test checks the two against each other.  (The Weil and
+# Laurent sums have no scalar twin in the package: their reference is the
+# table-free oracle in tests/test_charsums.py.)
 ALLOWED = {
     # the trace form a_k = sum_i Tr(gamma_i beta_i^k) of one sequence; its
-    # self-check reads field.trace_table against the Fibonacci recurrence
+    # self-check reads field.trace_table against the Fibonacci recurrence,
+    # run by test_lfsr.py::test_trace_representation_round_trip
     "trace_representation",
-    # the rational Weil bound for one Laurent form, by char_sum;
-    # laurent_family_check samples the same bound in bulk
-    "laurent_weil_check",
-    # one pattern count through the character expansion; the tests compare
-    # it with window_histogram
+    # one pattern count through the character expansion;
+    # test_charsums.py::test_pattern_count_character_duality compares it
+    # with window_histogram
     "pattern_count_via_charsums",
 }
 
 
 def _public_definitions():
+    """(name, public method names) of each public top-level function or class."""
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
-                yield node.name
+                body = node.body if isinstance(node, ast.ClassDef) else []
+                yield node.name, [f.name for f in body
+                                  if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
 
 
-def _unreached_names() -> set[str]:
+def _corpus() -> str:
     texts = [p.read_text() for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     texts += [p.read_text() for p in (ROOT / "perfbench").glob("*.py")
               if not p.name.startswith("test_")]
     texts.append((ROOT / "README.md").read_text())
-    corpus = "\n".join(texts)
+    return "\n".join(texts)
+
+
+def _unreached_names() -> set[str]:
+    corpus = _corpus()
     # the definition itself is one occurrence
-    return {name for name in _public_definitions()
+    return {name for name, _ in _public_definitions()
             if len(re.findall(rf"\b{name}\b", corpus)) < 2}
+
+
+def _unreached_methods() -> set[str]:
+    corpus = _corpus()
+    # `def name(` has no dot, so any match is a use
+    return {f"{cls}.{name}" for cls, methods in _public_definitions() for name in methods
+            if not re.search(rf"\.{name}\b", corpus)}
 
 
 def test_no_test_only_public_names():
     assert _unreached_names() == ALLOWED
+
+
+def test_no_test_only_public_methods():
+    assert _unreached_methods() == set()
