@@ -1,8 +1,8 @@
 """Burst-covering radius toolkit for binary cyclic codes.
 
-Computes and certifies the burst-covering radius (orbit scan, matrix
-brute force, geometric exhaustion), evaluates the known bounds,
-produces covering certificates, and empirically verifies the LFSR
+Computes and certifies the burst-covering radius (burst ball modulo
+shifts, matrix brute force, geometric exhaustion), evaluates the known
+bounds, produces covering certificates, and empirically verifies the LFSR
 pattern-frequency and character-sum bounds the analysis rests on.
 """
 

@@ -10,9 +10,8 @@ get_context(m) is context_for_modulus(default_modulus(m)).
 
 trace_table(ctx) is the package's one numpy trace table, Tr(gen^j) for
 j < 2n.  The trace is linear, so Tr(sum c_i x^(e_i)) at x = gen^k is the
-XOR of table[log c_i + (e_i k mod n)]: the radius scan, the character
-sums and trace regeneration all read it that way, without building a
-field element.
+XOR of table[log c_i + (e_i k mod n)]: the character sums and trace
+regeneration read it that way, without building a field element.
 
 The default modulus for each m is the lexicographically smallest
 primitive polynomial of degree m, where coefficient strings compare as
@@ -26,7 +25,7 @@ import functools
 import numpy as np
 
 from . import gf2poly
-from .gf2poly import X, is_irreducible
+from .gf2poly import X
 from .mersenne import MERSENNE_FACTORS
 
 _MAX_TABLE_M = 22
@@ -55,11 +54,10 @@ class FieldContext:
         m = modulus.bit_length() - 1
         if m > _MAX_TABLE_M:
             raise ValueError(f"field tables limited to degree {_MAX_TABLE_M}")
-        # is_primitive includes the irreducibility test: only a
-        # non-primitive modulus needs it again
-        self.primitive = gf2poly.is_primitive(modulus)
-        if m < 1 or not (self.primitive or is_irreducible(modulus)):
+        if m < 1 or not gf2poly.is_irreducible(modulus):
             raise ValueError("modulus must be irreducible of degree >= 1")
+        # X has no order; any other irreducible is primitive iff X has order 2^m - 1
+        self.primitive = modulus & 1 == 1 and gf2poly._order_irreducible(modulus) == (1 << m) - 1
         self.m = m
         self.modulus = modulus
         self.n = (1 << m) - 1  # multiplicative group order

@@ -2,16 +2,12 @@
 
 Three independent methods compute the radius:
 
-* orbit: scan one dual sequence per orbit of nonzero residues under
-  f -> X*f mod g.  Along an orbit the Galois-state degree at step k is
-  r-1 minus the zero-run length of the dual sequence starting at k, so
-  the radius is r minus the least, over orbits, longest cyclic zero run.
-  Each dual sequence has the trace form a_k = sum_i Tr(gamma_i beta_i^k)
-  over the factors of g.  By linearity a_k is an XOR of reads from the
-  one trace table of each factor's field (field.trace_table), so a whole
-  block of orbits is read with numpy, one row per orbit, instead of
-  walking all 2^r states (the `lfsr` walker stays behind
-  orbit_representatives).
+* orbit: the burst ball modulo shifts.  b is the least width such that
+  every orbit of nonzero residues under f -> X*f mod g holds a residue
+  of degree < b, the syndrome of a burst at position 0.  Residues are
+  marked one degree level at a time, with numpy, in a bitmap of orbits
+  named by discrete logs (_OrbitNames), so the work grows as 2^b, not
+  2^r.  The `lfsr` walk over all 2^r states stays in orbit_representatives.
 * matrix: mark every syndrome reachable as a combination within a
   window of b consecutive columns, growing b until the space is full.
 * geometric: exhaust F_2^n and test membership in some burst ball
@@ -26,22 +22,21 @@ floored with exact integer arithmetic (no floating point in verdicts).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2poly
 from .bitmatrix import BinaryMatrix
 from .codes import CodeFactor, CyclicCode, codewords
-from .field import trace_table
-from .gf2poly import poly_order, to_hex, to_terms
-from .lfsr import fibonacci_to_galois, orbit_minimum
+from .gf2poly import to_hex, to_terms
+from .lfsr import orbit_minimum
 
 
 # Redundancy limit of the orbit and matrix methods.  The matrix method
-# holds one byte per syndrome, 2^r bytes; the orbit scan holds only
-# bounded blocks, but its time still grows as 2^r.
+# holds one byte per syndrome, 2^r bytes; the orbit method holds one
+# byte per orbit, about 2^r / n, and its time grows as 2^b.
 MAX_R = 26
 
 # Work limits of the brute-force methods: window combinations marked by the
@@ -50,9 +45,9 @@ MATRIX_MAX_WORK = 1 << 28
 GEOMETRIC_MAX_N = 20
 GEOMETRIC_MAX_WORK = 1 << 27
 
-# Steps per numpy block of the orbit scan: rows shorter than this are
-# batched up to it, and a longer row is scanned in segments of it.
-_BLOCK = 1 << 15
+# Residues per numpy block of the orbit method: f = hi * 2^_K + lo has the
+# factor components low[lo] ^ high[hi], so one 2^_K block is live at a time.
+_K = 12
 
 
 class BudgetError(RuntimeError):
@@ -81,123 +76,130 @@ class RadiusResult:
 
 
 def cyclic_burst_radius(code: CyclicCode) -> RadiusResult:
-    """Exact radius of a cyclic code, scanning one dual sequence per shift orbit.
+    """Exact radius of a cyclic code, from the burst ball modulo shifts.
 
-    b = r - Z, where Z is the smallest longest cyclic zero run over the
-    nonzero dual sequences.  The witness is the smallest residue of least
-    degree on an orbit attaining Z: a run of exactly Z zeros followed by
-    a one starts at step k exactly when the Galois state X^k * f mod g has
-    degree r - 1 - Z, and the r bits read from k give that state.
+    b is the least width such that every shift orbit of nonzero residues
+    holds a residue of degree < b, the syndrome of a burst at position 0.
+    Level b adds the residues of degree b - 1, [2^(b-1), 2^b), marking
+    their orbits in a bitmap, until every orbit is marked.  The witness is
+    the least residue of the last level whose orbit was unmarked before
+    it: the least residue of degree b - 1 on an orbit with none lower.
     """
     if code.r > MAX_R:
-        raise BudgetError(f"orbit scan over 2^{code.r} states exceeds max_r={MAX_R}")
+        raise BudgetError(f"orbit method over 2^{code.r} residues exceeds max_r={MAX_R}")
     r = code.r
-    factors = [_trace_factor(fac) for fac in code.factors]
-    best = r  # a nonzero sequence never holds r zeros in a row
-    attaining = []  # (orbit rows, row numbers whose longest run is `best`)
-    for mask in range(1, 1 << len(factors)):
-        orbits = _OrbitRows([f for j, f in enumerate(factors) if mask >> j & 1], r)
-        step = max(1, _BLOCK // orbits.length)
-        for start in range(0, orbits.count, step):
-            block = np.arange(start, min(start + step, orbits.count))
-            longest = orbits.scan(block)[0]
-            low = int(longest.min())
-            if low < best:
-                best, attaining = low, []
-            if low == best:
-                attaining.append((orbits, block[longest == best]))
-    loads = []
-    for orbits, block in attaining:
-        _, hit_rows, hit_k = orbits.scan(block, best)
-        windows = orbits.cells(hit_rows, hit_k[:, None] + np.arange(r))
-        loads.extend(fibonacci_to_galois(code.g, bits) for bits in windows.tolist())
-    return RadiusResult(b=r - best, method="orbit", witness=min(loads), cyclic=True,
-                        n=code.n, r=r)
+    names = _OrbitNames(code)
+    marked = np.zeros(names.total, dtype=bool)
+    # the multiples of g / g_i, g_i of least degree d, are closed under the shift
+    # and have degree >= r - d: the first level, all f < 2^(r - d), leaves them
+    low = r - min(fac.degree for fac in code.factors)
+    for b in range(low, r + 1):
+        witness = None
+        for start in range(1 << (b - 1) if b > low else 0, 1 << b, 1 << _K):
+            ids = names.ids(start, min(start + (1 << _K), 1 << b))
+            if witness is None:
+                first = int(np.argmin(marked[ids]))  # the first fresh orbit, if any
+                if not marked[ids[first]]:
+                    witness = start + first
+            marked[ids] = True
+        if marked.all():
+            return RadiusResult(b=b, method="orbit", witness=witness, cyclic=True,
+                                n=code.n, r=r)
+    raise AssertionError("the residues of degree < r meet every orbit")
 
 
-def _trace_factor(fac: CodeFactor) -> tuple:
-    """(table, t, n, order) for a factor whose root is gen^t in its context."""
+def _root_log(fac: CodeFactor) -> tuple[int, int]:
+    """(t, order): the factor's root is gen^t in its context, of order n / gcd(t, n)."""
     n = fac.ctx.n
     t = fac.ctx.dlog(fac.root)
-    return trace_table(fac.ctx), t, n, n // math.gcd(t, n)
+    return t, n // math.gcd(t, n)
 
 
-def _zero_runs(bits: np.ndarray):
-    """Zero runs in each row of a bool block whose rows all start with a one.
-
-    Returns the longest run of each row, the flat positions of the ones,
-    and the length of the run after each one (to the end of its row).
-    """
-    ones = np.flatnonzero(bits)
-    gaps = np.diff(ones, append=bits.size) - 1
-    first = np.searchsorted(ones, np.arange(0, bits.size, bits.shape[1]))
-    return np.maximum.reduceat(gaps, first), ones, gaps
+@functools.lru_cache(maxsize=None)
+def _log_array(ctx) -> np.ndarray:
+    return np.array(ctx.log, dtype=np.int64)
 
 
-class _OrbitRows:
-    """The dual sequences a_k = sum_i Tr(gamma_i beta_i^k) with gamma_i != 0
-    exactly on one set of factors, one row per orbit of the shift k -> k + 1.
+class _OrbitNames:
+    """An id in 0..total-1 for each orbit of residues under f -> X*f mod g.
 
-    With gamma_i = gen^(s_i) and beta_i = gen^(t_i), a_k is the XOR of the
-    tables T_i[s_i + t_i k mod n_i], and the shift adds t_i to every s_i.
-    A stabilizer chain picks each orbit once: with M the lcm of the orders
-    of the factors fixed so far, the shifts that keep them fixed are the
-    multiples of M, so the next s_j runs over range(gcd(t_j M mod n_j, n_j)),
-    the cosets of <beta_j^M>.  A row holds one period: lcm of the orders.
+    By CRT a residue f is the tuple v_i = f(beta_i) over the factors, and
+    the shift multiplies each v_i by beta_i = gen^(t_i): it adds t_i to
+    l_i = log v_i modulo n_i.  A stabilizer chain names each orbit once.
+    With M the lcm of the orders of the factors fixed so far, the shifts
+    that keep them fixed are the multiples of M, which move l_j in steps of
+    t_j M mod n_j; so l_j is reduced modulo the radix gcd(t_j M mod n_j, n_j),
+    and the shift that reduces it (one modular inverse) is carried to the
+    later factors.  Each support set (the factors with v_i != 0) has its
+    own chain and its own id offset.
     """
 
-    def __init__(self, factors, r: int):
-        self.factors = factors
-        self.r = r
-        self.radix = []
-        period = 1
-        for _, t, n, order in factors:
-            self.radix.append(math.gcd(t * period % n, n))
-            period = math.lcm(period, order)
-        self.length = period
-        self.count = math.prod(self.radix)
+    def __init__(self, code: CyclicCode):
+        self.n, self.logs, self.tables, t, orders = [], [], [], [], []
+        for fac in code.factors:
+            t_i, order = _root_log(fac)
+            # beta^k for k < r: f(beta) is their XOR over supp(f), so the
+            # component of hi * 2^_K + lo is low[lo] ^ high[hi]
+            cols = [fac.ctx.exp[t_i * k % fac.ctx.n] for k in range(code.r)]
+            self.tables.append((_closure(cols[:_K]), _closure(cols[_K:])))
+            self.n.append(fac.ctx.n)
+            self.logs.append(_log_array(fac.ctx))
+            t.append(t_i)
+            orders.append(order)
+        self.chains = [(0, [])]  # the zero residue is an orbit of its own
+        self.total = 1
+        for support in range(1, 1 << len(t)):
+            members = [j for j in range(len(t)) if support >> j & 1]
+            M, place, steps = 1, 1, []
+            for pos, j in enumerate(members):
+                n = self.n[j]
+                radix = math.gcd(t[j] * M, n)
+                period = n // radix
+                # the shift M * s with s = q * unit % period takes l_j = c + radix*q to c
+                unit = -pow(t[j] * M // radix, -1, period) % period
+                carry = [(i, M * t[i] % self.n[i]) for i in members[pos + 1:]]
+                steps.append((j, radix, place, unit, period, carry if period > 1 else []))
+                place *= radix
+                M = math.lcm(M, orders[j])
+            self.chains.append((self.total, steps))
+            self.total += place
 
-    def cells(self, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """a_k of each row (numbered 0..count-1); k has shape (E,) or (len(rows), E)."""
-        bits = np.zeros((len(rows), 1), dtype=bool)
-        for (table, t, n, _), size in zip(self.factors, self.radix):
-            idx = t * k % n
-            if size > 1:  # else s = 0 on every row: one gather, broadcast
-                idx = (rows % size)[:, None] + idx
-            bits = bits ^ table[idx]
-            rows = rows // size
-        return bits
+    def ids(self, start: int, stop: int) -> np.ndarray:
+        """Orbit ids of the residues in [start, stop), inside one 2^_K block."""
+        hi = start >> _K
+        lo = slice(start - (hi << _K), stop - (hi << _K))
+        comps = [low[lo] ^ high[hi] for low, high in self.tables]
+        logs = [log[v] for log, v in zip(self.logs, comps)]
+        ids = self._name(len(self.chains) - 1, logs[:])  # every component nonzero
+        rows = np.flatnonzero(functools.reduce(np.logical_or, [v == 0 for v in comps]))
+        if len(rows):  # the rest, one support set at a time
+            support = sum((v[rows] != 0) << i for i, v in enumerate(comps))
+            for s in set(support.tolist()):
+                sub = rows[support == s]
+                ids[sub] = self._name(s, [l[sub] for l in logs])
+        return ids
 
-    def scan(self, rows: np.ndarray, run: int = -1):
-        """Longest cyclic zero run of each row, and the rows and steps k at
-        which a run of exactly `run` zeros followed by a one starts.
-
-        Rows are read in segments of at most _BLOCK steps, each opened by a
-        stop bit and extended by r - 1 steps.  A zero run is shorter than r,
-        so every run that starts in a segment ends inside it, and a run cut
-        at either end is no longer than the run it belongs to.
-        """
-        L, r = self.length, self.r
-        longest = np.zeros(len(rows), dtype=np.int64)
-        hit_rows, hit_k = [], []
-        for offset in range(0, L, _BLOCK):
-            own = min(_BLOCK, L - offset)
-            # column c holds step offset - 1 + c; column 0 is the stop bit
-            bits = self.cells(rows, offset - 1 + np.arange(own + r))
-            bits[:, 0] = True
-            seg_longest, ones, gaps = _zero_runs(bits)
-            np.maximum(longest, seg_longest, out=longest)
-            row, col = np.divmod(ones[gaps == run], own + r)
-            hit_rows.append(rows[row[col < own]])
-            hit_k.append(offset + col[col < own])  # the step the run starts at
-        return longest, np.concatenate(hit_rows), np.concatenate(hit_k)
+    def _name(self, support: int, logs: list) -> np.ndarray:
+        """Ids of residues whose nonzero components are exactly `support`,
+        from their logs (a list over all factors; its entries are replaced)."""
+        offset, steps = self.chains[support]
+        ids = np.full(len(logs[0]), offset)
+        for j, radix, place, unit, period, carry in steps:
+            l = logs[j]
+            if radix > 1:
+                ids += (l % radix if radix < self.n[j] else l) * place
+            if carry:
+                s = (l // radix if radix > 1 else l) * unit % period
+                for i, w in carry:
+                    logs[i] = (logs[i] + s * w) % self.n[i]
+        return ids
 
 
 def _closure(cols) -> np.ndarray:
     """All XOR combinations of the given columns (2^len values)."""
-    arr = np.zeros(1, dtype=np.int64)
-    for c in cols:
-        arr = np.concatenate([arr, arr ^ c])
+    arr = np.zeros(1 << len(cols), dtype=np.int64)
+    for k, c in enumerate(cols):
+        np.bitwise_xor(arr[:1 << k], c, out=arr[1 << k:2 << k])
     return arr
 
 
@@ -365,8 +367,9 @@ def bounds_report(code: CyclicCode) -> BoundsReport:
         note="binary refinement: n >= 2^(r-b+1) + 1",
     ))
 
-    min_deg_factors = [f for f in code.factors if f.degree == d1]
-    nonprim_min = any(not gf2poly.is_primitive(f.poly) for f in min_deg_factors)
+    orders = [_root_log(f)[1] for f in code.factors]
+    primitive = [order == (1 << f.degree) - 1 for f, order in zip(code.factors, orders)]
+    nonprim_min = any(not prim for f, prim in zip(code.factors, primitive) if f.degree == d1)
     entries.append(BoundEntry(
         name="nonprimitive_lower", kind="lower", value=r - d1 + 2,
         applicable=nonprim_min,
@@ -374,7 +377,6 @@ def bounds_report(code: CyclicCode) -> BoundsReport:
     ))
 
     if e <= _MAX_SUBSET_FACTORS:
-        orders = [poly_order(f.poly) for f in code.factors]
         best_k = best_raw = -math.inf
         for mask in range(1, 1 << e):
             L = 1
@@ -392,9 +394,8 @@ def bounds_report(code: CyclicCode) -> BoundsReport:
         ))
 
     if e == 2:
-        g1, g2 = sorted(code.factors, key=lambda f: f.degree)
-        da, db = g1.degree, g2.degree
-        both_prim = gf2poly.is_primitive(g1.poly) and gf2poly.is_primitive(g2.poly)
+        da, db = sorted(f.degree for f in code.factors)
+        both_prim = all(primitive)
         cond = da < db and (math.gcd(da, db) < db - da or db - da <= 2)
         entries.append(BoundEntry(
             name="two_primitive_exact", kind="exact", value=db + 1,

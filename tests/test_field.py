@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import burstcover.field as field_mod
 from burstcover import gf2poly
 from burstcover.field import (
     FieldContext,
@@ -183,6 +184,23 @@ def test_generator_is_least_element_of_full_order(m):
         assert all(_order(v, modulus) < ctx.n for v in range(1, gen))
         if ctx.primitive:
             assert ctx.generator == 0b10
+
+
+def test_non_primitive_modulus_tests_irreducibility_once(monkeypatch):
+    calls = []
+    irreducible = gf2poly.is_irreducible
+
+    def counted(p):
+        calls.append(p)
+        return irreducible(p)
+
+    monkeypatch.setattr(gf2poly, "is_irreducible", counted)
+    monkeypatch.setattr(field_mod, "is_irreducible", counted, raising=False)  # a direct import
+    ctx = FieldContext(0x1F)  # x^4 + x^3 + x^2 + x + 1: x has order 5
+    assert calls == [0x1F]
+    assert not ctx.primitive
+    assert (ctx.generator, ctx.trace_mask) == (3, 14)
+    assert ctx.exp[:15] == [1, 3, 5, 15, 14, 13, 8, 7, 9, 4, 12, 11, 2, 6, 10]
 
 
 def test_one_context_per_modulus():

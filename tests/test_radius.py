@@ -193,10 +193,10 @@ def test_orbit_budget_guard(monkeypatch):
 
 
 def test_orbit_budget_checked_before_any_work(monkeypatch):
-    def no_work(fac):
+    def no_work(code):
         raise AssertionError("field tables built before the max_r check")
 
-    monkeypatch.setattr(radius_mod, "_trace_factor", no_work)
+    monkeypatch.setattr(radius_mod, "_OrbitNames", no_work)
     monkeypatch.setattr(radius_mod, "MAX_R", 11)
     with pytest.raises(BudgetError):
         cyclic_burst_radius(make_bch(2, 6))
@@ -255,17 +255,67 @@ def test_orbit_rows_longer_than_a_block_match_walk(factors):
     # primitive factors of degrees 7 and 9, 2 and 15, and 17
     g = _product(factors)
     code = make_cyclic_code(poly_order(g), g)
-    assert poly_order(g) > radius_mod._BLOCK  # one row spans several segments
+    assert code.n > 1 << radius_mod._K  # every orbit is longer than a block
     res = cyclic_burst_radius(code)
     assert (res.b, res.witness) == _walk_radius(code)
 
 
-@pytest.mark.parametrize("block", [5, 64])
-def test_segmented_scan_matches_walk_on_the_corpus(block, monkeypatch):
-    monkeypatch.setattr(radius_mod, "_BLOCK", block)
+@pytest.mark.parametrize("k", [3, 5])
+def test_small_blocks_match_walk_on_the_corpus(k, monkeypatch):
+    monkeypatch.setattr(radius_mod, "_K", k)
     for entry in build_corpus():
         res = cyclic_burst_radius(entry.code)
         assert (res.b, res.witness) == _walk_radius(entry.code), entry.name
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_three_factor_bch_matches_walk(m):
+    code = make_bch(3, m)
+    res = cyclic_burst_radius(code)
+    assert (res.b, res.witness) == _walk_radius(code)
+
+
+@pytest.mark.parametrize("code", [
+    make_bch(2, 4),
+    make_melas(4),
+    make_cyclic_code(15, mul(0b11, 0x13)),        # X+1 and a primitive quartic
+    make_cyclic_code(45, mul(0x1F, 0x49)),        # orders 5 and 9
+    make_cyclic_code(105, _product([0b111, 0xB, 0x13])),  # degrees 2, 3 and 4
+], ids=["bch-2-4", "melas-4", "parity-x-0x13", "orders-5-9", "degrees-2-3-4"])
+def test_orbit_names_are_exactly_the_orbits(code):
+    names = radius_mod._OrbitNames(code)
+    assert code.r <= radius_mod._K  # one block holds every residue
+    ids = names.ids(0, 1 << code.r).tolist()
+    orbit_of = {}  # walk every state with f -> X*f mod g; 0 is an orbit of its own
+    for f in range(1 << code.r):
+        x = f
+        while x not in orbit_of:
+            orbit_of[x] = f
+            x = gf2poly.shift_mod(x, code.g)
+    by_orbit = {}
+    for f, i in enumerate(ids):
+        by_orbit.setdefault(orbit_of[f], set()).add(i)
+    assert all(len(s) == 1 for s in by_orbit.values())  # constant along each orbit
+    named = [i for s in by_orbit.values() for i in s]
+    assert len(set(named)) == len(named)  # different orbits, different ids
+    assert sorted(named) == list(range(names.total))
+
+
+def test_factor_orders_match_poly_order():
+    """The root-log order shared by the orbit method and the bounds, against
+    poly_order and is_primitive, on every irreducible of degree <= 8 used
+    as a factor: alone, in a shared context, and in a mixed-degree code."""
+    factors = []
+    for h in (h for h in range(3, 1 << 9, 2) if gf2poly.is_irreducible(h)):
+        factors += make_cyclic_code(max(poly_order(h), 3), h).factors
+    for code in [make_bch(e, m) for e, m in ((2, 4), (2, 6), (2, 8), (3, 6), (3, 8))]:
+        factors += code.factors
+    factors += make_melas(8).factors
+    factors += make_cyclic_code(105, _product([0b111, 0xB, 0x13])).factors
+    for fac in factors:
+        _, order = radius_mod._root_log(fac)
+        assert order == poly_order(fac.poly)
+        assert (order == (1 << fac.degree) - 1) == gf2poly.is_primitive(fac.poly)
 
 
 def test_orbit_radius_does_not_walk_the_states(monkeypatch):
