@@ -28,7 +28,6 @@ from .field import FieldContext, get_context, minimal_polynomial
 from .gf2poly import parse_poly, poly_order, to_hex, to_terms
 from .lfsr import (
     LfsrSpec,
-    galois_run,
     lfsr_sequence,
     max_zero_run,
     orbit_representatives,

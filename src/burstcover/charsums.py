@@ -39,7 +39,6 @@ from .field import FieldContext, get_context, min_odd_coset_member, trace_table
 from .gf2poly import poly_order
 from .lfsr import (
     LfsrSpec,
-    fibonacci_to_galois,
     minimal_connection,
     orbit_representatives,
     window_histogram,
@@ -101,8 +100,7 @@ def niederreiter_check(spec: LfsrSpec, s: int) -> FrequencyReport:
             note=f"s must be in [1, {min_factor_degree}] for this sequence",
         )
     pi = poly_order(gmin)
-    load = fibonacci_to_galois(spec.connection, spec.init)
-    counts = window_histogram(spec.connection, load, s, pi)
+    counts = window_histogram(spec.connection, spec.load, s, pi)
     slack = (1 << s) - 1
     violations = tuple((y, c) for y, c in enumerate(counts)
                        if not _within((c << s) - pi, rmin, slack))

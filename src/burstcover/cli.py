@@ -17,7 +17,6 @@ import json
 import os
 import sys
 
-from . import gf2poly
 from .codes import (
     FAMILY_PARAMS,
     code_from_descriptor,
@@ -331,8 +330,8 @@ def _cmd_lfsr_stats(args) -> int:
     else:
         loads = orbit_representatives(g)
     for load in loads:
-        spec = LfsrSpec.from_galois(g, load)
-        init_hex = to_hex(sum(b << i for i, b in enumerate(spec.init)))
+        spec = LfsrSpec(g, load)
+        init_hex = to_hex(sum(b << i for i, b in enumerate(lfsr_sequence(spec, r))))
         if args.pattern is not None:
             if load == 0:
                 raise ValueError("the all-zero sequence is excluded")
@@ -409,7 +408,7 @@ def _verify_bounds(args) -> int:
         # nevertheless attain the minimum are recorded, never asserted
         if len(code.factors) == 2:
             d1, d2 = sorted(f.degree for f in code.factors)
-            both_prim = all(gf2poly.is_primitive(f.poly) for f in code.factors)
+            both_prim = all(f.order == f.ctx.n for f in code.factors)
             ent = next((x for x in report.entries if x.name == "two_primitive_exact"), None)
             if (ent is not None and not ent.applicable and both_prim
                     and d1 < d2 and b == d2 + 1):
@@ -449,7 +448,7 @@ def _verify_patterns(args) -> int:
         for entry in mixed_degree_entries():
             dmin = min(f.degree for f in entry.code.factors)
             for rep_load in orbit_representatives(entry.code.g):
-                spec = LfsrSpec.from_galois(entry.code.g, rep_load)
+                spec = LfsrSpec(entry.code.g, rep_load)
                 for s in range(1, dmin + 1):
                     rep = niederreiter_check(spec, s)
                     if not rep.applicable:

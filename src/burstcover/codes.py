@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 from . import gf2poly
@@ -38,6 +39,12 @@ class CodeFactor:
     ctx: FieldContext
     root: int                 # raw mask of a root of poly in ctx
     exponent: int | None      # signed t with root = alpha^t, when known
+
+    @property
+    def order(self) -> int:
+        """Multiplicative order of the root, gen^t: n / gcd(t, n) in its context."""
+        n = self.ctx.n
+        return n // math.gcd(self.ctx.dlog(self.root), n)
 
 
 @dataclass(frozen=True)
@@ -256,10 +263,13 @@ def code_from_descriptor(desc: dict) -> CyclicCode:
     family = desc.get("family", "generic")
     if family not in FAMILY_PARAMS:
         raise ValueError(f"descriptor key 'family': unknown family {family!r}")
+    for key in ("n", "r"):  # JSON true is a Python int; type() tells it apart
+        if desc.get(key) is not None and type(desc[key]) is not int:
+            raise ValueError(f"descriptor key {key!r}: {desc[key]!r} is not an integer")
     modulus = _descriptor_value(desc, "modulus_hex")
     if family == "generic":
         n, g = desc.get("n"), _descriptor_value(desc, "g_hex")
-        if not isinstance(n, int) or g is None:
+        if n is None or g is None:
             raise ValueError("descriptor keys 'n' (an integer) and 'g_hex' "
                              "are required for a generic code")
         code = make_cyclic_code(n, g, modulus)
@@ -267,7 +277,7 @@ def code_from_descriptor(desc: dict) -> CyclicCode:
         names = FAMILY_PARAMS[family]
         params = desc.get("params")
         if not (isinstance(params, list) and len(params) == len(names)
-                and all(isinstance(p, int) for p in params)):
+                and all(type(p) is int for p in params)):
             raise ValueError(f"descriptor key 'params': {family} needs the integers "
                              f"[{', '.join(names)}], got {params!r}")
         code = (make_bch if family == "bch" else make_melas)(*params, modulus)

@@ -104,6 +104,13 @@ class FieldContext:
     def trace(self, a: int) -> int:
         return (a & self.trace_mask).bit_count() & 1
 
+    def evaluate(self, p: int, v: int) -> int:
+        """p(v) for p in GF(2)[X] (a coefficient mask), by Horner's rule."""
+        acc = 0
+        for i in range(p.bit_length() - 1, -1, -1):
+            acc = self.mul(acc, v) ^ (p >> i & 1)
+        return acc
+
     def dlog(self, a: int) -> int:
         """Discrete log base the context generator (a nonzero)."""
         if a == 0:
@@ -202,9 +209,6 @@ def find_root(ctx: FieldContext, h: int) -> int:
     if d < 1 or ctx.m % d:
         raise ValueError("polynomial does not split in this field")
     for v in range(1, 1 << ctx.m):
-        acc = 0
-        for i in range(d, -1, -1):
-            acc = ctx.mul(acc, v) ^ (h >> i & 1)
-        if acc == 0:
+        if ctx.evaluate(h, v) == 0:
             return v
     raise ValueError("no root found; is h irreducible?")

@@ -1,10 +1,13 @@
-"""LFSR sequences, Galois-mode state walks, zero runs and pattern counts.
+"""LFSR sequences named by their Galois load, zero runs and pattern counts.
 
-A connection polynomial g = X^r + sum(m_i X^i) drives the recurrence
-a_k = sum(m_i * a_{k-r+i}).  The same sequences arise as the top
-coefficient of the Galois-mode state X^k * f mod g, where the initial
-load f and the initial conditions (a_0..a_{r-1}) determine each other
-through a triangular linear system.
+A connection polynomial g of degree r and a load f of degree < r name
+the sequence whose k-th term is the top coefficient (of X^(r-1)) of the
+Galois state X^k * f mod g.  The load is the one state of a sequence:
+every function here reads it, and lfsr_sequence is the one stepper.  The
+same sequence obeys the Fibonacci recurrence a_k = sum(g_i * a_{k-r+i}),
+and its first r terms (the Fibonacci initial bits) determine the load
+through a triangular system; those bits are only an input and output
+form, read by fibonacci_to_galois and printed from lfsr_sequence.
 
 Run lengths and pattern counts are taken over the periodic sequence:
 one minimal period read cyclically, with window reads past the end
@@ -19,26 +22,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2poly
-from .bitmatrix import row_reduce
 from .field import find_root, get_context, trace_table
-from .gf2poly import gcd, is_square_free, poly_order, quot, shift_mod
+from .gf2poly import derivative, gcd, is_square_free, poly_order, quot
 
 
 @dataclass(frozen=True)
 class LfsrSpec:
-    """A connection polynomial with Fibonacci initial conditions."""
+    """A connection polynomial g and the Galois load f, deg f < deg g.
+
+    The load is the state at step 0; the sequence is the top coefficient
+    of X^k * f mod g.  Fibonacci initial bits are the input and output
+    form only: fibonacci_to_galois turns them into a load, and the first
+    deg(g) terms of lfsr_sequence give them back.
+    """
 
     connection: int
-    init: tuple[int, ...]
+    load: int
 
     def __post_init__(self):
-        r = self.connection.bit_length() - 1
-        if r < 1:
+        if self.order < 1:
             raise ValueError("connection polynomial must have degree >= 1")
-        if len(self.init) != r:
-            raise ValueError(f"need exactly {r} initial bits")
-        if any(b not in (0, 1) for b in self.init):
-            raise ValueError("initial conditions are bits")
+        if not 0 <= self.load < 1 << self.order:
+            raise ValueError("initial load must have degree < deg(g)")
 
     @property
     def order(self) -> int:
@@ -46,44 +51,21 @@ class LfsrSpec:
 
     @classmethod
     def from_galois(cls, g: int, f: int) -> "LfsrSpec":
-        """Spec whose sequence equals the Galois-mode output for load f."""
-        r = g.bit_length() - 1
-        if f.bit_length() > r:
-            raise ValueError("initial load must have degree < deg(g)")
-        _, out = galois_run(g, f, r)
-        return cls(g, tuple(out))
+        """The spec of the Galois-mode output for load f."""
+        return cls(g, f)
 
 
 def lfsr_sequence(spec: LfsrSpec, length: int) -> list[int]:
-    """First `length` terms of the sequence, as a list of bits."""
-    r = spec.order
-    taps = spec.connection & ((1 << r) - 1)
-    out = list(spec.init[:length])
-    state = 0
-    for j, b in enumerate(spec.init):
-        state |= b << j
-    for _ in range(len(out), length):
-        b = (state & taps).bit_count() & 1
-        out.append(b)
-        state = (state >> 1) | (b << (r - 1))
-    return out
-
-
-def galois_run(g: int, f: int, steps: int) -> tuple[list[int], list[int]]:
-    """States X^k * f mod g and their top coefficients, k < steps."""
-    r = g.bit_length() - 1
-    if r < 1:
-        raise ValueError("connection polynomial must have degree >= 1")
-    if f.bit_length() > r:
-        raise ValueError("initial load must have degree < deg(g)")
-    states = []
+    """First `length` terms: the top bit of X^k * load mod g for k < length."""
+    g, f = spec.connection, spec.load
+    size, top = 1 << spec.order, spec.order - 1
     out = []
-    top = r - 1
-    for _ in range(steps):
-        states.append(f)
+    for _ in range(length):
         out.append(f >> top & 1)
-        f = shift_mod(f, g)
-    return states, out
+        f <<= 1  # the shift X*f mod g, inline as in _orbit_minima
+        if f & size:
+            f ^= g
+    return out
 
 
 def fibonacci_to_galois(g: int, init) -> int:
@@ -92,6 +74,8 @@ def fibonacci_to_galois(g: int, init) -> int:
     init = tuple(init)
     if len(init) != r:
         raise ValueError(f"need exactly {r} initial bits")
+    if any(b not in (0, 1) for b in init):
+        raise ValueError("initial conditions are bits")
     f = 0
     for k in range(r):
         b = init[k]
@@ -105,12 +89,10 @@ def fibonacci_to_galois(g: int, init) -> int:
 
 def minimal_connection(spec: LfsrSpec) -> int:
     """Minimal connection polynomial of the sequence: g / gcd(load, g)."""
-    if spec.connection & 1 == 0:
+    g = spec.connection
+    if g & 1 == 0:
         raise ValueError("periodic statistics need a connection with g(0) = 1")
-    f = fibonacci_to_galois(spec.connection, spec.init)
-    if f == 0:
-        return 1
-    return quot(spec.connection, gcd(spec.connection, f))
+    return quot(g, gcd(g, spec.load))
 
 
 def max_zero_run(spec: LfsrSpec) -> int:
@@ -123,10 +105,9 @@ def max_zero_run(spec: LfsrSpec) -> int:
     g = spec.connection
     if g & 1 == 0:
         raise ValueError("periodic statistics need a connection with g(0) = 1")
-    f = fibonacci_to_galois(g, spec.init)
-    if f == 0:
+    if spec.load == 0:
         raise ValueError("the all-zero sequence has no period statistics")
-    return spec.order - orbit_minimum(g, f).bit_length()
+    return spec.order - orbit_minimum(g, spec.load).bit_length()
 
 
 def orbit_minimum(g: int, f: int) -> int:
@@ -217,10 +198,13 @@ def trace_representation(spec: LfsrSpec) -> list[tuple[int, int]]:
     """Pairs (h_i, gamma_i) with a_k = sum_i Tr(gamma_i * beta_i^k).
 
     beta_i is a fixed root of the i-th irreducible factor h_i of the
-    connection polynomial, and gamma_i a raw mask, both in the default
-    field of deg(h_i).  The gamma_i are found by solving the r x r linear
-    system given by the first r sequence terms, then checked by
-    regenerating the first ord(g) + r terms.
+    connection polynomial g, and gamma_i a raw mask, both in the default
+    field of deg(h_i).  Lagrange interpolation at the distinct roots of g
+    gives the top coefficient of any h mod g as sum_beta h(beta)/g'(beta).
+    For h = X^k * f that is sum_beta beta^k f(beta)/g'(beta), and the
+    conjugate roots of h_i add up to a trace, so
+    gamma_i = f(beta_i)/g'(beta_i) in closed form.  The result is checked
+    by regenerating the first ord(g) + r terms.
     """
     g = spec.connection
     if not is_square_free(g):
@@ -228,36 +212,13 @@ def trace_representation(spec: LfsrSpec) -> list[tuple[int, int]]:
     if g & 1 == 0:
         raise ValueError("g must have nonzero constant term")
     r = spec.order
-    parts = []  # (factor, ctx, root)
+    dg = derivative(g)  # nonzero at every root, since g is square-free
+    gammas = []
     for h, _ in gf2poly.factor(g):
         ctx = get_context(h.bit_length() - 1)
-        parts.append((h, ctx, find_root(ctx, h)))
-
-    # columns indexed by (factor, basis bit); rows by time step
-    cols = []
-    for _, ctx, beta in parts:
-        pw = 1
-        col_block = [[0] * r for _ in range(ctx.m)]
-        for k in range(r):
-            for l in range(ctx.m):
-                col_block[l][k] = ctx.trace(ctx.mul(1 << l, pw))
-            pw = ctx.mul(pw, beta)
-        cols.extend(col_block)
-    rows = []
-    for k in range(r):
-        mask = 0
-        for j in range(r):
-            mask |= cols[j][k] << j
-        rows.append((mask, spec.init[k]))
-
-    solution = _solve_gf2(rows, r)
-    gammas = []
-    pos = 0
-    for h, ctx, beta in parts:
-        gamma = 0
-        for l in range(ctx.m):
-            gamma |= ((solution >> pos) & 1) << l
-            pos += 1
+        beta = find_root(ctx, h)
+        value = ctx.evaluate(spec.load, beta)
+        gamma = ctx.exp[ctx.log[value] + ctx.n - ctx.log[ctx.evaluate(dg, beta)]] if value else 0
         gammas.append((h, gamma))
 
     total = poly_order(g) + r
@@ -280,18 +241,3 @@ def regenerate_from_trace(gammas, length: int) -> list[int]:
             t = ctx.dlog(find_root(ctx, h))
             bits ^= trace_table(ctx)[ctx.log[gamma] + t * k % ctx.n]
     return bits.astype(int).tolist()
-
-
-def _solve_gf2(rows, width: int) -> int:
-    """Solve row-masks * x = rhs over GF(2); rows are (mask, rhs) pairs.
-
-    Masks have bits below `width` only; the right-hand side rides along
-    in bit `width` of the augmented row.
-    """
-    reduced, pivots = row_reduce([mask | rhs << width for mask, rhs in rows], width)
-    if len(pivots) < width:
-        raise ValueError("singular system")
-    x = 0
-    for i in range(width):
-        x |= (reduced[i] >> width & 1) << i
-    return x

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitmatrix import BinaryMatrix
-from .codes import CodeFactor, CyclicCode, codewords
+from .codes import CyclicCode, codewords
 from .gf2poly import to_hex, to_terms
 from .lfsr import orbit_minimum
 
@@ -108,13 +108,6 @@ def cyclic_burst_radius(code: CyclicCode) -> RadiusResult:
     raise AssertionError("the residues of degree < r meet every orbit")
 
 
-def _root_log(fac: CodeFactor) -> tuple[int, int]:
-    """(t, order): the factor's root is gen^t in its context, of order n / gcd(t, n)."""
-    n = fac.ctx.n
-    t = fac.ctx.dlog(fac.root)
-    return t, n // math.gcd(t, n)
-
-
 @functools.lru_cache(maxsize=None)
 def _log_array(ctx) -> np.ndarray:
     return np.array(ctx.log, dtype=np.int64)
@@ -137,7 +130,7 @@ class _OrbitNames:
     def __init__(self, code: CyclicCode):
         self.n, self.logs, self.tables, t, orders = [], [], [], [], []
         for fac in code.factors:
-            t_i, order = _root_log(fac)
+            t_i = fac.ctx.dlog(fac.root)
             # beta^k for k < r: f(beta) is their XOR over supp(f), so the
             # component of hi * 2^_K + lo is low[lo] ^ high[hi]
             cols = [fac.ctx.exp[t_i * k % fac.ctx.n] for k in range(code.r)]
@@ -145,7 +138,7 @@ class _OrbitNames:
             self.n.append(fac.ctx.n)
             self.logs.append(_log_array(fac.ctx))
             t.append(t_i)
-            orders.append(order)
+            orders.append(fac.order)
         self.chains = [(0, [])]  # the zero residue is an orbit of its own
         self.total = 1
         for support in range(1, 1 << len(t)):
@@ -367,8 +360,8 @@ def bounds_report(code: CyclicCode) -> BoundsReport:
         note="binary refinement: n >= 2^(r-b+1) + 1",
     ))
 
-    orders = [_root_log(f)[1] for f in code.factors]
-    primitive = [order == (1 << f.degree) - 1 for f, order in zip(code.factors, orders)]
+    orders = [f.order for f in code.factors]
+    primitive = [order == f.ctx.n for f, order in zip(code.factors, orders)]
     nonprim_min = any(not prim for f, prim in zip(code.factors, primitive) if f.degree == d1)
     entries.append(BoundEntry(
         name="nonprimitive_lower", kind="lower", value=r - d1 + 2,

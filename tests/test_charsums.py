@@ -20,7 +20,8 @@ from burstcover.charsums import (
 from burstcover.codes import make_bch, make_cyclic_code, make_melas
 from burstcover.field import default_modulus
 from burstcover.gf2poly import mul
-from burstcover.lfsr import LfsrSpec, trace_representation, window_histogram
+from burstcover.lfsr import (LfsrSpec, fibonacci_to_galois, trace_representation,
+                             window_histogram)
 
 
 # The reference for every sum the family checks judge: raw gf2poly
@@ -178,7 +179,8 @@ def test_laurent_family_check_deterministic():
 
 def test_niederreiter_pn_single_bit():
     m = 6
-    spec = LfsrSpec(default_modulus(m), (1,) + (0,) * (m - 1))
+    g = default_modulus(m)
+    spec = LfsrSpec(g, fibonacci_to_galois(g, (1,) + (0,) * (m - 1)))
     rep = niederreiter_check(spec, 1)
     assert rep.applicable and rep.ok and not rep.vacuous
     counts = window_histogram(default_modulus(m), 1, 1, (1 << m) - 1)

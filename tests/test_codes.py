@@ -190,6 +190,10 @@ def test_descriptor_round_trip(tmp_path):
     ({"family": "melas", "params": [5], "g_hex": "0x3"}, "'g_hex'"),
     ({"family": "generic", "n": 15, "g_hex": "0x13", "r": 5}, "'r'"),
     ({"family": "generic", "g_hex": "0x13"}, "'n'"),
+    # JSON true is a Python int; BCH(e=true, m=6) would load as a Hamming code
+    ({"family": "bch", "params": [True, 6]}, "'params'"),
+    ({"family": "generic", "n": True, "g_hex": "0x3"}, "'n'"),
+    ({"family": "generic", "n": 3, "g_hex": "0x3", "r": True}, "'r'"),
 ])
 def test_descriptor_must_describe_the_code_it_loads(desc, key):
     with pytest.raises(ValueError, match=key):

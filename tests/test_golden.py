@@ -90,6 +90,23 @@ def test_golden_output(name):
     assert rc == _exit_codes()[name]
 
 
+def test_verify_bounds_reads_factor_orders(monkeypatch):
+    """The bound sandwich decides each factor's primitivity from its root's
+    order once; a second decision through gf2poly.is_primitive is refused."""
+    from burstcover import gf2poly
+    from burstcover.corpus import build_corpus, exact_two_primitive_cases
+
+    build_corpus()  # caches every default modulus the command reads
+    exact_two_primitive_cases()
+
+    def refuse(g):
+        raise AssertionError("primitivity decided again")
+
+    monkeypatch.setattr(gf2poly, "is_primitive", refuse)
+    rc, out, err = run_case(CASES["verify_bounds"])
+    assert (rc, out, err) == (0, (GOLDEN / "verify_bounds.out").read_text(), "")
+
+
 def write_fixtures():
     GOLDEN.mkdir(exist_ok=True)
     codes = {}

@@ -1,12 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from burstcover import gf2poly
 from burstcover.codes import make_bch
 from burstcover.lfsr import (
     LfsrSpec,
     fibonacci_to_galois,
-    galois_run,
     lfsr_sequence,
     max_zero_run,
     minimal_connection,
@@ -22,6 +21,29 @@ def monic(d: int, low: int) -> int:
     return (1 << d) | (low & ((1 << d) - 1))
 
 
+def fibonacci(g: int, init, length: int) -> list[int]:
+    """The recurrence a_k = sum(g_i * a_{k-r+i}) from the initial bits: the
+    oracle for lfsr_sequence, which steps the Galois state instead."""
+    r = g.bit_length() - 1
+    out = list(init)
+    while len(out) < length:
+        out.append(sum(g >> i & out[len(out) - r + i] for i in range(r)) & 1)
+    return out[:length]
+
+
+def from_bits(g: int, init) -> LfsrSpec:
+    return LfsrSpec(g, fibonacci_to_galois(g, init))
+
+
+def galois_states(g: int, f: int, steps: int) -> list[int]:
+    """The states X^k * f mod g for k < steps."""
+    states = []
+    for _ in range(steps):
+        states.append(f)
+        f = gf2poly.shift_mod(f, g)
+    return states
+
+
 specs = st.builds(
     lambda d, low, init: (monic(d, low | 1), init & ((1 << d) - 1)),
     st.integers(min_value=2, max_value=8),
@@ -31,16 +53,28 @@ specs = st.builds(
 
 
 def test_period7_pn_sequence():
-    spec = LfsrSpec(0xB, (1, 0, 0))  # connection 1 + X + X^3
+    spec = from_bits(0xB, (1, 0, 0))  # connection 1 + X + X^3
     bits = lfsr_sequence(spec, 14)
     assert bits[:7] == bits[7:]  # period 7
     windows = {tuple(bits[k:k + 3]) for k in range(7)}
     assert len(windows) == 7 and (0, 0, 0) not in windows
 
 
+@pytest.mark.parametrize("make", [
+    lambda: LfsrSpec(0b1, 0),  # degree 0
+    lambda: LfsrSpec(0xB, 0b1000),  # load of degree 3 = deg(g)
+    lambda: LfsrSpec(0xB, -1),
+    lambda: fibonacci_to_galois(0xB, (1, 0)),  # two bits for degree 3
+    lambda: fibonacci_to_galois(0xB, (1, 2, 0)),
+])
+def test_loads_and_initial_bits_are_validated(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_zero_initial_conditions_stay_zero():
-    spec = LfsrSpec(0xB, (0, 0, 0))
-    assert lfsr_sequence(spec, 20) == [0] * 20
+    spec = from_bits(0xB, (0, 0, 0))
+    assert spec.load == 0 and lfsr_sequence(spec, 20) == [0] * 20
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=255))
@@ -52,33 +86,37 @@ def test_primitive_connection_reaches_full_period(m, init_bits):
     init = tuple((init_bits >> i) & 1 for i in range(m))
     if not any(init):
         return
-    spec = LfsrSpec(g, init)
+    spec = from_bits(g, init)
     assert gf2poly.poly_order(minimal_connection(spec)) == (1 << m) - 1
     bits = lfsr_sequence(spec, 2 * ((1 << m) - 1))
     assert bits[:(1 << m) - 1] == bits[(1 << m) - 1:]
 
 
 def test_galois_zero_load():
-    states, out = galois_run(0xB, 0, 5)
-    assert states == [0] * 5 and out == [0] * 5
+    assert galois_states(0xB, 0, 5) == [0] * 5
+    assert lfsr_sequence(LfsrSpec(0xB, 0), 5) == [0] * 5
 
 
 def test_galois_hand_example():
-    states, out = galois_run(0xB, 0b100, 3)
-    assert states == [0b100, 0b011, 0b110]  # X^2, 1+X, X+X^2
-    assert out == [1, 0, 1]
+    assert galois_states(0xB, 0b100, 3) == [0b100, 0b011, 0b110]  # X^2, 1+X, X+X^2
+    assert lfsr_sequence(LfsrSpec(0xB, 0b100), 3) == [1, 0, 1]
 
 
 @given(specs)
 @settings(max_examples=150)
 def test_galois_output_matches_fibonacci(params):
-    g, f = params
+    """The Galois stepper against the Fibonacci recurrence: the load that
+    fibonacci_to_galois reads from r initial bits starts with those bits
+    and then follows the recurrence, and the first r terms of a load's
+    sequence convert back to that load."""
+    g, bits = params
     r = g.bit_length() - 1
     steps = 3 * r + 8
-    _, out = galois_run(g, f, steps)
-    spec = LfsrSpec(g, tuple(out[:r]))
-    assert lfsr_sequence(spec, steps) == out
-    assert fibonacci_to_galois(g, out[:r]) == f
+    init = [bits >> i & 1 for i in range(r)]
+    out = lfsr_sequence(from_bits(g, init), steps)
+    assert out[:r] == init
+    assert out == fibonacci(g, init, steps)
+    assert fibonacci_to_galois(g, lfsr_sequence(LfsrSpec(g, bits), r)) == bits
 
 
 @given(specs)
@@ -87,7 +125,8 @@ def test_degree_equals_top_minus_zero_run(params):
     g, f = params
     r = g.bit_length() - 1
     steps = 2 * r + 6
-    states, out = galois_run(g, f, steps + r + 1)
+    states = galois_states(g, f, steps)
+    out = lfsr_sequence(LfsrSpec(g, f), steps + r + 1)
     for k in range(steps):
         j = 0
         while out[k + j] == 0 and j <= r:
@@ -101,7 +140,7 @@ def test_max_zero_run_pn():
     for m in (3, 5, 8):
         from burstcover.field import default_modulus
 
-        spec = LfsrSpec(default_modulus(m), (1,) + (0,) * (m - 1))
+        spec = from_bits(default_modulus(m), (1,) + (0,) * (m - 1))
         assert max_zero_run(spec) == m - 1
 
 
@@ -115,20 +154,20 @@ def test_max_zero_run_minimum_over_states_bch26():
 
 def test_all_ones_sequence_has_no_zeros():
     g = gf2poly.mul(0b11, 0xB)  # parity factor
-    spec = LfsrSpec(g, (1, 1, 1, 1))
+    spec = from_bits(g, (1, 1, 1, 1))
     assert minimal_connection(spec) == 0b11
     assert max_zero_run(spec) == 0
 
 
 def test_max_zero_run_rejects_zero_state():
     with pytest.raises(ValueError):
-        max_zero_run(LfsrSpec(0xB, (0, 0, 0)))
+        max_zero_run(LfsrSpec(0xB, 0))
 
 
 def test_max_zero_run_rejects_connection_without_constant_term():
     # with g(0) = 0 the orbit of the load never returns to it
     with pytest.raises(ValueError, match="g\\(0\\) = 1"):
-        max_zero_run(LfsrSpec(0b1010, (1, 0, 0)))
+        max_zero_run(LfsrSpec(0b1010, 0b100))
 
 
 @given(specs)
@@ -150,8 +189,7 @@ def test_orbit_minimum_is_least_state(params):
     g, f = params
     if f == 0:
         return
-    states, _ = galois_run(g, f, orbit_size(g, f))
-    assert orbit_minimum(g, f) == min(states)
+    assert orbit_minimum(g, f) == min(galois_states(g, f, orbit_size(g, f)))
 
 
 def test_max_zero_run_holds_no_period(monkeypatch):
@@ -161,9 +199,9 @@ def test_max_zero_run_holds_no_period(monkeypatch):
     def fail(*args):
         raise AssertionError("the period was generated")
 
-    for name in ("lfsr_sequence", "galois_run", "poly_order"):
+    for name in ("lfsr_sequence", "window_histogram", "poly_order"):
         monkeypatch.setattr(lfsr_mod, name, fail)
-    spec = LfsrSpec(default_modulus(16), (1,) + (0,) * 15)
+    spec = from_bits(default_modulus(16), (1,) + (0,) * 15)
     assert max_zero_run(spec) == 15
 
 
@@ -301,7 +339,7 @@ def test_trace_representation_impulse():
     from burstcover.field import default_modulus
 
     g = default_modulus(m)
-    spec = LfsrSpec(g, (1,) + (0,) * (m - 1))
+    spec = from_bits(g, (1,) + (0,) * (m - 1))
     gammas = trace_representation(spec)  # verifies internally
     assert len(gammas) == 1
     assert gammas[0][1] != 0
@@ -315,11 +353,14 @@ def test_trace_representation_zero_sequence_component():
     # dropping the second component leaves a sequence with connection g1
     only_first = [(h, gamma) for h, gamma in gammas if h == g1]
     bits = regenerate_from_trace(only_first, 40)
-    sub = LfsrSpec(g1, tuple(bits[:3]))
+    sub = from_bits(g1, bits[:3])
     assert lfsr_sequence(sub, 40) == bits
 
 
 @given(specs)
+@example((0b11, 1))  # X + 1 alone: the root 1 and GF(2)
+@example((0x1D, 0b1011))  # (X + 1)(X^3 + X + 1)
+@example((gf2poly.mul(0x1D, 0b111), 0b101101))  # three factors of degrees 1, 2, 3
 @settings(max_examples=40, deadline=None)
 def test_trace_representation_round_trip(params):
     g, f = params

@@ -302,7 +302,7 @@ def test_orbit_names_are_exactly_the_orbits(code):
 
 
 def test_factor_orders_match_poly_order():
-    """The root-log order shared by the orbit method and the bounds, against
+    """CodeFactor.order, shared by the orbit method and the bounds, against
     poly_order and is_primitive, on every irreducible of degree <= 8 used
     as a factor: alone, in a shared context, and in a mixed-degree code."""
     factors = []
@@ -313,9 +313,8 @@ def test_factor_orders_match_poly_order():
     factors += make_melas(8).factors
     factors += make_cyclic_code(105, _product([0b111, 0xB, 0x13])).factors
     for fac in factors:
-        _, order = radius_mod._root_log(fac)
-        assert order == poly_order(fac.poly)
-        assert (order == (1 << fac.degree) - 1) == gf2poly.is_primitive(fac.poly)
+        assert fac.order == poly_order(fac.poly)
+        assert (fac.order == (1 << fac.degree) - 1) == gf2poly.is_primitive(fac.poly)
 
 
 def test_orbit_radius_does_not_walk_the_states(monkeypatch):

@@ -1,10 +1,12 @@
-"""The package exports nothing that only its tests reach.
+"""The package exports nothing that only its tests reach, and imports
+nothing that it does not use.
 
 A public top-level function or class of `src/burstcover` must be named
 somewhere other than its own definition, and a public method of a public
 class must be called or read as `.name` somewhere: in the package
 (`__init__`'s re-exports do not count), in the benchmark's non-test
-modules, or in README.md.
+modules, or in README.md.  A module-level import of a package module
+other than `__init__` must be read in that module.
 """
 
 import ast
@@ -21,8 +23,8 @@ PACKAGE = ROOT / "src" / "burstcover"
 # table-free oracle in tests/test_charsums.py.)
 ALLOWED = {
     # the trace form a_k = sum_i Tr(gamma_i beta_i^k) of one sequence; its
-    # self-check reads field.trace_table against the Fibonacci recurrence,
-    # run by test_lfsr.py::test_trace_representation_round_trip
+    # self-check reads field.trace_table against the Galois stepper
+    # lfsr_sequence, run by test_lfsr.py::test_trace_representation_round_trip
     "trace_representation",
     # one pattern count through the character expansion;
     # test_charsums.py::test_pattern_count_character_duality compares it
@@ -31,12 +33,17 @@ ALLOWED = {
 }
 
 
+def _modules():
+    """(path, syntax tree) of each package module other than __init__."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            yield path, ast.parse(path.read_text())
+
+
 def _public_definitions():
     """(name, public method names) of each public top-level function or class."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.parse(path.read_text()).body:
+    for _, tree in _modules():
+        for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
                 body = node.body if isinstance(node, ast.ClassDef) else []
@@ -72,3 +79,20 @@ def test_no_test_only_public_names():
 
 def test_no_test_only_public_methods():
     assert _unreached_methods() == set()
+
+
+def _unused_imports() -> set[str]:
+    """module:name of each module-level import that its module never reads."""
+    unused = set()
+    for path, tree in _modules():
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {f"{path.stem}:{name}" for name in imported - read}
+    return unused
+
+
+def test_no_unused_module_imports():
+    assert _unused_imports() == set()
