@@ -317,9 +317,10 @@ def _cmd_lfsr_stats(args) -> int:
     if r < 1:
         raise ValueError("connection polynomial must have degree >= 1")
     period = (1 << r) - 1
-    # One budget for every mode: at most 2^MAX_R - 1 values walked, printed
-    # or counted.  --orbit-reps and --zero-runs walk a full period whatever
-    # --len says, and the histogram of a length-s pattern has 2^s cells.
+    # One budget for every mode: at most 2^MAX_R - 1 values named, printed
+    # or counted.  --orbit-reps names the orbits of all 2^r - 1 nonzero
+    # loads and --zero-runs walks a full period, whatever --len says, and
+    # the histogram of a length-s pattern has 2^s cells.
     values = max(args.len or args.window or period,
                  period if args.orbit_reps or args.zero_runs else 0,
                  1 << len(args.pattern or ()))
@@ -423,7 +424,7 @@ def _verify_patterns(args) -> int:
     if family in ("bch", "melas"):
         m = 6 if args.m is None else args.m
         if 2 * m > MAX_R:
-            raise BudgetError(f"orbit walk over 2^{2 * m} states exceeds max_r={MAX_R}")
+            raise BudgetError(f"orbit enumeration over 2^{2 * m} residues exceeds max_r={MAX_R}")
         for flag, s in (("--s-max", args.s_max), ("--find-avoidance", args.find_avoidance)):
             if s is not None and s > m:
                 raise ValueError(f"{flag} must be in [1, {m}], got {s}")

@@ -29,7 +29,7 @@ from .field import (
     min_odd_coset_member,
     minimal_polynomial,
 )
-from .gf2poly import mul, parse_poly, reciprocal, rem, to_hex
+from .gf2poly import X, mul, parse_poly, pow_mod, reciprocal, to_hex
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def make_cyclic_code(n: int, g, modulus=None) -> CyclicCode:
     r = g.bit_length() - 1
     if r < 1 or r >= n:
         raise ValueError("generator degree must satisfy 1 <= deg(g) < n")
-    if rem((1 << n) | 1, g) != 0:
+    if pow_mod(X, n, g) != 1:
         raise ValueError("generator does not divide X^n - 1")
     factors = gf2poly.factor(g)
     if any(k > 1 for _, k in factors):

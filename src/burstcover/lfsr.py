@@ -13,10 +13,17 @@ Run lengths and pattern counts are taken over the periodic sequence:
 one minimal period read cyclically, with window reads past the end
 continuing into the next period.  The all-zero sequence is excluded
 from every statistic (its zero run is unbounded).
+
+orbit_minima is the one enumerator of the shift orbits f -> X*f mod g,
+read by the radius engine and orbit_representatives: it names orbits by
+discrete logs at the roots of g (_OrbitNames), reads the residues from 0
+up in numpy blocks and keeps each orbit's first residue, its minimum.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +69,7 @@ def lfsr_sequence(spec: LfsrSpec, length: int) -> list[int]:
     out = []
     for _ in range(length):
         out.append(f >> top & 1)
-        f <<= 1  # the shift X*f mod g, inline as in _orbit_minima
+        f <<= 1  # the shift X*f mod g, inline as in orbit_minimum
         if f & size:
             f ^= g
     return out
@@ -149,49 +156,149 @@ def window_histogram(g: int, load: int, s: int, window_length: int) -> list[int]
         w = (w >> 1) | (load >> top & 1) << high
         if k >= high:
             counts[w] += 1
-        load <<= 1  # the shift X*f mod g, inline as in _orbit_minima
+        load <<= 1  # the shift X*f mod g, inline as in orbit_minimum
         if load & size:
             load ^= g
     return counts
-
-
-def _orbit_minima(g: int):
-    """Yield the smallest member of every orbit of nonzero residues mod g.
-
-    Walks each orbit under f -> X*f mod g exactly once, in increasing
-    order of the smallest unvisited integer.  That integer is the minimum
-    of its own orbit (anything smaller is already visited), so the walk
-    only has to mark visits.  The shift is written inline: this loop runs
-    once per residue, 2^deg(g) times in all.  The caller guarantees g
-    square-free with g(0) = 1, so every orbit returns to its start.
-    """
-    size = 1 << (g.bit_length() - 1)
-    seen = bytearray(size)
-    for start in range(1, size):
-        if seen[start]:
-            continue
-        yield start
-        f = start
-        while True:
-            seen[f] = 1
-            f <<= 1
-            if f & size:
-                f ^= g
-            if f == start:
-                break
 
 
 def orbit_representatives(g: int) -> list[int]:
     """One representative per orbit of nonzero loads under f -> X*f mod g.
 
     The representative is the smallest member as an integer.  Requires g
-    square-free with g(0) = 1, so the shift map is a permutation.
+    square-free with g(0) = 1, so the shift map is a permutation, and its
+    factors of degree at most 22, the field-table ceiling.
     """
     if g & 1 == 0:
         raise ValueError("g must have nonzero constant term")
     if not is_square_free(g):
         raise ValueError("g must be square-free")
-    return list(_orbit_minima(g))
+    roots = [_root(h) for h, _ in gf2poly.factor(g)]
+    return orbit_minima(g.bit_length() - 1, roots).tolist() if roots else []  # g = 1: none
+
+
+# Residues per numpy block of orbit_minima: f = hi * 2^_K + lo has the
+# factor components low[lo] ^ high[hi], so one 2^_K block is live at a time.
+_K = 12
+
+
+def orbit_minima(r: int, roots) -> np.ndarray:
+    """The least member of every orbit of nonzero residues mod g, ascending.
+
+    g is square-free of degree r with g(0) = 1, and `roots` holds one
+    (ctx, t_i) per irreducible factor, its root beta_i = gen^(t_i) in ctx.
+    Residues are read in 2^_K blocks from 0 up, and the first position of
+    each orbit id (_OrbitNames) is the orbit's minimum.  The read stops at
+    the block where the last orbit is named, the one that holds the
+    largest minimum.
+    """
+    names = _OrbitNames(r, roots)
+    unnamed = np.iinfo(np.int32).max
+    first = np.full(names.total, unnamed, dtype=np.int32)
+    named = 0
+    for start in range(0, 1 << r, 1 << _K):
+        stop = min(start + (1 << _K), 1 << r)
+        ids = names.ids(start, stop)
+        pos = np.arange(start, stop, dtype=np.int32)
+        np.minimum.at(first, ids, pos)  # well defined for repeated ids
+        # earlier blocks set firsts below start, so a position that is its
+        # id's first names a new orbit, and each new orbit has one
+        named += np.count_nonzero(first[ids] == pos)
+        if named == names.total:
+            break
+    return np.sort(first)[1:]  # first[0] = 0 is the zero orbit
+
+
+@functools.lru_cache(maxsize=None)
+def _log_array(ctx) -> np.ndarray:
+    return np.array(ctx.log, dtype=np.int64)
+
+
+class _OrbitNames:
+    """An id in 0..total-1 for each orbit of residues under f -> X*f mod g.
+
+    By CRT a residue f is the tuple v_i = f(beta_i) over the factors, and
+    the shift multiplies each v_i by beta_i = gen^(t_i): it adds t_i to
+    l_i = log v_i modulo n_i.  A stabilizer chain names each orbit once.
+    With M the lcm of the orders of the factors fixed so far, the shifts
+    that keep them fixed are the multiples of M, which move l_j in steps of
+    t_j M mod n_j; so l_j is reduced modulo the radix gcd(t_j M mod n_j, n_j),
+    and the shift that reduces it (one modular inverse) is carried to the
+    later factors.  Each support set (the factors with v_i != 0) has its
+    own chain and its own id offset.
+    """
+
+    def __init__(self, r: int, roots):
+        self.n, self.logs, self.tables, t = [], [], [], []
+        for ctx, t_i in roots:
+            # beta^k for k < r: f(beta) is their XOR over supp(f), so the
+            # component of hi * 2^_K + lo is low[lo] ^ high[hi]
+            cols = [ctx.exp[t_i * k % ctx.n] for k in range(r)]
+            self.tables.append((_closure(cols[:_K]), _closure(cols[_K:])))
+            self.n.append(ctx.n)
+            self.logs.append(_log_array(ctx))
+            t.append(t_i)
+        self.chains = [(0, [])]  # the zero residue is an orbit of its own
+        self.total = 1
+        for support in range(1, 1 << len(t)):
+            members = [j for j in range(len(t)) if support >> j & 1]
+            M, place, steps = 1, 1, []
+            for pos, j in enumerate(members):
+                n = self.n[j]
+                radix = math.gcd(t[j] * M, n)
+                period = n // radix
+                # the shift M * s with s = q * unit % period takes l_j = c + radix*q to c
+                unit = -pow(t[j] * M // radix, -1, period) % period
+                carry = [(i, M * t[i] % self.n[i]) for i in members[pos + 1:]]
+                steps.append((j, radix, place, unit, period, carry if period > 1 else []))
+                place *= radix
+                M = math.lcm(M, n // math.gcd(t[j], n))  # the order of beta_j
+            self.chains.append((self.total, steps))
+            self.total += place
+
+    def ids(self, start: int, stop: int) -> np.ndarray:
+        """Orbit ids of the residues in [start, stop), inside one 2^_K block."""
+        hi = start >> _K
+        lo = slice(start - (hi << _K), stop - (hi << _K))
+        comps = [low[lo] ^ high[hi] for low, high in self.tables]
+        logs = [log[v] for log, v in zip(self.logs, comps)]
+        ids = self._name(len(self.chains) - 1, logs[:])  # every component nonzero
+        rows = np.flatnonzero(functools.reduce(np.logical_or, [v == 0 for v in comps]))
+        if len(rows):  # the rest, one support set at a time
+            support = sum((v[rows] != 0) << i for i, v in enumerate(comps))
+            for s in set(support.tolist()):
+                sub = rows[support == s]
+                ids[sub] = self._name(s, [l[sub] for l in logs])
+        return ids
+
+    def _name(self, support: int, logs: list) -> np.ndarray:
+        """Ids of residues whose nonzero components are exactly `support`,
+        from their logs (a list over all factors; its entries are replaced)."""
+        offset, steps = self.chains[support]
+        ids = np.full(len(logs[0]), offset)
+        for j, radix, place, unit, period, carry in steps:
+            l = logs[j]
+            if radix > 1:
+                ids += (l % radix if radix < self.n[j] else l) * place
+            if carry:
+                s = (l // radix if radix > 1 else l) * unit % period
+                for i, w in carry:
+                    logs[i] = (logs[i] + s * w) % self.n[i]
+        return ids
+
+
+def _closure(cols) -> np.ndarray:
+    """All XOR combinations of the given columns (2^len values)."""
+    arr = np.zeros(1 << len(cols), dtype=np.int64)
+    for k, c in enumerate(cols):
+        np.bitwise_xor(arr[:1 << k], c, out=arr[1 << k:2 << k])
+    return arr
+
+
+def _root(h: int) -> tuple:
+    """(ctx, t): the default field of deg(h), and the log of a root of h there."""
+    ctx = get_context(h.bit_length() - 1)
+    return ctx, ctx.dlog(find_root(ctx, h))
 
 
 def trace_representation(spec: LfsrSpec) -> list[tuple[int, int]]:
@@ -215,8 +322,8 @@ def trace_representation(spec: LfsrSpec) -> list[tuple[int, int]]:
     dg = derivative(g)  # nonzero at every root, since g is square-free
     gammas = []
     for h, _ in gf2poly.factor(g):
-        ctx = get_context(h.bit_length() - 1)
-        beta = find_root(ctx, h)
+        ctx, t = _root(h)
+        beta = ctx.exp[t]
         value = ctx.evaluate(spec.load, beta)
         gamma = ctx.exp[ctx.log[value] + ctx.n - ctx.log[ctx.evaluate(dg, beta)]] if value else 0
         gammas.append((h, gamma))
@@ -237,7 +344,6 @@ def regenerate_from_trace(gammas, length: int) -> list[int]:
     bits = np.zeros(length, dtype=bool)
     for h, gamma in gammas:
         if gamma:
-            ctx = get_context(h.bit_length() - 1)
-            t = ctx.dlog(find_root(ctx, h))
+            ctx, t = _root(h)
             bits ^= trace_table(ctx)[ctx.log[gamma] + t * k % ctx.n]
     return bits.astype(int).tolist()

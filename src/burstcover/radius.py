@@ -4,10 +4,10 @@ Three independent methods compute the radius:
 
 * orbit: the burst ball modulo shifts.  b is the least width such that
   every orbit of nonzero residues under f -> X*f mod g holds a residue
-  of degree < b, the syndrome of a burst at position 0.  Residues are
-  marked one degree level at a time, with numpy, in a bitmap of orbits
-  named by discrete logs (_OrbitNames), so the work grows as 2^b, not
-  2^r.  The `lfsr` walk over all 2^r states stays in orbit_representatives.
+  of degree < b, the syndrome of a burst at position 0: b is the bit
+  length of the largest orbit minimum.  The minima come from
+  lfsr.orbit_minima, which reads the residues from 0 up in numpy blocks
+  and stops below 2^b, so the work grows as 2^b, not 2^r.
 * matrix: mark every syndrome reachable as a combination within a
   window of b consecutive columns, growing b until the space is full.
 * geometric: exhaust F_2^n and test membership in some burst ball
@@ -22,7 +22,6 @@ floored with exact integer arithmetic (no floating point in verdicts).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,12 +30,13 @@ import numpy as np
 from .bitmatrix import BinaryMatrix
 from .codes import CyclicCode, codewords
 from .gf2poly import to_hex, to_terms
-from .lfsr import orbit_minimum
+from .lfsr import _closure, orbit_minima, orbit_minimum
 
 
 # Redundancy limit of the orbit and matrix methods.  The matrix method
 # holds one byte per syndrome, 2^r bytes; the orbit method holds one
-# byte per orbit, about 2^r / n, and its time grows as 2^b.
+# int32 per orbit (the orbit's minimum), about 4 * 2^r / n bytes, and its
+# time grows as 2^b.
 MAX_R = 26
 
 # Work limits of the brute-force methods: window combinations marked by the
@@ -44,10 +44,6 @@ MAX_R = 26
 MATRIX_MAX_WORK = 1 << 28
 GEOMETRIC_MAX_N = 20
 GEOMETRIC_MAX_WORK = 1 << 27
-
-# Residues per numpy block of the orbit method: f = hi * 2^_K + lo has the
-# factor components low[lo] ^ high[hi], so one 2^_K block is live at a time.
-_K = 12
 
 
 class BudgetError(RuntimeError):
@@ -79,121 +75,17 @@ def cyclic_burst_radius(code: CyclicCode) -> RadiusResult:
     """Exact radius of a cyclic code, from the burst ball modulo shifts.
 
     b is the least width such that every shift orbit of nonzero residues
-    holds a residue of degree < b, the syndrome of a burst at position 0.
-    Level b adds the residues of degree b - 1, [2^(b-1), 2^b), marking
-    their orbits in a bitmap, until every orbit is marked.  The witness is
-    the least residue of the last level whose orbit was unmarked before
-    it: the least residue of degree b - 1 on an orbit with none lower.
+    holds a residue of degree < b, the syndrome of a burst at position 0:
+    the bit length of the largest orbit minimum.  The witness is the least
+    orbit minimum of that bit length, the least residue of degree b - 1 on
+    an orbit with none lower.
     """
     if code.r > MAX_R:
         raise BudgetError(f"orbit method over 2^{code.r} residues exceeds max_r={MAX_R}")
-    r = code.r
-    names = _OrbitNames(code)
-    marked = np.zeros(names.total, dtype=bool)
-    # the multiples of g / g_i, g_i of least degree d, are closed under the shift
-    # and have degree >= r - d: the first level, all f < 2^(r - d), leaves them
-    low = r - min(fac.degree for fac in code.factors)
-    for b in range(low, r + 1):
-        witness = None
-        for start in range(1 << (b - 1) if b > low else 0, 1 << b, 1 << _K):
-            ids = names.ids(start, min(start + (1 << _K), 1 << b))
-            if witness is None:
-                first = int(np.argmin(marked[ids]))  # the first fresh orbit, if any
-                if not marked[ids[first]]:
-                    witness = start + first
-            marked[ids] = True
-        if marked.all():
-            return RadiusResult(b=b, method="orbit", witness=witness, cyclic=True,
-                                n=code.n, r=r)
-    raise AssertionError("the residues of degree < r meet every orbit")
-
-
-@functools.lru_cache(maxsize=None)
-def _log_array(ctx) -> np.ndarray:
-    return np.array(ctx.log, dtype=np.int64)
-
-
-class _OrbitNames:
-    """An id in 0..total-1 for each orbit of residues under f -> X*f mod g.
-
-    By CRT a residue f is the tuple v_i = f(beta_i) over the factors, and
-    the shift multiplies each v_i by beta_i = gen^(t_i): it adds t_i to
-    l_i = log v_i modulo n_i.  A stabilizer chain names each orbit once.
-    With M the lcm of the orders of the factors fixed so far, the shifts
-    that keep them fixed are the multiples of M, which move l_j in steps of
-    t_j M mod n_j; so l_j is reduced modulo the radix gcd(t_j M mod n_j, n_j),
-    and the shift that reduces it (one modular inverse) is carried to the
-    later factors.  Each support set (the factors with v_i != 0) has its
-    own chain and its own id offset.
-    """
-
-    def __init__(self, code: CyclicCode):
-        self.n, self.logs, self.tables, t, orders = [], [], [], [], []
-        for fac in code.factors:
-            t_i = fac.ctx.dlog(fac.root)
-            # beta^k for k < r: f(beta) is their XOR over supp(f), so the
-            # component of hi * 2^_K + lo is low[lo] ^ high[hi]
-            cols = [fac.ctx.exp[t_i * k % fac.ctx.n] for k in range(code.r)]
-            self.tables.append((_closure(cols[:_K]), _closure(cols[_K:])))
-            self.n.append(fac.ctx.n)
-            self.logs.append(_log_array(fac.ctx))
-            t.append(t_i)
-            orders.append(fac.order)
-        self.chains = [(0, [])]  # the zero residue is an orbit of its own
-        self.total = 1
-        for support in range(1, 1 << len(t)):
-            members = [j for j in range(len(t)) if support >> j & 1]
-            M, place, steps = 1, 1, []
-            for pos, j in enumerate(members):
-                n = self.n[j]
-                radix = math.gcd(t[j] * M, n)
-                period = n // radix
-                # the shift M * s with s = q * unit % period takes l_j = c + radix*q to c
-                unit = -pow(t[j] * M // radix, -1, period) % period
-                carry = [(i, M * t[i] % self.n[i]) for i in members[pos + 1:]]
-                steps.append((j, radix, place, unit, period, carry if period > 1 else []))
-                place *= radix
-                M = math.lcm(M, orders[j])
-            self.chains.append((self.total, steps))
-            self.total += place
-
-    def ids(self, start: int, stop: int) -> np.ndarray:
-        """Orbit ids of the residues in [start, stop), inside one 2^_K block."""
-        hi = start >> _K
-        lo = slice(start - (hi << _K), stop - (hi << _K))
-        comps = [low[lo] ^ high[hi] for low, high in self.tables]
-        logs = [log[v] for log, v in zip(self.logs, comps)]
-        ids = self._name(len(self.chains) - 1, logs[:])  # every component nonzero
-        rows = np.flatnonzero(functools.reduce(np.logical_or, [v == 0 for v in comps]))
-        if len(rows):  # the rest, one support set at a time
-            support = sum((v[rows] != 0) << i for i, v in enumerate(comps))
-            for s in set(support.tolist()):
-                sub = rows[support == s]
-                ids[sub] = self._name(s, [l[sub] for l in logs])
-        return ids
-
-    def _name(self, support: int, logs: list) -> np.ndarray:
-        """Ids of residues whose nonzero components are exactly `support`,
-        from their logs (a list over all factors; its entries are replaced)."""
-        offset, steps = self.chains[support]
-        ids = np.full(len(logs[0]), offset)
-        for j, radix, place, unit, period, carry in steps:
-            l = logs[j]
-            if radix > 1:
-                ids += (l % radix if radix < self.n[j] else l) * place
-            if carry:
-                s = (l // radix if radix > 1 else l) * unit % period
-                for i, w in carry:
-                    logs[i] = (logs[i] + s * w) % self.n[i]
-        return ids
-
-
-def _closure(cols) -> np.ndarray:
-    """All XOR combinations of the given columns (2^len values)."""
-    arr = np.zeros(1 << len(cols), dtype=np.int64)
-    for k, c in enumerate(cols):
-        np.bitwise_xor(arr[:1 << k], c, out=arr[1 << k:2 << k])
-    return arr
+    minima = orbit_minima(code.r, [(fac.ctx, fac.ctx.dlog(fac.root)) for fac in code.factors])
+    b = int(minima[-1]).bit_length()
+    witness = int(minima[np.searchsorted(minima, 1 << (b - 1))])
+    return RadiusResult(b=b, method="orbit", witness=witness, cyclic=True, n=code.n, r=code.r)
 
 
 def matrix_burst_radius(H: BinaryMatrix, cyclic: bool = True) -> RadiusResult:

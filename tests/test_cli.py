@@ -258,6 +258,10 @@ USAGE_ERRORS = {
     "zero-init-pattern": ["lfsr-stats", "--g", "0xB", "--init", "0,0,0", "--pattern", "1"],
     "s-max-above-m": ["verify", "patterns", "--family", "bch", "--m", "4", "--s-max", "9"],
     "table1-modulus-range": ["table1", "--m-max", "7", "--modulus", "0x43"],
+    # a factor of degree 23 is past the field tables (field._MAX_TABLE_M = 22)
+    "orbit-reps-degree-23": ["lfsr-stats", "--g", "x^23+x^5+1", "--orbit-reps"],
+    "generic-degree-23-factor": ["radius", "--family", "generic", "--n", str((1 << 23) - 1),
+                                 "--g", "x^23+x^5+1"],
 }
 
 # Rows whose check must come before this work in cli.py (patched to fail).

@@ -14,6 +14,7 @@ from burstcover.codes import (
     make_melas,
     parity_check_matrix,
 )
+from burstcover.corpus import build_corpus
 from burstcover.gf2poly import mul, reciprocal
 from burstcover.lfsr import LfsrSpec, lfsr_sequence
 
@@ -45,6 +46,26 @@ def test_make_cyclic_code_rejections():
         make_cyclic_code(9, 0xB)  # does not divide X^9 - 1
     with pytest.raises(ValueError):
         make_cyclic_code(7, mul(0xB, 0xB))  # repeated factors
+
+
+def test_divisibility_needs_no_long_division_of_x_to_the_n(monkeypatch):
+    # X^n mod g by squaring divides nothing wider than 2 deg(g) bits, where
+    # X^n - 1 itself is n + 1 bits wide
+    divmod_poly = gf2poly.divmod_poly
+    for entry in build_corpus():
+        n, g = entry.code.n, entry.code.g
+
+        def narrow(a, b, width=2 * (g.bit_length() - 1)):
+            assert a.bit_length() <= width, f"a {a.bit_length()}-bit dividend"
+            return divmod_poly(a, b)
+
+        monkeypatch.setattr(gf2poly, "divmod_poly", narrow)
+        assert make_cyclic_code(n, g).r == entry.code.r, entry.name
+    monkeypatch.undo()
+    for n in range(1, 40, 2):  # the old division test, against pow_mod
+        for g in range(2, 1 << 7):
+            divides = gf2poly.rem((1 << n) | 1, g) == 0
+            assert divides == (gf2poly.pow_mod(gf2poly.X, n, g) == 1), (n, g)
 
 
 def test_bch_parameters():

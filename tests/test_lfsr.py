@@ -309,10 +309,10 @@ square_free_moduli = st.builds(
 ).filter(gf2poly.is_square_free)
 
 
-@given(square_free_moduli)
-@settings(max_examples=40, deadline=None)
-def test_orbit_walker_matches_shift_mod_minima(g):
-    minima = set()
+def walk_minima(g: int) -> list[int]:
+    """Test oracle, shared with test_radius: the least member of every orbit
+    of nonzero residues mod g, ascending, from a walk of each orbit."""
+    minima = []
     seen = set()
     for f in range(1, 1 << (g.bit_length() - 1)):
         if f in seen:
@@ -323,8 +323,14 @@ def test_orbit_walker_matches_shift_mod_minima(g):
             orbit.append(x)
             x = gf2poly.shift_mod(x, g)
         seen.update(orbit)
-        minima.add(min(orbit))
-    assert orbit_representatives(g) == sorted(minima)
+        minima.append(min(orbit))
+    return sorted(minima)
+
+
+@given(square_free_moduli)
+@settings(max_examples=40, deadline=None)
+def test_orbit_walker_matches_shift_mod_minima(g):
+    assert orbit_representatives(g) == walk_minima(g)
 
 
 def test_orbit_rejects_bad_polys():

@@ -1,9 +1,11 @@
 import inspect
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import burstcover.lfsr as lfsr_mod
 import burstcover.radius as radius_mod
 from burstcover import gf2poly
 from burstcover.bitmatrix import BinaryMatrix
@@ -12,7 +14,7 @@ from burstcover.corpus import build_corpus
 from burstcover.covering import burst_cover, verify_certificate
 from burstcover.field import primitive_moduli
 from burstcover.gf2poly import mul, poly_order
-from burstcover.lfsr import _orbit_minima
+from burstcover.lfsr import orbit_representatives
 from burstcover.radius import (
     MAX_R,
     BudgetError,
@@ -22,6 +24,7 @@ from burstcover.radius import (
     matrix_burst_radius,
     witness_recheck,
 )
+from test_lfsr import walk_minima
 
 
 def _from_bit_rows(rows):
@@ -196,7 +199,7 @@ def test_orbit_budget_checked_before_any_work(monkeypatch):
     def no_work(code):
         raise AssertionError("field tables built before the max_r check")
 
-    monkeypatch.setattr(radius_mod, "_OrbitNames", no_work)
+    monkeypatch.setattr(lfsr_mod, "_OrbitNames", no_work)
     monkeypatch.setattr(radius_mod, "MAX_R", 11)
     with pytest.raises(BudgetError):
         cyclic_burst_radius(make_bch(2, 6))
@@ -206,7 +209,7 @@ def _walk_radius(code):
     """Test oracle: the orbit walk's (b, witness), the first orbit minimum
     of the greatest bit length."""
     best = witness = 0
-    for rep in _orbit_minima(code.g):
+    for rep in walk_minima(code.g):
         if rep.bit_length() > best:
             best, witness = rep.bit_length(), rep
     return best, witness
@@ -255,17 +258,19 @@ def test_orbit_rows_longer_than_a_block_match_walk(factors):
     # primitive factors of degrees 7 and 9, 2 and 15, and 17
     g = _product(factors)
     code = make_cyclic_code(poly_order(g), g)
-    assert code.n > 1 << radius_mod._K  # every orbit is longer than a block
+    assert code.n > 1 << lfsr_mod._K  # every orbit is longer than a block
     res = cyclic_burst_radius(code)
     assert (res.b, res.witness) == _walk_radius(code)
+    assert orbit_representatives(g) == walk_minima(g)
 
 
 @pytest.mark.parametrize("k", [3, 5])
 def test_small_blocks_match_walk_on_the_corpus(k, monkeypatch):
-    monkeypatch.setattr(radius_mod, "_K", k)
+    monkeypatch.setattr(lfsr_mod, "_K", k)
     for entry in build_corpus():
         res = cyclic_burst_radius(entry.code)
         assert (res.b, res.witness) == _walk_radius(entry.code), entry.name
+        assert orbit_representatives(entry.code.g) == walk_minima(entry.code.g), entry.name
 
 
 @pytest.mark.parametrize("m", [5, 6])
@@ -283,8 +288,8 @@ def test_three_factor_bch_matches_walk(m):
     make_cyclic_code(105, _product([0b111, 0xB, 0x13])),  # degrees 2, 3 and 4
 ], ids=["bch-2-4", "melas-4", "parity-x-0x13", "orders-5-9", "degrees-2-3-4"])
 def test_orbit_names_are_exactly_the_orbits(code):
-    names = radius_mod._OrbitNames(code)
-    assert code.r <= radius_mod._K  # one block holds every residue
+    names = lfsr_mod._OrbitNames(code.r, _roots(code))
+    assert code.r <= lfsr_mod._K  # one block holds every residue
     ids = names.ids(0, 1 << code.r).tolist()
     orbit_of = {}  # walk every state with f -> X*f mod g; 0 is an orbit of its own
     for f in range(1 << code.r):
@@ -299,6 +304,10 @@ def test_orbit_names_are_exactly_the_orbits(code):
     named = [i for s in by_orbit.values() for i in s]
     assert len(set(named)) == len(named)  # different orbits, different ids
     assert sorted(named) == list(range(names.total))
+
+
+def _roots(code):
+    return [(fac.ctx, fac.ctx.dlog(fac.root)) for fac in code.factors]
 
 
 def test_factor_orders_match_poly_order():
@@ -317,16 +326,30 @@ def test_factor_orders_match_poly_order():
         assert (fac.order == (1 << fac.degree) - 1) == gf2poly.is_primitive(fac.poly)
 
 
-def test_orbit_radius_does_not_walk_the_states(monkeypatch):
-    import burstcover.lfsr as lfsr_mod
-
-    def no_walk(g):
-        raise AssertionError("the radius walked every state")
-
-    assert not hasattr(radius_mod, "_orbit_minima")
-    monkeypatch.setattr(lfsr_mod, "_orbit_minima", no_walk)
+def test_orbit_radius_does_not_walk_the_states():
+    # the state walk is gone from the package: orbit_minima reads blocks
+    src = Path(radius_mod.__file__).parent
+    assert [p.name for p in src.glob("*.py") if "_orbit_minima" in p.read_text()] == []
     res = cyclic_burst_radius(make_bch(2, 8))
     assert (res.b, res.witness) == (12, 2055)  # the walk's values
+
+
+@pytest.mark.parametrize("code", [make_bch(2, 8), make_melas(7), make_bch(3, 5),
+                                  make_cyclic_code(105, _product([0b111, 0xB, 0x13]))],
+                         ids=["bch-2-8", "melas-7", "bch-3-5", "degrees-2-3-4"])
+def test_orbit_minima_stops_at_the_block_of_the_largest_minimum(code, monkeypatch):
+    monkeypatch.setattr(lfsr_mod, "_K", 3)
+    starts = []
+    ids = lfsr_mod._OrbitNames.ids
+
+    def counted(self, start, stop):
+        starts.append(start)
+        return ids(self, start, stop)
+
+    monkeypatch.setattr(lfsr_mod._OrbitNames, "ids", counted)
+    minima = lfsr_mod.orbit_minima(code.r, _roots(code))
+    assert minima.tolist() == walk_minima(code.g)
+    assert starts == list(range(0, (minima[-1] >> 3) + 1 << 3, 1 << 3))
 
 
 def test_table_methods_share_the_max_r_default(monkeypatch):

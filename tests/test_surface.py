@@ -1,5 +1,6 @@
-"""The package exports nothing that only its tests reach, and imports
-nothing that it does not use.
+"""The package exports nothing that only its tests reach, imports nothing
+that it does not use, and names in its comments no private name that is
+gone.
 
 A public top-level function or class of `src/burstcover` must be named
 somewhere other than its own definition, and a public method of a public
@@ -10,7 +11,9 @@ other than `__init__` must be read in that module.
 """
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
@@ -96,3 +99,34 @@ def _unused_imports() -> set[str]:
 
 def test_no_unused_module_imports():
     assert _unused_imports() == set()
+
+
+def _defined_names() -> set[str]:
+    """Every function, class and assigned name or attribute in the package."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                names.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return names
+
+
+def _mentioned_private_names() -> set[str]:
+    """module:name of each `_private` name in a comment or docstring of the package."""
+    mentioned = set()
+    for path in PACKAGE.glob("*.py"):
+        source = path.read_text()
+        texts = [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                 if tok.type == tokenize.COMMENT]
+        texts += [ast.get_docstring(node) or "" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+        mentioned |= {f"{path.stem}:{name}" for text in texts
+                      for name in re.findall(r"(?<!\w)_[A-Za-z]\w*", text)}
+    return mentioned
+
+
+def test_comments_name_no_missing_private_name():
+    defined = _defined_names()
+    assert {m for m in _mentioned_private_names() if m.split(":")[1] not in defined} == set()
