@@ -318,18 +318,25 @@ def _cmd_lfsr_stats(args) -> int:
         raise ValueError("connection polynomial must have degree >= 1")
     period = (1 << r) - 1
     # One budget for every mode: at most 2^MAX_R - 1 values named, printed
-    # or counted.  --orbit-reps names the orbits of all 2^r - 1 nonzero
-    # loads and --zero-runs walks a full period, whatever --len says, and
-    # the histogram of a length-s pattern has 2^s cells.
-    values = max(args.len or args.window or period,
-                 period if args.orbit_reps or args.zero_runs else 0,
-                 1 << len(args.pattern or ()))
+    # or counted.  Per load, the dump prints --len values (a period by
+    # default), --zero-runs walks a full period whatever --len says, and a
+    # length-s pattern is counted over its window into 2^s cells.
+    # --orbit-reps names the orbits of all 2^r - 1 nonzero loads, then does
+    # the per-load work once for each orbit.
+    per_load = max(args.len or args.window or period,
+                   period if args.zero_runs else 0,
+                   1 << len(args.pattern or ()))
+    values = max(per_load, period if args.orbit_reps else 0)
     if values >= 1 << MAX_R:
         raise BudgetError(f"{values} values exceed 2^{MAX_R} - 1 (max_r={MAX_R})")
     if args.init is not None:
         loads = [fibonacci_to_galois(g, args.init)]
     else:
         loads = orbit_representatives(g)
+        values = len(loads) * per_load
+        if values >= 1 << MAX_R:
+            raise BudgetError(f"{len(loads)} orbits x {per_load} values = {values} values"
+                              f" exceed 2^{MAX_R} - 1 (max_r={MAX_R})")
     for load in loads:
         spec = LfsrSpec(g, load)
         init_hex = to_hex(sum(b << i for i, b in enumerate(lfsr_sequence(spec, r))))

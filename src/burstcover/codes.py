@@ -196,6 +196,8 @@ def lc_eval(code: CyclicCode, i: int, f: int) -> int:
     """
     if not 0 <= i < code.n:
         raise ValueError("window start out of range")
+    if f < 0:
+        raise ValueError("combination pattern must be nonnegative")
     cols = _columns(code)
     s = 0
     j = 0

@@ -2,13 +2,21 @@
 
 Given a syndrome x, solve for the unique load f with deg(f) < r whose
 window combination at position 0 equals x (the first r parity columns
-are a basis), then slide f through its orbit with f -> X*f mod g until
-its degree drops below the requested window width b'.  After t steps
-the combination that reproduces x starts at -t mod n.
+are a basis).  Sliding f through its orbit with f -> X*f mod g moves
+the window: after t steps the combination that reproduces x starts at
+-t mod n.  A certificate takes the least t at which deg(X^t f mod g)
+drops below the requested width b'; `iterations` is that t.
 
-The per-code linear solve is cached as an inverted basis matrix, so a
-query costs one r-bit matrix-vector product plus at most ord(g) <= n
-shift steps.
+The least t is found without stepping.  The dual sequence of f,
+s_k = the top coefficient of X^k f mod g, is over one period the
+bit-reversed n-bit product f*h, h = (X^n + 1)/g, and deg(X^t f mod g)
+< b' holds exactly when s_t .. s_(t+r-b'-1) are all zero.  So t is the
+lowest start of a run of r - b' zeros, read off the complement of the
+sequence after log-doubling ANDs.  Per code, the map from a syndrome to
+the sequence of its load and the map from r sequence bits back to the
+load that emits them are cached as 4-bit chunk XOR tables, so a query
+costs about r/2 table lookups, at most log2(r) ANDs and one lowest-bit
+read on (n + r)-bit integers, however large t is.
 """
 
 from __future__ import annotations
@@ -16,9 +24,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .bitmatrix import BinaryMatrix, row_reduce
+from .bitmatrix import row_reduce
 from .codes import CyclicCode, lc_eval, parity_check_matrix
-from .gf2poly import shift_mod, to_hex
+from .gf2poly import quot, to_hex
 
 
 class ThresholdError(RuntimeError):
@@ -30,7 +38,7 @@ class CoveringCertificate:
     i: int            # window start
     f: int            # combination pattern, f(0) = 1 unless f = 0
     width: int        # deg(f) + 1, or 0 for the zero pattern
-    iterations: int   # shift steps taken
+    iterations: int   # shift steps X*f mod g from the solved load
 
     def to_json(self) -> dict:
         return {
@@ -41,32 +49,56 @@ class CoveringCertificate:
         }
 
 
-def _invert_leading_block(H: BinaryMatrix) -> list[int]:
-    """Rows of the inverse of the block of the first H.rows columns."""
-    r = H.rows
-    low = (1 << r) - 1
-    # reduce [A | I] to [I | A^-1]
-    reduced, pivots = row_reduce(
-        [(m & low) | 1 << (r + i) for i, m in enumerate(H.row_masks)], r)
+def _preimages(images: list[int]) -> list[int]:
+    """u_j with A u_j = e_j, for the invertible A whose column j is images[j]."""
+    r = len(images)
+    # reduce [A^T | I] to [I | (A^-1)^T]: row j is column j of A^-1
+    reduced, pivots = row_reduce([a | 1 << (r + j) for j, a in enumerate(images)], r)
     if len(pivots) < r:
         raise ValueError("singular system")
     return [row >> r for row in reduced]
 
 
+def _chunk_tables(images: list[int]) -> list[list[int]]:
+    """XOR tables, one per 4-bit chunk, of the linear map sending bit j to images[j]."""
+    tables = []
+    for c in range(0, len(images), 4):
+        table = [0]
+        for a in images[c:c + 4]:
+            table += [v ^ a for v in table]
+        tables.append(table)
+    return tables
+
+
+def _apply(tables: list[list[int]], v: int) -> int:
+    out = 0
+    for table in tables:
+        out ^= table[v & 15]
+        v >>= 4
+    return out
+
+
 class CoverSolver:
-    """Per-code precomputation answering burst-cover queries."""
+    """Per-code chunk tables answering burst-cover queries."""
 
     def __init__(self, code: CyclicCode):
         self.code = code
-        self.inv_rows = _invert_leading_block(parity_check_matrix(code))
-
-    def solve_basis(self, x: int) -> int:
-        """The load f, deg(f) < r, whose window at 0 evaluates to x."""
-        f = 0
-        for i, row in enumerate(self.inv_rows):
-            if (row & x).bit_count() & 1:
-                f |= 1 << i
-        return f
+        n, r = code.n, code.r
+        low = (1 << r) - 1
+        # `one` is load 1's dual sequence over a period, s_k at bit k.  Load
+        # X^j emits s_(k+j), so its sequence is one >> j: the j terms that
+        # would wrap round are s_0 .. s_(j-1) of load 1, all 0 as j < r.
+        # Each sequence then repeats its first r terms, so that every zero
+        # run and r-bit window starting below n is read without wrapping.
+        one = int(format(quot((1 << n) | 1, code.g), f"0{n}b")[::-1], 2)
+        runs = [s | (s & low) << n for s in (one >> j for j in range(r))]
+        run_of_load = _chunk_tables(runs)
+        H = parity_check_matrix(code)
+        loads = _preimages([H.column(j) for j in range(r)])
+        self._run_of_syndrome = _chunk_tables([_apply(run_of_load, f) for f in loads])
+        self._load_of_window = _chunk_tables(_preimages([s & low for s in runs]))
+        self._ones = (1 << (n + r)) - 1
+        self._low = low
 
     def cover(self, x: int, b_prime: int) -> CoveringCertificate:
         code = self.code
@@ -74,14 +106,22 @@ class CoverSolver:
             raise ValueError(f"syndrome must have {code.r} bits")
         if b_prime < 1:
             raise ValueError("window width must be >= 1")
-        f = self.solve_basis(x)
+        seq = _apply(self._run_of_syndrome, x)
+        # deg(X^t f mod g) < b' iff s_t .. s_(t+L-1) are all zero, L = r - b'
+        length = code.r - b_prime
         t = 0
-        limit = 1 << b_prime  # deg(f) < b' iff f < 2^b'
-        while f >= limit:
-            f = shift_mod(f, code.g)
-            t += 1
-            if t > code.n:
+        if length > 0:
+            zeros = seq ^ self._ones
+            k = 1  # bit t of zeros: the k sequence bits from t are zero
+            while k < length:
+                step = min(k, length - k)
+                zeros &= zeros >> step
+                k += step
+            # a run starting at n or above repeats one starting at 0..r-1
+            if not zeros:
                 raise ThresholdError("threshold below radius")
+            t = (zeros & -zeros).bit_length() - 1
+        f = _apply(self._load_of_window, seq >> t & self._low)
         i = -t % code.n
         if f:
             # normalize so the window starts at a nonzero coefficient
@@ -103,8 +143,8 @@ def burst_cover(code: CyclicCode, x: int, b_prime: int) -> CoveringCertificate:
     """A window combination of width <= b_prime whose syndrome is x.
 
     b_prime must be at least the burst-covering radius for every
-    syndrome to be reachable; the iteration guard reports when it is
-    not, instead of looping forever.
+    syndrome to be reachable; ThresholdError reports a syndrome that no
+    window of width b_prime reaches.
     """
     return get_solver(code).cover(x, b_prime)
 
@@ -112,7 +152,7 @@ def burst_cover(code: CyclicCode, x: int, b_prime: int) -> CoveringCertificate:
 def verify_certificate(code: CyclicCode, x: int, cert: CoveringCertificate,
                        b_prime: int) -> bool:
     """Recompute the combination and the width constraints."""
-    if not 0 <= cert.i < code.n:
+    if not 0 <= cert.i < code.n or cert.f < 0:
         return False
     expected_width = cert.f.bit_length()
     if cert.width != expected_width:

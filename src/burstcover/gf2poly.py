@@ -85,14 +85,6 @@ def pow_mod(a: int, e: int, m: int) -> int:
     return r
 
 
-def shift_mod(f: int, g: int) -> int:
-    """X*f reduced modulo g, for monic g with 2**deg(g) <= g."""
-    f <<= 1
-    if f >> (g.bit_length() - 1) & 1:
-        f ^= g
-    return f
-
-
 def derivative(a: int) -> int:
     """Formal derivative: bits at odd exponents, shifted down one."""
     r = 0

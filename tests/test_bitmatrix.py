@@ -1,8 +1,11 @@
+from functools import reduce
+from operator import xor
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from burstcover.bitmatrix import BinaryMatrix
-from burstcover.covering import _invert_leading_block
+from burstcover.covering import _preimages
 
 
 @st.composite
@@ -35,9 +38,10 @@ def test_solve_and_invert_square_systems(M, x):
     x &= (1 << r) - 1
     if A.rank() < r:
         with pytest.raises(ValueError, match="singular system"):
-            _invert_leading_block(M)
+            _preimages([A.column(j) for j in range(r)])
         return
-    inv = BinaryMatrix(r, r, tuple(_invert_leading_block(M)))
-    assert all(_mul_vec(inv, A.column(j)) == 1 << j for j in range(r))
-    assert _mul_vec(inv, _mul_vec(A, x)) == x  # A x = b solved as x = A^-1 b
-
+    u = _preimages([A.column(j) for j in range(r)])
+    assert all(_mul_vec(A, u[j]) == 1 << j for j in range(r))
+    b = _mul_vec(A, x)
+    # A x = b solved as x = A^-1 b, the sum of the preimages of b's bits
+    assert reduce(xor, (u[j] for j in range(r) if b >> j & 1), 0) == x

@@ -375,6 +375,18 @@ def test_lfsr_stats_explicit_sizes_capped_by_max_r(argv, monkeypatch, capsys):
     assert "max_r=26" in capsys.readouterr().err
 
 
+def test_lfsr_stats_orbit_work_capped_before_the_first_orbit(monkeypatch, capsys):
+    # BCH(2,10)'s generator: 1027 orbits of 2^20 - 1 values each pass the
+    # per-load check, but not the budget once the orbits are counted
+    import burstcover.cli as cli_mod
+
+    _fail_if_called(monkeypatch, cli_mod, "lfsr_sequence", "window_histogram", "max_zero_run")
+    assert main(["lfsr-stats", "--g", "0x101877", "--orbit-reps"]) == EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "1027 orbits x 1048575 values" in err and "max_r=26" in err
+
+
 def test_lfsr_stats_explicit_length_is_not_capped(capsys):
     rc, out = run(capsys, "lfsr-stats", *G27, *INIT27, "--len", "5")
     assert rc == EXIT_OK and out.endswith(" : 10000\n")

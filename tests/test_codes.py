@@ -17,6 +17,7 @@ from burstcover.codes import (
 from burstcover.corpus import build_corpus
 from burstcover.gf2poly import mul, reciprocal
 from burstcover.lfsr import LfsrSpec, lfsr_sequence
+from test_lfsr import shift_mod
 
 
 def test_hamming_code():
@@ -140,6 +141,11 @@ def test_lc_eval_zero_pattern():
     assert lc_eval(code, 5, 0) == 0
 
 
+def test_lc_eval_rejects_negative_pattern():
+    with pytest.raises(ValueError, match="nonnegative"):
+        lc_eval(make_bch(2, 6), 0, -1)
+
+
 @given(st.integers(min_value=0, max_value=62), st.integers(min_value=0, max_value=2047))
 @settings(max_examples=100)
 def test_lc_shift_identity(i, f):
@@ -249,7 +255,7 @@ def test_lc_value_sets_constant_on_orbits(f, k):
     code = make_cyclic_code(21, mul(0b111, 0xB))
     shifted = f
     for _ in range(k):
-        shifted = gf2poly.shift_mod(shifted, code.g)
+        shifted = shift_mod(shifted, code.g)
     lhs = {lc_eval(code, i, f) for i in range(code.n)}
     rhs = {lc_eval(code, i, shifted) for i in range(code.n)}
     assert lhs == rhs

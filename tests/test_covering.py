@@ -1,17 +1,81 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from burstcover.codes import lc_eval, make_bch, make_cyclic_code, make_melas
+from burstcover.bitmatrix import row_reduce
+from burstcover.codes import lc_eval, make_bch, make_cyclic_code, make_melas, parity_check_matrix
 from burstcover.covering import (
     CoveringCertificate,
     ThresholdError,
     burst_cover,
-    get_solver,
     verify_certificate,
 )
-from burstcover.gf2poly import mul, shift_mod
+from burstcover.gf2poly import mul
 from burstcover.radius import cyclic_burst_radius
+from test_lfsr import shift_mod
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_rows(code):
+    """Rows of the inverse of H's leading r x r block, by reducing [A | I]."""
+    r = code.r
+    low = (1 << r) - 1
+    reduced, _ = row_reduce([(m & low) | 1 << (r + i)
+                             for i, m in enumerate(parity_check_matrix(code).row_masks)], r)
+    return [row >> r for row in reduced]
+
+
+def solved_load(code, x):
+    """The load f, deg(f) < r, whose window at 0 evaluates to x."""
+    return sum(((row & x).bit_count() & 1) << i for i, row in enumerate(_inverse_rows(code)))
+
+
+def shift_loop_cover(code, x, b_prime):
+    """Reference: step the solved load by f -> X*f mod g until deg(f) < b'."""
+    f = solved_load(code, x)
+    t = 0
+    while f >= 1 << b_prime:
+        f = shift_mod(f, code.g)
+        t += 1
+        if t > code.n:
+            raise ThresholdError("threshold below radius")
+    i = -t % code.n
+    if f:
+        v = (f & -f).bit_length() - 1
+        f >>= v
+        i = (i + v) % code.n
+    return CoveringCertificate(i=i, f=f, width=f.bit_length(), iterations=t)
+
+
+ORACLE_CODES = [
+    *(make_bch(2, m) for m in range(3, 9)),
+    *(make_melas(m) for m in range(3, 9)),
+    make_cyclic_code(105, mul(0xB, 0x13)),
+    make_cyclic_code(7, mul(0b11, 0xB)),
+    make_cyclic_code(15, 0b11),  # the even-weight code, r = 1
+]
+
+
+@st.composite
+def cover_queries(draw):
+    code = draw(st.sampled_from(ORACLE_CODES))
+    x = draw(st.integers(min_value=0, max_value=(1 << code.r) - 1))
+    return code, x, draw(st.integers(min_value=1, max_value=code.r + 1))
+
+
+@given(cover_queries())
+@settings(max_examples=400, deadline=None)
+def test_cover_matches_shift_loop(query):
+    code, x, b_prime = query
+    try:
+        want = shift_loop_cover(code, x, b_prime)
+    except ThresholdError:
+        with pytest.raises(ThresholdError, match="threshold below radius"):
+            burst_cover(code, x, b_prime)
+        return
+    assert burst_cover(code, x, b_prime) == want
 
 
 def test_zero_syndrome():
@@ -22,10 +86,14 @@ def test_zero_syndrome():
 
 
 def test_basis_solve_inverts():
+    # at full width no shift is taken: the certificate is the solved load,
+    # normalized to start at its lowest term
     code = make_bch(2, 5)
-    solver = get_solver(code)
     for x in (1, 37, 1023, (1 << 10) - 1):
-        f = solver.solve_basis(x)
+        cert = burst_cover(code, x, code.r)
+        assert cert.iterations == 0
+        f = cert.f << cert.i
+        assert f == solved_load(code, x)
         assert lc_eval(code, 0, f) == x
 
 
@@ -41,17 +109,18 @@ def test_random_syndromes_verify_at_radius():
         assert verify_certificate(code, x, cert, b)
 
 
-def test_debug_mode_checks_invariant():
-    # the loop invariant of CoverSolver.cover, walked here: after t shifts
-    # the load reproduces x from window start -t mod n
+def test_shift_walk_reproduces_x_up_to_the_certificate():
+    # after t shifts the load reproduces x from window start -t mod n, and
+    # after `iterations` shifts it is the certificate's pattern
     code = make_melas(5)
     b = cyclic_burst_radius(code).b
     for x in (5, 99, 1000):
         cert = burst_cover(code, x, b)
-        f = get_solver(code).solve_basis(x)
-        for t in range(cert.iterations + 1):
+        f = solved_load(code, x)
+        for t in range(cert.iterations):
             assert lc_eval(code, -t % code.n, f) == x
             f = shift_mod(f, code.g)
+        assert f == cert.f << (cert.i + cert.iterations) % code.n
         assert verify_certificate(code, x, cert, b)
 
 
@@ -102,6 +171,13 @@ def test_tampered_certificates_fail():
     assert not verify_certificate(code, x, flipped, 9)
     wrong_width = CoveringCertificate(cert.i, cert.f, cert.width + 1, cert.iterations)
     assert not verify_certificate(code, x, wrong_width, 9)
+
+
+def test_negative_pattern_is_rejected():
+    # -1 has bit length 1 and an odd low bit, so only the sign tells it apart
+    code = make_bch(2, 6)
+    forged = CoveringCertificate(i=0, f=-1, width=1, iterations=0)
+    assert not verify_certificate(code, 9, forged, 9)
 
 
 def test_pattern_is_normalized():

@@ -35,12 +35,20 @@ def from_bits(g: int, init) -> LfsrSpec:
     return LfsrSpec(g, fibonacci_to_galois(g, init))
 
 
+def shift_mod(f: int, g: int) -> int:
+    """X*f reduced modulo g: the Galois step that the package inlines, as an oracle."""
+    f <<= 1
+    if f >> (g.bit_length() - 1) & 1:
+        f ^= g
+    return f
+
+
 def galois_states(g: int, f: int, steps: int) -> list[int]:
     """The states X^k * f mod g for k < steps."""
     states = []
     for _ in range(steps):
         states.append(f)
-        f = gf2poly.shift_mod(f, g)
+        f = shift_mod(f, g)
     return states
 
 
@@ -271,9 +279,9 @@ def test_window_histogram_rejects_bad_sizes(load, s, window):
 
 def orbit_size(g: int, f: int) -> int:
     """Shifts of f -> X*f mod g until f returns: an oracle apart from poly_order."""
-    x, size = gf2poly.shift_mod(f, g), 1
+    x, size = shift_mod(f, g), 1
     while x != f:
-        x, size = gf2poly.shift_mod(x, g), size + 1
+        x, size = shift_mod(x, g), size + 1
     return size
 
 
@@ -298,7 +306,7 @@ def test_orbit_closure():
     for rep in orbit_representatives(g)[:20]:
         f = rep
         for _ in range(orbit_size(g, rep)):
-            f = gf2poly.shift_mod(f, g)
+            f = shift_mod(f, g)
         assert f == rep
 
 
@@ -318,10 +326,10 @@ def walk_minima(g: int) -> list[int]:
         if f in seen:
             continue
         orbit = [f]
-        x = gf2poly.shift_mod(f, g)
+        x = shift_mod(f, g)
         while x != f:
             orbit.append(x)
-            x = gf2poly.shift_mod(x, g)
+            x = shift_mod(x, g)
         seen.update(orbit)
         minima.append(min(orbit))
     return sorted(minima)

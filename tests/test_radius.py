@@ -24,7 +24,7 @@ from burstcover.radius import (
     matrix_burst_radius,
     witness_recheck,
 )
-from test_lfsr import walk_minima
+from test_lfsr import shift_mod, walk_minima
 
 
 def _from_bit_rows(rows):
@@ -296,7 +296,7 @@ def test_orbit_names_are_exactly_the_orbits(code):
         x = f
         while x not in orbit_of:
             orbit_of[x] = f
-            x = gf2poly.shift_mod(x, code.g)
+            x = shift_mod(x, code.g)
     by_orbit = {}
     for f, i in enumerate(ids):
         by_orbit.setdefault(orbit_of[f], set()).add(i)
