@@ -6,10 +6,13 @@ and laurent_family_check; their reference is the table-free oracle of
 tests/test_charsums.py, which evaluates each polynomial with raw gf2poly
 arithmetic.  They read the one trace table, field.trace_table: by
 linearity the trace of sum c_i x^(e_i) at x = gen^k is the XOR of
-table[log c_i + (e_i k mod n)], so no field element is built.  Every
+table[log c_i + (e_i k mod n)], so no field element is built.  The
+Weil sums are read from a Walsh-Hadamard transform (_fwht) over the
+coefficient masks of x, at the masks phi(c) whose bits are trace-table
+entries, so the degree-5 family costs O(n^2 m) integer additions.  Every
 bound checked here has the form |x| <= a * 2^(m/2) + b, and every
 verdict goes through the one predicate _within(x, m, a, b): |x| against
-isqrt(a^2 * 2^m) + b in exact integers, elementwise on int64 arrays too,
+isqrt(a^2 * 2^m) + b in exact integers, elementwise on integer arrays too,
 so no verdict touches floating point.
 
 Checked bounds:
@@ -46,7 +49,7 @@ from .lfsr import (
 
 
 def _within(x, m: int, a: int, b: int = 0):
-    """|x| <= a * 2^(m/2) + b, exactly; elementwise for an int64 array x.
+    """|x| <= a * 2^(m/2) + b, exactly; elementwise for an integer array x.
 
     |x| - b is an integer, so it is at most a * 2^(m/2) iff it is at most
     the floor of that, isqrt(a^2 * 2^m).
@@ -283,9 +286,10 @@ def gcd_power_inequality_check(a: int, b: int) -> bool:
 # exhaustive / sampled family checks used by the verification suites
 
 # Largest m that `verify charsums` runs each family check at (2-vCPU VM,
-# one call each).  The Weil sweep holds several (n+1) x n int64 arrays,
-# n = 2^m - 1, each 4x larger per step of m: 1.3 s / 70 MB peak at m = 10,
-# 16 s / 194 MB at m = 11.  A Laurent call at m = 16 took 0.08 s after
+# one call each).  The Weil sweep holds a 2^m x (2^m + 2) int32 array and
+# its gather by phi, 4x larger per step of m: 0.02 s / 42 MB process peak
+# at m = 10, 0.1 s / 81 MB at m = 11, 0.5 s / 238 MB at m = 12 (a ceiling
+# above 11 needs row blocks).  A Laurent call at m = 16 took 0.08 s after
 # 0.28 s for its field context (37 MB); contexts grow 2x per step of m.
 # 1000 Laurent draws at m = 16 took 0.29 s, so 2000 draws for each of the
 # 9 forms take about 5 s at m = 16 and about twice that over all m <= 16.
@@ -311,6 +315,25 @@ class FamilyCheckReport:
         return d
 
 
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform over the first axis, in place, in exact integers.
+
+    a must be C-contiguous with a first axis of length 2^m; a[u, ...]
+    becomes the sum over x of a[x, ...] * (-1)^popcount(u & x).  Each of
+    the m butterfly stages pairs the x whose bit log2(h) differs, and
+    every operand is a contiguous run of h rows.
+    """
+    h = 1
+    while h < len(a):
+        v = a.reshape(-1, 2, h * (a.size // len(a)))
+        lo, hi = v[:, 0], v[:, 1]
+        lo += hi
+        hi *= -2
+        hi += lo  # lo - hi
+        h *= 2
+    return a
+
+
 def wcu_family_check(m: int) -> FamilyCheckReport:
     """Weil bound over every monic odd-degree polynomial of degree <= 5.
 
@@ -318,43 +341,52 @@ def wcu_family_check(m: int) -> FamilyCheckReport:
     a0 + a1 x + ... + a4 x^4 + x^5 is chi(a0) times that for the reduced
     form x^5 + b x^3 + c x, b = a3 and c = a1 + a2^(1/2) + a4^(1/4)
     (likewise x^3 + c x and x below).  Sweeping all (b, c) covers the
-    family, and the verdicts stay exact: sums are integer matrix
-    products.  An element indexes a row as 0 for 0 and j + 1 for gen^j.
+    family.  Write x as its coefficient mask and let phi(c) be the mask
+    with bit i = Tr(c X^i); then Tr(c x) = popcount(phi(c) & x) mod 2, so
+    the sum over x of chi(b x^3 + x^5) chi(c x) is the Walsh-Hadamard
+    transform of w_b(x) = chi(b x^3 + x^5) read at phi(c): O(n^2 m)
+    integer additions for the whole sweep, verdicts exact.  An element
+    indexes a row as 0 for 0 and j + 1 for gen^j.
     """
     ctx = get_context(m)
-    n = ctx.n
+    n, q = ctx.n, 1 << m
     table = trace_table(ctx)
-    k = np.arange(n, dtype=np.int64)
+    # the default generator is X, so log X^i = i and Tr(gen^j X^i) = table[j + i]
+    phi = np.zeros(n + 1, dtype=np.int64)
+    for i in range(m):
+        phi[1:] |= table[i:i + n].astype(np.int64) << i
+    logs = np.array(ctx.log[1:], dtype=np.int64)  # log x for the masks x = 1..n
+    fifth = table[5 * logs % n]
+    windows = np.lib.stride_tricks.sliding_window_view(table, n)  # [i, j] = Tr(gen^(i+j))
 
-    def sign_rows(t: int) -> np.ndarray:
-        """Row c: chi(c * x^t) over nonzero x; c = 0 then gen^0..gen^(n-1)."""
-        rows = np.empty((n + 1, n), dtype=np.int64)
-        rows[0] = 1
-        rows[1:] = 1 - 2 * table[k[:, None] + (t * k % n)[None, :]]
-        return rows
-
-    s1 = sign_rows(1)
-    s3 = sign_rows(3)
-    s5_monic = 1 - 2 * table[5 * k % n]
-    s3_monic = 1 - 2 * table[3 * k % n]
+    # w[x]: chi(0), chi(x^3), then chi(b x^3 + x^5) for b = 0, gen^0, gen^1, ...
+    w = np.empty((q, n + 3), dtype=np.int32)  # every |entry| stays <= q
+    w[1:, 1] = table[3 * logs % n]
+    w[1:, 2] = fifth
+    w[1:, 3:] = windows[3 * logs % n, :n] ^ fifth[:, None]
+    w[1:, 1:] *= -2  # trace bit t -> chi = 1 - 2t
+    w[1:, 1:] += 1
+    w[:, 0] = 1
+    w[0] = 1  # x = 0
+    sums = _fwht(w)[phi]
 
     violations = []
     cases = 0
 
     # degree 1: x + c has sum 0 over the whole field
-    sums1 = 1 + s1[1:].sum(axis=1)
+    sums1 = sums[:, 0]
     cases += n + 1
-    if int(s1[0].sum()) + 1 != 1 << m or not (sums1 == 0).all():
+    if sums1[0] != q or sums1[1:].any():
         violations.append(("deg1", "nonzero sum"))
 
     # degree 3: x^3 + c x, bound (3-1) * 2^(m/2)
-    sums3 = 1 + s1 @ s3_monic
+    sums3 = sums[:, 1]
     cases += n + 1
     bad = np.flatnonzero(~_within(sums3, m, 2))
     violations.extend(("deg3", int(i)) for i in bad)
 
     # degree 5: x^5 + b x^3 + c x, bound (5-1) * 2^(m/2)
-    sums5 = 1 + (s3 * s5_monic[None, :]) @ s1.T
+    sums5 = sums[:, 2:].T
     cases += (n + 1) ** 2
     bad_b, bad_c = np.nonzero(~_within(sums5, m, 4))
     violations.extend(("deg5", int(b), int(c)) for b, c in zip(bad_b, bad_c))

@@ -19,6 +19,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gf2poly
 from .bitmatrix import BinaryMatrix
 from .field import (
@@ -167,17 +169,14 @@ def parity_check_matrix(code: CyclicCode) -> BinaryMatrix:
     Block i holds the powers root_i^j for j = 0..n-1, each expanded into
     its d_i coefficient bits over the polynomial basis.
     """
-    masks = [0] * code.r
-    base = 0
+    masks = []
+    j = np.arange(code.n, dtype=np.int64)
     for fac in code.factors:
         ctx = fac.ctx
-        v = 1
-        for j in range(code.n):
-            for l in range(fac.degree):
-                if v >> l & 1:
-                    masks[base + l] |= 1 << j
-            v = ctx.mul(v, fac.root)
-        base += fac.degree
+        powers = np.array(ctx.exp[:ctx.n], dtype=np.int64)[j * ctx.dlog(fac.root) % ctx.n]
+        for l in range(fac.degree):
+            row = np.packbits((powers >> l & 1).astype(np.uint8), bitorder="little")
+            masks.append(int.from_bytes(row.tobytes(), "little"))
     H = BinaryMatrix(code.r, code.n, tuple(masks))
     if H.rank() != code.r:
         raise AssertionError("parity-check matrix is rank deficient")

@@ -18,7 +18,7 @@ from burstcover.charsums import (
     wcu_family_check,
 )
 from burstcover.codes import make_bch, make_cyclic_code, make_melas
-from burstcover.field import default_modulus
+from burstcover.field import default_modulus, get_context, trace_table
 from burstcover.gf2poly import mul
 from burstcover.lfsr import (LfsrSpec, fibonacci_to_galois, trace_representation,
                              window_histogram)
@@ -100,6 +100,58 @@ def test_weil_family_sums_match_oracle(m, monkeypatch):
             assert sums[4][b, c] == 1 + quintic, (b, c)
 
 
+def _matmul_weil_sums(m):
+    """The degree-3 and degree-5 family sums as (n+1) x n sign-row products, O(n^3)."""
+    n = (1 << m) - 1
+    table = trace_table(get_context(m))
+    k = np.arange(n, dtype=np.int64)
+
+    def sign_rows(t):
+        """Row c: chi(c * x^t) over nonzero x; c = 0 then gen^0..gen^(n-1)."""
+        rows = np.empty((n + 1, n), dtype=np.int64)
+        rows[0] = 1
+        rows[1:] = 1 - 2 * table[k[:, None] + (t * k % n)[None, :]]
+        return rows
+
+    s1, s3 = sign_rows(1), sign_rows(3)
+    sums3 = 1 + s1 @ (1 - 2 * table[3 * k % n])
+    sums5 = 1 + (s3 * (1 - 2 * table[5 * k % n])[None, :]) @ s1.T
+    return sums3, sums5
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_weil_family_sums_match_matmul(m, monkeypatch):
+    sums = _weil_sums(m, monkeypatch)
+    sums3, sums5 = _matmul_weil_sums(m)
+    assert np.array_equal(sums[2], sums3)
+    assert np.array_equal(sums[4], sums5)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_weil_violations_in_matmul_order(m, monkeypatch):
+    """Under weight-1 bounds the sweep reports what the matmul sums exceed, in (b, c) order."""
+    real = charsums._within
+    monkeypatch.setattr(charsums, "_within", lambda x, m, a, b=0: real(x, m, 1, b))
+    sums3, sums5 = _matmul_weil_sums(m)
+    deg3 = [("deg3", int(c)) for c in np.flatnonzero(~real(sums3, m, 1))]
+    deg5 = [("deg5", int(b), int(c)) for b, c in zip(*np.nonzero(~real(sums5, m, 1)))]
+    assert deg5
+    assert wcu_family_check(m).violations == tuple(deg3 + deg5)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_fwht_matches_direct_sum(m):
+    rng = np.random.default_rng(m)
+    q = 1 << m
+    signs = np.array([[(-1) ** (u & x).bit_count() for x in range(q)] for u in range(q)])
+    a = rng.integers(-1000, 1000, size=(q, 3))
+    expected = signs @ a
+    assert charsums._fwht(a) is a
+    assert np.array_equal(a, expected)
+    row = rng.integers(-1000, 1000, size=q)
+    assert np.array_equal(charsums._fwht(row.copy()), signs @ row)
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_monic_quintics_reduce_to_swept_forms(m, monkeypatch):
     """sum chi(a0 + a1 x + ... + a4 x^4 + x^5) = chi(a0) S5[a3, a1 + a2^(1/2) + a4^(1/4)]."""
@@ -165,7 +217,7 @@ def test_within_matches_decimal_oracle(case):
 
 
 def test_wcu_family_checks():
-    for m in range(2, 9):
+    for m in range(2, 11):
         rep = wcu_family_check(m)
         assert rep.ok, rep.violations
         assert rep.cases_checked == (1 << m) ** 2 + 2 * (1 << m)

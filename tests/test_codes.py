@@ -14,7 +14,7 @@ from burstcover.codes import (
     make_melas,
     parity_check_matrix,
 )
-from burstcover.corpus import build_corpus
+from burstcover.corpus import build_corpus, exact_two_primitive_cases
 from burstcover.gf2poly import mul, reciprocal
 from burstcover.lfsr import LfsrSpec, lfsr_sequence
 from test_lfsr import shift_mod
@@ -111,6 +111,34 @@ def test_hamming_parity_check_columns():
     assert sorted(cols) == list(range(1, 8))  # all nonzero vectors of F_2^3
     ctx = code.factors[0].ctx
     assert cols == [ctx.alpha_pow(j) for j in range(7)]
+
+
+def _parity_rows_by_column(code):
+    """The parity-check rows built one column and one coefficient bit at a time."""
+    masks = [0] * code.r
+    base = 0
+    for fac in code.factors:
+        v = 1
+        for j in range(code.n):
+            for l in range(fac.degree):
+                if v >> l & 1:
+                    masks[base + l] |= 1 << j
+            v = fac.ctx.mul(v, fac.root)
+        base += fac.degree
+    return tuple(masks)
+
+
+_PARITY_CASES = [(e.name, e.code) for e in build_corpus() + exact_two_primitive_cases()] + [
+    ("mixed_105", make_cyclic_code(105, mul(0xB, 0x13))),
+    ("even_weight_15", make_cyclic_code(15, 0b11)),
+    ("bch2_8", make_bch(2, 8)),
+    ("melas_8", make_melas(8)),
+]
+
+
+@pytest.mark.parametrize("code", [c for _, c in _PARITY_CASES], ids=[n for n, _ in _PARITY_CASES])
+def test_parity_check_matrix_matches_column_loop(code):
+    assert parity_check_matrix(code).row_masks == _parity_rows_by_column(code)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 8) - 1))
