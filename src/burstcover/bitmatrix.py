@@ -1,8 +1,10 @@
-"""Dense bit matrices with rows packed into ints (bit j = column j)."""
+"""Dense bit matrices stored as their columns, packed into ints (bit i = row i)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 def row_reduce(rows, ncols: int) -> tuple[list[int], list[int]]:
@@ -35,27 +37,23 @@ def row_reduce(rows, ncols: int) -> tuple[list[int], list[int]]:
 class BinaryMatrix:
     rows: int
     cols: int
-    row_masks: tuple[int, ...]
+    columns: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.row_masks) != self.rows:
-            raise ValueError("row count mismatch")
-        if any(m >> self.cols for m in self.row_masks):
-            raise ValueError("row mask wider than the column count")
-
-    def column(self, j: int) -> int:
-        c = 0
-        for i, m in enumerate(self.row_masks):
-            c |= (m >> j & 1) << i
-        return c
-
-    def columns(self) -> list[int]:
-        return [self.column(j) for j in range(self.cols)]
+        if len(self.columns) != self.cols:
+            raise ValueError("column count mismatch")
+        if any(c >> self.rows for c in self.columns):
+            raise ValueError("column mask wider than the row count")
 
     def rank(self) -> int:
-        return len(row_reduce(self.row_masks, self.cols)[1])
+        # the columns are the rows of H^T, and rank(H^T) = rank(H)
+        return len(row_reduce(self.columns, self.rows)[1])
 
     def hex_rows(self) -> list[str]:
-        """One hex string per row; bit j of the mask is column j."""
-        return ["0x" + format(m, "X") for m in self.row_masks]
-
+        """One hex string per row; bit j of the row's mask is column j."""
+        width = (self.rows + 7) // 8
+        packed = b"".join(c.to_bytes(width, "little") for c in self.columns)
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(self.cols, width),
+                             axis=1, bitorder="little")
+        rows = np.packbits(bits[:, :self.rows].T, axis=1, bitorder="little")
+        return ["0x" + format(int.from_bytes(row.tobytes(), "little"), "X") for row in rows]

@@ -1,9 +1,9 @@
 """Binary cyclic codes: construction, parity checks, window combinations.
 
 A code of length n is specified by a square-free generator polynomial g
-dividing X^n - 1.  Each irreducible factor g_i of degree d_i contributes
-d_i parity rows: the powers of a fixed root of g_i, expanded over the
-polynomial basis of GF(2^(d_i)).
+dividing X^n - 1.  Column j of its parity-check matrix stacks, for each
+irreducible factor g_i of degree d_i, a d_i-bit block: the j-th power of
+a fixed root of g_i over the polynomial basis of GF(2^(d_i)).
 
 When all factors share one degree m they also share one field context,
 and each factor is labelled with a signed exponent t_i such that
@@ -19,10 +19,8 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import gf2poly
-from .bitmatrix import BinaryMatrix
+from .bitmatrix import BinaryMatrix, row_reduce
 from .field import (
     FieldContext,
     context_for_modulus,
@@ -164,28 +162,22 @@ def make_melas(m: int, modulus=None) -> CyclicCode:
 
 @functools.lru_cache(maxsize=None)
 def parity_check_matrix(code: CyclicCode) -> BinaryMatrix:
-    """The r x n parity-check matrix with one d_i-row block per factor.
+    """The r x n parity-check matrix, stored as its n columns.
 
-    Block i holds the powers root_i^j for j = 0..n-1, each expanded into
-    its d_i coefficient bits over the polynomial basis.
+    Column j is OR_i root_i^j << (d_1 + ... + d_(i-1)): factor i's root
+    to the j-th power, as its d_i coefficient bits over the polynomial
+    basis, placed after the blocks of the factors before it.
     """
-    masks = []
-    j = np.arange(code.n, dtype=np.int64)
+    columns = [0] * code.n
+    offset = 0
     for fac in code.factors:
-        ctx = fac.ctx
-        powers = np.array(ctx.exp[:ctx.n], dtype=np.int64)[j * ctx.dlog(fac.root) % ctx.n]
-        for l in range(fac.degree):
-            row = np.packbits((powers >> l & 1).astype(np.uint8), bitorder="little")
-            masks.append(int.from_bytes(row.tobytes(), "little"))
-    H = BinaryMatrix(code.r, code.n, tuple(masks))
-    if H.rank() != code.r:
+        exp, period, t = fac.ctx.exp, fac.ctx.n, fac.ctx.dlog(fac.root)
+        columns = [c | exp[j * t % period] << offset for j, c in enumerate(columns)]
+        offset += fac.degree
+    # no nonzero codeword has degree < r, so columns 0..r-1 are independent
+    if len(row_reduce(columns[:code.r], code.r)[1]) != code.r:
         raise AssertionError("parity-check matrix is rank deficient")
-    return H
-
-
-@functools.lru_cache(maxsize=None)
-def _columns(code: CyclicCode) -> tuple[int, ...]:
-    return tuple(parity_check_matrix(code).columns())
+    return BinaryMatrix(code.r, code.n, tuple(columns))
 
 
 def lc_eval(code: CyclicCode, i: int, f: int) -> int:
@@ -197,7 +189,7 @@ def lc_eval(code: CyclicCode, i: int, f: int) -> int:
         raise ValueError("window start out of range")
     if f < 0:
         raise ValueError("combination pattern must be nonnegative")
-    cols = _columns(code)
+    cols = parity_check_matrix(code).columns
     s = 0
     j = 0
     while f:

@@ -27,6 +27,11 @@ from dataclasses import dataclass
 from .bitmatrix import row_reduce
 from .codes import CyclicCode, lc_eval, parity_check_matrix
 from .gf2poly import quot, to_hex
+from .radius import BudgetError
+
+# Length limit of the cover tables.  Their set-up divides X^n + 1 by g, in
+# time growing as n^2: on 2 vCPUs, 2 s at n = 2^18 - 1 and 9 s at 2^19 - 1.
+COVER_MAX_N = 1 << 18
 
 
 class ThresholdError(RuntimeError):
@@ -84,6 +89,8 @@ class CoverSolver:
     def __init__(self, code: CyclicCode):
         self.code = code
         n, r = code.n, code.r
+        if n > COVER_MAX_N:
+            raise BudgetError(f"cover tables over n = {n} columns exceed cover_max_n={COVER_MAX_N}")
         low = (1 << r) - 1
         # `one` is load 1's dual sequence over a period, s_k at bit k.  Load
         # X^j emits s_(k+j), so its sequence is one >> j: the j terms that
@@ -93,8 +100,7 @@ class CoverSolver:
         one = int(format(quot((1 << n) | 1, code.g), f"0{n}b")[::-1], 2)
         runs = [s | (s & low) << n for s in (one >> j for j in range(r))]
         run_of_load = _chunk_tables(runs)
-        H = parity_check_matrix(code)
-        loads = _preimages([H.column(j) for j in range(r)])
+        loads = _preimages(parity_check_matrix(code).columns[:r])
         self._run_of_syndrome = _chunk_tables([_apply(run_of_load, f) for f in loads])
         self._load_of_window = _chunk_tables(_preimages([s & low for s in runs]))
         self._ones = (1 << (n + r)) - 1

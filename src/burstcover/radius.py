@@ -99,11 +99,11 @@ def matrix_burst_radius(H: BinaryMatrix, cyclic: bool = True) -> RadiusResult:
     r, n = H.rows, H.cols
     if r < 1:
         raise ValueError("need at least one parity row")
-    if H.rank() != r:
-        raise ValueError("matrix is rank deficient")
     if r > MAX_R:
         raise BudgetError(f"syndrome bitmap of 2^{r} entries exceeds max_r={MAX_R}")
-    cols = H.columns()
+    if H.rank() != r:
+        raise ValueError("matrix is rank deficient")
+    cols = H.columns
     full = 1 << r
     covered = np.zeros(full, dtype=bool)
     covered[0] = True

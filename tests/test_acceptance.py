@@ -15,7 +15,6 @@ from burstcover.charsums import (
     pattern_theorem_check,
     wcu_family_check,
 )
-from burstcover.bitmatrix import BinaryMatrix
 from burstcover.cli import TABLE1_FIXTURE, compute_table1
 from burstcover.codes import make_bch, parity_check_matrix
 from burstcover.corpus import build_corpus, exact_two_primitive_cases, mixed_degree_entries
@@ -28,6 +27,7 @@ from burstcover.radius import (
     geometric_is_covering,
     matrix_burst_radius,
 )
+from test_bitmatrix import from_rows
 
 
 @contextmanager
@@ -69,8 +69,8 @@ def test_criterion_02_example_matrices():
     with criterion(2, "example matrix fixtures"):
         t0 = time.perf_counter()
         # row masks, bit j = column j: read each row right to left
-        H = BinaryMatrix(4, 8, (0b11111111, 0b11110000, 0b11001100, 0b10101010))
-        Hp = BinaryMatrix(4, 8, (0b11111111, 0b10011100, 0b01111000, 0b10110010))
+        H = from_rows([0b11111111, 0b11110000, 0b11001100, 0b10101010], 8)
+        Hp = from_rows([0b11111111, 0b10011100, 0b01111000, 0b10110010], 8)
         assert matrix_burst_radius(H).b == 4
         assert matrix_burst_radius(Hp).b == 3
         assert time.perf_counter() - t0 < 1.0

@@ -8,18 +8,29 @@ from burstcover.bitmatrix import BinaryMatrix
 from burstcover.covering import _preimages
 
 
+def from_rows(masks, cols):
+    """The matrix whose row i is masks[i], bit j = column j."""
+    return BinaryMatrix(len(masks), cols, tuple(sum((m >> j & 1) << i for i, m in enumerate(masks))
+                                                for j in range(cols)))
+
+
+def row_masks(M):
+    """The rows of M as masks, bit j = column j."""
+    return tuple(sum((c >> i & 1) << j for j, c in enumerate(M.columns)) for i in range(M.rows))
+
+
 @st.composite
 def matrices(draw, max_rows=8, max_cols=10):
     rows = draw(st.integers(min_value=1, max_value=max_rows))
     cols = draw(st.integers(min_value=1, max_value=max_cols))
     masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << cols) - 1),
                           min_size=rows, max_size=rows))
-    return BinaryMatrix(rows, cols, tuple(masks))
+    return from_rows(masks, cols)
 
 
 def _mul_vec(M, v):
     """M v over GF(2); bit i of the result is the parity of row i & v."""
-    return sum(((m & v).bit_count() & 1) << i for i, m in enumerate(M.row_masks))
+    return sum(((m & v).bit_count() & 1) << i for i, m in enumerate(row_masks(M)))
 
 
 @given(matrices())
@@ -34,13 +45,13 @@ def test_rank_nullity_and_kernel(M):
 @settings(max_examples=80, deadline=None)
 def test_solve_and_invert_square_systems(M, x):
     r = M.rows
-    A = BinaryMatrix(r, r, tuple(m & ((1 << r) - 1) for m in M.row_masks))
+    A = from_rows([m & ((1 << r) - 1) for m in row_masks(M)], r)
     x &= (1 << r) - 1
     if A.rank() < r:
         with pytest.raises(ValueError, match="singular system"):
-            _preimages([A.column(j) for j in range(r)])
+            _preimages(A.columns)
         return
-    u = _preimages([A.column(j) for j in range(r)])
+    u = _preimages(A.columns)
     assert all(_mul_vec(A, u[j]) == 1 << j for j in range(r))
     b = _mul_vec(A, x)
     # A x = b solved as x = A^-1 b, the sum of the preimages of b's bits

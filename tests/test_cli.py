@@ -55,6 +55,35 @@ def test_radius_budget_exit_code(capsys, monkeypatch):
     assert rc == EXIT_BUDGET
 
 
+def test_matrix_radius_budget_checked_before_the_rank(monkeypatch, capsys):
+    # BCH(2,16): r = 32 > MAX_R, so the n-column rank pass must not start
+    import burstcover.bitmatrix as bitmatrix_mod
+
+    _fail_if_called(monkeypatch, bitmatrix_mod, "row_reduce")
+    rc, _ = run(capsys, "radius", "--family", "bch", "--e", "2", "--m", "16",
+                "--method", "matrix")
+    assert rc == EXIT_BUDGET
+
+
+def test_cover_budget_checked_before_any_table(monkeypatch, capsys):
+    import burstcover.covering as covering_mod
+
+    _fail_if_called(monkeypatch, covering_mod, "parity_check_matrix", "quot")
+    assert main(["cover", "--family", "bch", "--e", "2", "--m", "20",
+                 "--syndrome", "1", "--bprime", "38"]) == EXIT_BUDGET
+    assert "cover_max_n=262144" in capsys.readouterr().err
+
+
+def test_cover_runs_within_its_budget(capsys):
+    # BCH(2,16), n = 65535: the certificate the orbit-free queries gave
+    rc, out = run(capsys, "cover", "--family", "bch", "--e", "2", "--m", "16",
+                  "--syndrome", "0x12345", "--bprime", "24", "--emit", "json")
+    assert rc == EXIT_OK
+    assert json.loads(out) == {"b_prime": 24, "f_hex": "0xE826ED", "i": 64867,
+                               "iterations": 668, "syndrome_hex": "0x12345",
+                               "verified": True, "width": 24}
+
+
 def test_bounds_with_radius(capsys):
     rc, out = run(capsys, "bounds", "--family", "melas", "--m", "5",
                   "--with-radius", "--emit", "json")

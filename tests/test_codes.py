@@ -17,6 +17,7 @@ from burstcover.codes import (
 from burstcover.corpus import build_corpus, exact_two_primitive_cases
 from burstcover.gf2poly import mul, reciprocal
 from burstcover.lfsr import LfsrSpec, lfsr_sequence
+from test_bitmatrix import row_masks
 from test_lfsr import shift_mod
 
 
@@ -107,7 +108,7 @@ def test_hamming_parity_check_columns():
     code = make_bch(1, 3)
     H = parity_check_matrix(code)
     assert H.rows == 3 and H.cols == 7
-    cols = H.columns()
+    cols = list(H.columns)
     assert sorted(cols) == list(range(1, 8))  # all nonzero vectors of F_2^3
     ctx = code.factors[0].ctx
     assert cols == [ctx.alpha_pow(j) for j in range(7)]
@@ -138,7 +139,35 @@ _PARITY_CASES = [(e.name, e.code) for e in build_corpus() + exact_two_primitive_
 
 @pytest.mark.parametrize("code", [c for _, c in _PARITY_CASES], ids=[n for n, _ in _PARITY_CASES])
 def test_parity_check_matrix_matches_column_loop(code):
-    assert parity_check_matrix(code).row_masks == _parity_rows_by_column(code)
+    assert row_masks(parity_check_matrix(code)) == _parity_rows_by_column(code)
+
+
+# BCH(7,9): 63-bit columns and 511-bit rows, so the transpose is checked past a machine word
+@pytest.mark.parametrize("code", [c for _, c in _PARITY_CASES] + [make_bch(7, 9)],
+                         ids=[n for n, _ in _PARITY_CASES] + ["bch7_9"])
+def test_hex_rows_is_the_one_transpose(code):
+    H = parity_check_matrix(code)
+    rows = _parity_rows_by_column(code)
+    assert H.hex_rows() == ["0x" + format(m, "X") for m in rows]
+    assert H.columns == tuple(sum((m >> j & 1) << i for i, m in enumerate(rows))
+                              for j in range(code.n))
+
+
+@pytest.mark.parametrize("code", [c for _, c in _PARITY_CASES], ids=[n for n, _ in _PARITY_CASES])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_lc_eval_matches_root_definition(code, data):
+    # the window (i, f) is the word X^i f(X) mod X^n - 1; its syndrome block
+    # at factor k is beta_k^i f(beta_k), whatever the layout of H
+    i = data.draw(st.integers(min_value=0, max_value=code.n - 1), label="i")
+    width = data.draw(st.integers(min_value=0, max_value=2 * code.n), label="width")
+    f = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1), label="f")
+    expected, base = 0, 0
+    for fac in code.factors:
+        ctx, beta = fac.ctx, fac.root
+        expected |= ctx.mul(ctx.evaluate(1 << i, beta), ctx.evaluate(f, beta)) << base
+        base += fac.degree
+    assert lc_eval(code, i, f) == expected
 
 
 @given(st.integers(min_value=0, max_value=(1 << 8) - 1))
@@ -147,7 +176,7 @@ def test_parity_check_annihilates_codewords(u):
     code = make_cyclic_code(15, mul(0b111, 0x13))  # r = 6, dimension 9
     H = parity_check_matrix(code)
     c = mul(u & ((1 << 9) - 1), code.g)
-    assert all((m & c).bit_count() % 2 == 0 for m in H.row_masks)
+    assert all((m & c).bit_count() % 2 == 0 for m in row_masks(H))
 
 
 def test_melas_column_stacking():
@@ -157,7 +186,7 @@ def test_melas_column_stacking():
     ctx = code.factors[0].ctx
     n = code.n
     for j in (0, 1, 5, n - 1):
-        col = H.column(j)
+        col = H.columns[j]
         lo = col & ((1 << m) - 1)
         hi = col >> m
         assert lo == ctx.alpha_pow(j)
@@ -216,7 +245,7 @@ def test_dual_sequences_equal_row_space(n, g):
     H = parity_check_matrix(code)
     # row space of H, enumerated directly
     space = {0}
-    for row in H.row_masks:
+    for row in row_masks(H):
         space |= {v ^ row for v in space}
     as_tuples = {tuple((v >> j) & 1 for j in range(n)) for v in space}
     duals = {tuple(lfsr_sequence(LfsrSpec.from_galois(g, load), n))

@@ -14,6 +14,7 @@ from burstcover.covering import (
 )
 from burstcover.gf2poly import mul
 from burstcover.radius import cyclic_burst_radius
+from test_bitmatrix import row_masks
 from test_lfsr import shift_mod
 
 
@@ -23,7 +24,7 @@ def _inverse_rows(code):
     r = code.r
     low = (1 << r) - 1
     reduced, _ = row_reduce([(m & low) | 1 << (r + i)
-                             for i, m in enumerate(parity_check_matrix(code).row_masks)], r)
+                             for i, m in enumerate(row_masks(parity_check_matrix(code)))], r)
     return [row >> r for row in reduced]
 
 

@@ -24,19 +24,18 @@ from burstcover.radius import (
     matrix_burst_radius,
     witness_recheck,
 )
+from test_bitmatrix import from_rows, row_masks
 from test_lfsr import shift_mod, walk_minima
 
 
 def _from_bit_rows(rows):
     """The matrix whose row i has bit j = rows[i][j]."""
-    masks = tuple(sum(bit << j for j, bit in enumerate(row)) for row in rows)
-    return BinaryMatrix(len(rows), len(rows[0]), masks)
+    return from_rows([sum(bit << j for j, bit in enumerate(row)) for row in rows], len(rows[0]))
 
 
 def _from_columns(cols, r):
     """The r-row matrix whose column j has bit i = row i."""
-    return BinaryMatrix(r, len(cols), tuple(sum((c >> i & 1) << j for j, c in enumerate(cols))
-                                            for i in range(r)))
+    return BinaryMatrix(r, len(cols), tuple(cols))
 
 
 EXT_HAMMING = _from_bit_rows([
@@ -61,19 +60,19 @@ def test_example_matrices():
 
 def test_identity_matrix_radius_is_r():
     for r in (2, 3, 5):
-        eye = BinaryMatrix(r, r, tuple(1 << i for i in range(r)))
+        eye = from_rows([1 << i for i in range(r)], r)
         assert matrix_burst_radius(eye).b == r
 
 
 def test_first_r_columns_alone_need_full_window():
     code = make_bch(2, 4)
     H = parity_check_matrix(code)
-    sub = _from_columns(H.columns()[:code.r], code.r)
+    sub = _from_columns(H.columns[:code.r], code.r)
     assert matrix_burst_radius(sub).b == code.r
 
 
 def test_rank_deficient_rejected():
-    M = BinaryMatrix(2, 3, (0b101, 0b101))
+    M = from_rows([0b101, 0b101], 3)
     with pytest.raises(ValueError):
         matrix_burst_radius(M)
 
@@ -91,7 +90,7 @@ def test_budget_guard(monkeypatch):
 def test_witness_is_uncovered_at_previous_level():
     res = matrix_burst_radius(EXT_HAMMING)
     # re-check: the witness syndrome is not a window-(b-1) combination
-    cols = EXT_HAMMING.columns()
+    cols = EXT_HAMMING.columns
     n = EXT_HAMMING.cols
     reachable = set()
     for i in range(n):
@@ -131,12 +130,12 @@ def test_row_operations_preserve_radius():
     rng = random.Random(7)
     H = EXT_HAMMING
     b0 = matrix_burst_radius(H).b
-    rows = list(H.row_masks)
+    rows = list(row_masks(H))
     for _ in range(5):
         # random invertible row mix: add one row into another
         i, j = rng.sample(range(4), 2)
         rows[i] ^= rows[j]
-        mixed = BinaryMatrix(4, 8, tuple(rows))
+        mixed = from_rows(rows, 8)
         assert mixed.rank() == 4
         assert matrix_burst_radius(mixed).b == b0
 
