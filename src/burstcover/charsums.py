@@ -39,13 +39,8 @@ import numpy as np
 from . import gf2poly
 from .codes import CyclicCode
 from .field import FieldContext, get_context, min_odd_coset_member, trace_table
-from .gf2poly import poly_order
-from .lfsr import (
-    LfsrSpec,
-    minimal_connection,
-    orbit_representatives,
-    window_histogram,
-)
+from .gf2poly import poly_order, quot
+from .lfsr import LfsrSpec, minimal_connection, orbit_representatives, pattern_counts, periods
 
 
 def _within(x, m: int, a: int, b: int = 0):
@@ -80,9 +75,7 @@ class FrequencyReport:
         return not self.violations and not self.corollary_misses
 
     def to_json(self) -> dict:
-        d = dict(self.__dict__)
-        d["ok"] = self.ok
-        return d
+        return {**self.__dict__, "ok": self.ok}
 
 
 def niederreiter_check(spec: LfsrSpec, s: int) -> FrequencyReport:
@@ -103,7 +96,8 @@ def niederreiter_check(spec: LfsrSpec, s: int) -> FrequencyReport:
             note=f"s must be in [1, {min_factor_degree}] for this sequence",
         )
     pi = poly_order(gmin)
-    counts = window_histogram(spec.connection, spec.load, s, pi)
+    load = quot(spec.load, quot(spec.connection, gmin))  # load/d on g/d, d = gcd(load, g)
+    counts = pattern_counts(periods(gmin, [load], pi), pi, s)[0].tolist()
     slack = (1 << s) - 1
     violations = tuple((y, c) for y, c in enumerate(counts)
                        if not _within((c << s) - pi, rmin, slack))
@@ -111,6 +105,18 @@ def niederreiter_check(spec: LfsrSpec, s: int) -> FrequencyReport:
         "niederreiter", s, pi, 1, 1 << s, violations, vacuous=_within(pi, rmin, slack),
         note=f"minimal polynomial degree {rmin}, period {pi}",
     )
+
+
+_BLOCK_CELLS = 1 << 20  # rows x max(period, 2^s) per pattern_counts block: 8 MB of int64
+
+
+def _orbit_counts(code: CyclicCode, s: int, window: int):
+    """(orbit representatives, their pattern counts), ascending, in row blocks."""
+    reps = orbit_representatives(code.g)
+    rows = periods(code.g, reps, window)
+    step = max(1, _BLOCK_CELLS // max(window, 1 << s))
+    for i in range(0, len(reps), step):
+        yield reps[i:i + step], pattern_counts(rows[i:i + step], window, s)
 
 
 def _positive_odd_exponents(code: CyclicCode) -> list[int]:
@@ -172,24 +178,18 @@ def pattern_theorem_check(code: CyclicCode, variant: str, s: int) -> FrequencyRe
 
     slack = (1 << s) - 1
     guaranteed = _guaranteed_pattern_length(m, weight)
-    # a verdict depends only on the count c <= window: tabulate it per c
-    devs = (np.arange(window + 1, dtype=np.int64) << s) - window
-    within = _within(devs, m, slack * weight, slack * shift).tolist()
-    if positive_weight is not None:
-        within_positive = _within(devs, m, slack * positive_weight, slack).tolist()
-    reps = orbit_representatives(code.g)
-    violations = []
-    misses = []
-    stronger = 0
-    for rep in reps:
-        counts = window_histogram(code.g, rep, s, window)
-        violations += [(rep, y, c) for y, c in enumerate(counts) if not within[c]]
+    violations, misses, sequences, stronger = [], [], 0, 0
+    for reps, counts in _orbit_counts(code, s, window):
+        sequences += len(reps)
+        devs = (counts << s) - window
+        bad = ~_within(devs, m, slack * weight, slack * shift)
+        violations += [(reps[i], int(y), int(counts[i, y])) for i, y in zip(*np.nonzero(bad))]
         if s <= guaranteed:
-            misses += [(rep, y) for y, c in enumerate(counts) if c == 0]
+            misses += [(reps[i], int(y)) for i, y in zip(*np.nonzero(counts == 0))]
         if positive_weight is not None:
-            stronger += all(within_positive[c] for c in counts)
+            stronger += int(_within(devs, m, slack * positive_weight, slack).all(axis=1).sum())
     return FrequencyReport(
-        variant, s, window, len(reps), len(reps) << s, tuple(violations),
+        variant, s, window, sequences, sequences << s, tuple(violations),
         guaranteed_s=guaranteed, corollary_misses=tuple(misses),
         stronger_bound_sequences=None if positive_weight is None else stronger,
         note=f"m={m}, exponents={exps}",
@@ -214,12 +214,10 @@ def find_avoidance_witness(code: CyclicCode, s: int):
     m = max(f.degree for f in code.factors)
     if not 1 <= s <= m:
         raise ValueError(f"avoidance pattern length must be in [1, {m}], got {s}")
-    window = (1 << m) - 1
-    for rep in orbit_representatives(code.g):
-        counts = window_histogram(code.g, rep, s, window)
-        for y in range(1 << s):
-            if counts[y] == 0:
-                return rep, y
+    for reps, counts in _orbit_counts(code, s, (1 << m) - 1):
+        rows, ys = np.nonzero(counts == 0)
+        if len(rows):
+            return reps[rows[0]], int(ys[0])
     return None
 
 
@@ -310,9 +308,7 @@ class FamilyCheckReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        d = dict(self.__dict__)
-        d["ok"] = self.ok
-        return d
+        return {**self.__dict__, "ok": self.ok}
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:

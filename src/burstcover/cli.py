@@ -20,13 +20,13 @@ import sys
 from .codes import (
     FAMILY_PARAMS,
     code_from_descriptor,
-    load_descriptor,
+    descriptor_length,
     make_bch,
     make_melas,
     parity_check_matrix,
 )
 from .corpus import build_corpus, exact_two_primitive_cases, mixed_degree_entries
-from .covering import ThresholdError, burst_cover, verify_certificate
+from .covering import COVER_MAX_N, ThresholdError, burst_cover, verify_certificate
 from .charsums import (
     LAURENT_DRAWS_MAX,
     LAURENT_M_MAX,
@@ -40,8 +40,7 @@ from .charsums import (
 )
 from .field import primitive_moduli
 from .gf2poly import parse_poly, to_hex, to_terms
-from .lfsr import (LfsrSpec, fibonacci_to_galois, lfsr_sequence, max_zero_run,
-                   orbit_representatives, window_histogram)
+from .lfsr import LfsrSpec, fibonacci_to_galois, lfsr_sequence, max_zero_run, orbit_representatives
 from .radius import (
     MAX_R,
     BudgetError,
@@ -158,14 +157,15 @@ def _add_code_args(p: argparse.ArgumentParser):
     p.add_argument("--modulus", help="field modulus override (primitive)")
 
 
-def _resolve_code(args):
-    """The code of `--code FILE`, or of the `--family` flags read as the
+def _descriptor(args) -> dict:
+    """The descriptor in `--code FILE`, or the `--family` flags read as the
     descriptor keys `params` (--e, --m), `n`, `g_hex` and `modulus_hex`."""
     if (args.code is None) == (args.family is None):
         raise ValueError("specify exactly one code source: --code or --family")
     if args.code is not None:
         _refuse(args, "--code", "e", "m", "n", "g", "modulus")
-        return load_descriptor(args.code)
+        with open(args.code) as fh:
+            return json.load(fh)
     params = {"e": args.e, "m": args.m}
     names = FAMILY_PARAMS[args.family]
     _refuse(args, f"--family {args.family}", *(k for k in params if k not in names))
@@ -173,7 +173,7 @@ def _resolve_code(args):
             "modulus_hex": args.modulus}
     if names:
         desc["params"] = [params[k] for k in names]
-    return code_from_descriptor(desc)
+    return desc
 
 
 def _add_emit(p: argparse.ArgumentParser, default: str):
@@ -220,7 +220,7 @@ def _cmd_radius(args) -> int:
     method = args.method or "orbit"
     mode = "--dump-matrix" if args.dump_matrix else f"--method {method}"
     _refuse(args, mode, *RADIUS_REFUSES[mode])
-    code = _resolve_code(args)
+    code = code_from_descriptor(_descriptor(args))
     if args.dump_matrix:
         for line in parity_check_matrix(code).hex_rows():
             print(line)
@@ -242,7 +242,7 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    code = _resolve_code(args)
+    code = code_from_descriptor(_descriptor(args))
     report = bounds_report(code)
     payload = report.to_json()
     rc = EXIT_OK
@@ -271,7 +271,11 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    code = _resolve_code(args)
+    desc = _descriptor(args)
+    n = descriptor_length(desc)  # before the code and its field tables are built
+    if n > COVER_MAX_N:
+        raise BudgetError(f"cover tables over n = {n} columns exceed cover_max_n={COVER_MAX_N}")
+    code = code_from_descriptor(desc)
     x = int(args.syndrome, 16)
     b_prime = args.bprime if args.bprime is not None else cyclic_burst_radius(code).b
     cert = burst_cover(code, x, b_prime)
@@ -320,7 +324,7 @@ def _cmd_lfsr_stats(args) -> int:
     # One budget for every mode: at most 2^MAX_R - 1 values named, printed
     # or counted.  Per load, the dump prints --len values (a period by
     # default), --zero-runs walks a full period whatever --len says, and a
-    # length-s pattern is counted over its window into 2^s cells.
+    # length-s pattern counts as the 2^s values it ranges over.
     # --orbit-reps names the orbits of all 2^r - 1 nonzero loads, then does
     # the per-load work once for each orbit.
     per_load = max(args.len or args.window or period,
@@ -344,11 +348,11 @@ def _cmd_lfsr_stats(args) -> int:
             if load == 0:
                 raise ValueError("the all-zero sequence is excluded")
             window = args.window or period
-            y = sum(b << i for i, b in enumerate(args.pattern))
-            count = window_histogram(g, load, len(args.pattern), window)[y]
+            pattern = bytes(args.pattern)  # one byte per term
+            terms = bytes(lfsr_sequence(spec, window + len(pattern) - 1))
+            count = sum(terms.startswith(pattern, k) for k in range(window))
             print(json.dumps({"count": count, "init": init_hex, "window": window,
-                              "pattern": "".join(map(str, args.pattern))},
-                             sort_keys=True))
+                              "pattern": "".join(map(str, args.pattern))}, sort_keys=True))
         else:
             bits = lfsr_sequence(spec, args.len or period)
             line = f"{init_hex} : {''.join(str(b) for b in bits)}"

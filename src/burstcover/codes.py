@@ -15,7 +15,6 @@ evaluated.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -243,14 +242,9 @@ def _descriptor_value(desc: dict, key: str):
         raise ValueError(f"descriptor key {key!r}: {value!r} is not a polynomial") from None
 
 
-def code_from_descriptor(desc: dict) -> CyclicCode:
-    """Rebuild a code, then check every field the descriptor gives against it.
-
-    bch and melas codes are built from `params`, generic ones from `n` and
-    `g_hex`.  Each of `params`, `n`, `r`, `g_hex` and `modulus_hex` that the
-    descriptor gives (null counts as absent) must match the rebuilt code,
-    so a descriptor never loads as a different code.
-    """
+def descriptor_length(desc: dict) -> int:
+    """The length of the code a well-formed descriptor describes, unbuilt:
+    `n`, or 2^m - 1 for bch and melas codes (m their last param)."""
     if not isinstance(desc, dict):
         raise ValueError("a code descriptor is a JSON object")
     family = desc.get("family", "generic")
@@ -259,30 +253,43 @@ def code_from_descriptor(desc: dict) -> CyclicCode:
     for key in ("n", "r"):  # JSON true is a Python int; type() tells it apart
         if desc.get(key) is not None and type(desc[key]) is not int:
             raise ValueError(f"descriptor key {key!r}: {desc[key]!r} is not an integer")
-    modulus = _descriptor_value(desc, "modulus_hex")
+    _descriptor_value(desc, "modulus_hex")
     if family == "generic":
-        n, g = desc.get("n"), _descriptor_value(desc, "g_hex")
-        if n is None or g is None:
+        if desc.get("n") is None or _descriptor_value(desc, "g_hex") is None:
             raise ValueError("descriptor keys 'n' (an integer) and 'g_hex' "
                              "are required for a generic code")
-        code = make_cyclic_code(n, g, modulus)
+        return desc["n"]
+    names = FAMILY_PARAMS[family]
+    params = desc.get("params")
+    if not (isinstance(params, list) and len(params) == len(names)
+            and all(type(p) is int for p in params)):
+        raise ValueError(f"descriptor key 'params': {family} needs the integers "
+                         f"[{', '.join(names)}], got {params!r}")
+    n = (1 << max(params[-1], 0)) - 1
+    if desc.get("n") not in (None, n):
+        raise ValueError(f"descriptor key 'n' is {desc['n']!r}, but the code it describes has {n}")
+    return n
+
+
+def code_from_descriptor(desc: dict) -> CyclicCode:
+    """Rebuild a code, then check every field the descriptor gives against it.
+
+    bch and melas codes are built from `params`, generic ones from `n` and
+    `g_hex`.  Each of `params`, `n`, `r`, `g_hex` and `modulus_hex` that the
+    descriptor gives (null counts as absent) must match the rebuilt code,
+    so a descriptor never loads as a different code.
+    """
+    n = descriptor_length(desc)
+    modulus = _descriptor_value(desc, "modulus_hex")
+    family = desc.get("family", "generic")
+    if family == "generic":
+        code = make_cyclic_code(n, _descriptor_value(desc, "g_hex"), modulus)
     else:
-        names = FAMILY_PARAMS[family]
-        params = desc.get("params")
-        if not (isinstance(params, list) and len(params) == len(names)
-                and all(type(p) is int for p in params)):
-            raise ValueError(f"descriptor key 'params': {family} needs the integers "
-                             f"[{', '.join(names)}], got {params!r}")
-        code = (make_bch if family == "bch" else make_melas)(*params, modulus)
+        code = (make_bch if family == "bch" else make_melas)(*desc["params"], modulus)
     built = code_to_descriptor(code)
-    for key in ("params", "n", "r", "g_hex", "modulus_hex"):
+    for key in ("params", "r", "g_hex", "modulus_hex"):
         given = _descriptor_value(desc, key)
         if given is not None and given != _descriptor_value(built, key):
             raise ValueError(f"descriptor key {key!r} is {desc[key]!r}, "
                              f"but the code it describes has {built[key]!r}")
     return code
-
-
-def load_descriptor(path) -> CyclicCode:
-    with open(path) as fh:
-        return code_from_descriptor(json.load(fh))

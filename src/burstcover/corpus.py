@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .codes import CyclicCode, make_bch, make_cyclic_code, make_melas
 from .field import default_modulus
 from .gf2poly import is_primitive, mul, poly_order
+from .lfsr import periods
 
 # irreducible non-primitive polynomials used below
 _ORD5_QUARTIC = 0b11111        # x^4+x^3+x^2+x+1, order 5
@@ -88,8 +89,7 @@ def build_corpus() -> list[CorpusEntry]:
     entries.append(_generic("triple_1_2_4", 0b11, 0b111, 0b10011))
 
     # high-redundancy: the dual-Hamming generator (X^15-1)/(X^4+X+1)
-    from .gf2poly import quot
-    g_simplex = quot((1 << 15) | 1, 0b10011)
+    g_simplex = periods(0b10011, [1], 15)[0]
     entries.append(CorpusEntry("simplex_15", make_cyclic_code(15, g_simplex)))
 
     assert len(entries) >= 30

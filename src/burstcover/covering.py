@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 from .bitmatrix import row_reduce
 from .codes import CyclicCode, lc_eval, parity_check_matrix
-from .gf2poly import quot, to_hex
+from .gf2poly import to_hex
+from .lfsr import periods
 from .radius import BudgetError
 
 # Length limit of the cover tables.  Their set-up divides X^n + 1 by g, in
@@ -97,7 +98,7 @@ class CoverSolver:
         # would wrap round are s_0 .. s_(j-1) of load 1, all 0 as j < r.
         # Each sequence then repeats its first r terms, so that every zero
         # run and r-bit window starting below n is read without wrapping.
-        one = int(format(quot((1 << n) | 1, code.g), f"0{n}b")[::-1], 2)
+        one = int(format(periods(code.g, [1], n)[0], f"0{n}b")[::-1], 2)
         runs = [s | (s & low) << n for s in (one >> j for j in range(r))]
         run_of_load = _chunk_tables(runs)
         loads = _preimages(parity_check_matrix(code).columns[:r])

@@ -2,12 +2,13 @@
 
 A connection polynomial g of degree r and a load f of degree < r name
 the sequence whose k-th term is the top coefficient (of X^(r-1)) of the
-Galois state X^k * f mod g.  The load is the one state of a sequence:
-every function here reads it, and lfsr_sequence is the one stepper.  The
-same sequence obeys the Fibonacci recurrence a_k = sum(g_i * a_{k-r+i}),
-and its first r terms (the Fibonacci initial bits) determine the load
-through a triangular system; those bits are only an input and output
-form, read by fibonacci_to_galois and printed from lfsr_sequence.
+Galois state X^k * f mod g, the coefficient of X^(-k-1) in f/g.  The
+load is the one state of a sequence: every function here reads it.
+When g(0) = 1, periods reads whole periods off products; lfsr_sequence
+steps any connection, and orbit_minimum walks one orbit in O(1) memory.
+The first r terms (the Fibonacci initial bits) determine the load, the
+polynomial part of g times their series; they are only an input and
+output form, read by fibonacci_to_galois and printed from lfsr_sequence.
 
 Run lengths and pattern counts are taken over the periodic sequence:
 one minimal period read cyclically, with window reads past the end
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import gf2poly
 from .field import find_root, get_context, trace_table
-from .gf2poly import derivative, gcd, is_square_free, poly_order, quot
+from .gf2poly import derivative, divmod_poly, gcd, is_square_free, poly_order, quot
 
 
 @dataclass(frozen=True)
@@ -83,15 +84,8 @@ def fibonacci_to_galois(g: int, init) -> int:
         raise ValueError(f"need exactly {r} initial bits")
     if any(b not in (0, 1) for b in init):
         raise ValueError("initial conditions are bits")
-    f = 0
-    for k in range(r):
-        b = init[k]
-        for j in range(k):
-            if init[j] and g >> (r - k + j) & 1:
-                b ^= 1
-        if b:
-            f |= 1 << (r - 1 - k)
-    return f
+    # f = g * (f/g), f/g = sum s_k X^(-k-1): the terms k >= r stay below degree 0
+    return gf2poly.mul(g, sum(b << (r - 1 - k) for k, b in enumerate(init))) >> r
 
 
 def minimal_connection(spec: LfsrSpec) -> int:
@@ -136,30 +130,32 @@ def orbit_minimum(g: int, f: int) -> int:
             least = f
 
 
-def window_histogram(g: int, load: int, s: int, window_length: int) -> list[int]:
-    """Counts of every length-s pattern over the Galois output for `load`.
+def periods(g: int, loads, n: int) -> list[int]:
+    """The n-term period of each load's sequence: the product load * h.
 
-    Index j of the result counts the pattern whose bit i is (j >> i) & 1
-    at starts k < window_length; reads run on past the window, so a window
-    of one period counts cyclic occurrences.  One rolling pass holding
-    only the s-bit window, so all 2^s patterns cost one generation.
+    h = (X^n + 1)/g, and term k is bit n - 1 - k of the product, as
+    f/g = f*h/(X^n + 1) (Lidl and Niederreiter, Finite Fields, ch. 8).
+    Loads have degree < deg(g), and g must divide X^n + 1.
     """
-    r = g.bit_length() - 1
-    if r < 1 or load.bit_length() > r:
-        raise ValueError("need deg(g) >= 1 and deg(load) < deg(g)")
-    if s < 1 or window_length < 1:
-        raise ValueError("pattern and window lengths must be >= 1")
-    counts = [0] * (1 << s)
-    size, top, high = 1 << r, r - 1, s - 1
-    w = 0
-    for k in range(window_length + high):
-        w = (w >> 1) | (load >> top & 1) << high
-        if k >= high:
-            counts[w] += 1
-        load <<= 1  # the shift X*f mod g, inline as in orbit_minimum
-        if load & size:
-            load ^= g
-    return counts
+    h, rest = divmod_poly((1 << n) | 1, g)
+    if rest:
+        raise ValueError(f"g does not divide X^{n} + 1")
+    return [gf2poly.mul(f, h) for f in loads]
+
+
+def pattern_counts(rows: list[int], n: int, s: int) -> np.ndarray:
+    """[i, y] counts the starts k < n of period rows[i] whose terms k + j,
+    read cyclically, are the bits j of y: one bincount, row i offset i * 2^s."""
+    size = -(-n // 8)
+    raw = np.frombuffer(b"".join(p.to_bytes(size, "big") for p in rows), dtype=np.uint8)
+    wrapped = 8 * size - n + np.arange(n + s - 1) % n  # column j holds term j mod n
+    bits = np.unpackbits(raw.reshape(len(rows), size), axis=1)[:, wrapped]
+    # row i starts at i, which the s shifts below turn into its offset i * 2^s
+    windows = np.repeat(np.arange(len(rows), dtype=np.int64)[:, None], n, axis=1)
+    for j in reversed(range(s)):
+        windows <<= 1
+        windows |= bits[:, j:j + n]
+    return np.bincount(windows.ravel(), minlength=len(rows) << s).reshape(-1, 1 << s)
 
 
 def orbit_representatives(g: int) -> list[int]:

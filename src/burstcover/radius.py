@@ -298,21 +298,17 @@ def bounds_report(code: CyclicCode) -> BoundsReport:
                 raw=m * (eb - 0.5) + math.log2(eb - 1) + 1,
                 note="pattern-frequency guarantee for the BCH dual sequences",
             ))
-        entries.append(BoundEntry(
-            name="bch_melas_lower", kind="lower", value=(eb - 1) * m + 2,
-            applicable=True, assumes_b_at_least=2,
-            note="window counting applied to length 2^m - 1",
-        ))
     if code.family == "melas":
-        (m,) = code.params
+        eb, m = 2, code.params[0]  # the lower bound below counts two factors
         entries.append(BoundEntry(
             name="melas_upper", kind="upper",
             value=_floor_plus_half_log(3 * m + 2, 1),
             applicable=True, raw=1.5 * m + 1,
             note="Kloosterman-type pattern guarantee for the Melas dual",
         ))
+    if code.family in ("bch", "melas"):
         entries.append(BoundEntry(
-            name="bch_melas_lower", kind="lower", value=m + 2,
+            name="bch_melas_lower", kind="lower", value=(eb - 1) * m + 2,
             applicable=True, assumes_b_at_least=2,
             note="window counting applied to length 2^m - 1",
         ))

@@ -20,7 +20,7 @@ from burstcover.codes import make_bch, parity_check_matrix
 from burstcover.corpus import build_corpus, exact_two_primitive_cases, mixed_degree_entries
 from burstcover.covering import ThresholdError, burst_cover, get_solver, verify_certificate
 from burstcover.field import default_modulus
-from burstcover.lfsr import LfsrSpec, max_zero_run, orbit_representatives, window_histogram
+from burstcover.lfsr import LfsrSpec, max_zero_run, orbit_representatives
 from burstcover.radius import (
     bounds_report,
     cyclic_burst_radius,
@@ -28,6 +28,7 @@ from burstcover.radius import (
     matrix_burst_radius,
 )
 from test_bitmatrix import from_rows
+from test_lfsr import window_histogram
 
 
 @contextmanager

@@ -20,8 +20,9 @@ from burstcover.charsums import (
 from burstcover.codes import make_bch, make_cyclic_code, make_melas
 from burstcover.field import default_modulus, get_context, trace_table
 from burstcover.gf2poly import mul
-from burstcover.lfsr import (LfsrSpec, fibonacci_to_galois, trace_representation,
-                             window_histogram)
+from burstcover.lfsr import LfsrSpec, fibonacci_to_galois, trace_representation
+from test_cli import _fail_if_called
+from test_lfsr import window_histogram
 
 
 # The reference for every sum the family checks judge: raw gf2poly
@@ -288,6 +289,35 @@ def test_avoidance_length_checked_before_any_orbit(s, monkeypatch):
     monkeypatch.setattr(charsums, "orbit_representatives", no_walk)
     with pytest.raises(ValueError, match=r"\[1, 5\]"):
         find_avoidance_witness(make_bch(2, 5), s)
+
+
+@pytest.mark.parametrize("cells", [1, 64 * 7])
+def test_row_blocks_leave_the_reports_unchanged(cells, monkeypatch):
+    """One row per block, and 7-row blocks with a ragged tail, against the
+    default blocks (one block for these codes)."""
+    checks = [(make_bch(2, 6), "equal_degree"), (make_melas(6), "melas_mixed")]
+
+    def reports():
+        return ([pattern_theorem_check(code, variant, s) for code, variant in checks
+                 for s in range(1, 7)]
+                + [find_avoidance_witness(code, s) for code, _ in checks for s in range(1, 7)])
+
+    default = reports()
+    monkeypatch.setattr(charsums, "_BLOCK_CELLS", cells)
+    assert reports() == default
+
+
+def test_checks_read_periods_not_the_steppers(monkeypatch):
+    import burstcover.lfsr as lfsr_mod
+
+    _fail_if_called(monkeypatch, lfsr_mod, "lfsr_sequence", "orbit_minimum")
+    assert pattern_theorem_check(make_bch(2, 6), "equal_degree", 3).ok
+    assert pattern_theorem_check(make_melas(6), "melas_mixed", 2).ok
+    assert find_avoidance_witness(make_melas(5), 4) is not None
+    g = mul(0xB, 0b100101)
+    for load, period in ((100, 217), (0xB, 31)):  # load 0xB leaves the factor X^5 + X^2 + 1
+        rep = niederreiter_check(LfsrSpec.from_galois(g, load), 2)
+        assert rep.applicable and rep.ok and rep.window == period
 
 
 def test_melas_mixed_theorem():

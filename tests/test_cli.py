@@ -68,10 +68,51 @@ def test_matrix_radius_budget_checked_before_the_rank(monkeypatch, capsys):
 def test_cover_budget_checked_before_any_table(monkeypatch, capsys):
     import burstcover.covering as covering_mod
 
-    _fail_if_called(monkeypatch, covering_mod, "parity_check_matrix", "quot")
+    _fail_if_called(monkeypatch, covering_mod, "parity_check_matrix", "periods")
     assert main(["cover", "--family", "bch", "--e", "2", "--m", "20",
                  "--syndrome", "1", "--bprime", "38"]) == EXIT_BUDGET
     assert "cover_max_n=262144" in capsys.readouterr().err
+
+
+# Codes longer than covering.COVER_MAX_N = 2^18, named without building them.
+LONG_CODES = {
+    "bch-20": ["--family", "bch", "--e", "2", "--m", "20"],
+    "melas-22": ["--family", "melas", "--m", "22"],
+    "generic-2^20-1": ["--family", "generic", "--n", str((1 << 20) - 1), "--g", "x^20+x^3+1"],
+    "code-file-melas-19": ["--code", "melas19.json"],
+}
+
+
+def _no_code_built(monkeypatch):
+    import burstcover.cli as cli_mod
+    import burstcover.codes as codes_mod
+
+    _fail_if_called(monkeypatch, cli_mod, "code_from_descriptor")
+    _fail_if_called(monkeypatch, codes_mod, "make_bch", "make_melas", "make_cyclic_code")
+
+
+@pytest.mark.parametrize("name", LONG_CODES)
+def test_cover_length_checked_before_the_code_is_built(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "melas19.json").write_text(json.dumps({"family": "melas", "params": [19]}))
+    _no_code_built(monkeypatch)
+    assert main(["cover", *LONG_CODES[name], "--syndrome", "1", "--bprime", "38"]) == EXIT_BUDGET
+    assert "cover_max_n=262144" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("desc", [
+    {"family": "bch", "params": [2, 20], "n": 31},  # mismatched
+    {"family": "bch", "params": [2, 20], "r": True},
+    {"family": "melas", "params": [22], "modulus_hex": "zz"},
+    {"family": "melas", "params": ["22"]},
+    {"family": "generic", "n": (1 << 20) - 1},  # no g_hex
+])
+def test_cover_refuses_a_bad_long_descriptor_as_usage(desc, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(desc))
+    _no_code_built(monkeypatch)
+    assert main(["cover", "--code", str(path), "--syndrome", "1", "--bprime", "38"]) == EXIT_USAGE
+    assert "descriptor key" in capsys.readouterr().err
 
 
 def test_cover_runs_within_its_budget(capsys):
@@ -374,7 +415,7 @@ INIT27 = ["--init", "1" + "0" * 26]
 
 
 LFSR_WORK = ["orbit_representatives", "fibonacci_to_galois", "lfsr_sequence",
-             "window_histogram", "max_zero_run"]
+             "max_zero_run"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -409,11 +450,22 @@ def test_lfsr_stats_orbit_work_capped_before_the_first_orbit(monkeypatch, capsys
     # per-load check, but not the budget once the orbits are counted
     import burstcover.cli as cli_mod
 
-    _fail_if_called(monkeypatch, cli_mod, "lfsr_sequence", "window_histogram", "max_zero_run")
+    _fail_if_called(monkeypatch, cli_mod, "lfsr_sequence", "max_zero_run")
     assert main(["lfsr-stats", "--g", "0x101877", "--orbit-reps"]) == EXIT_BUDGET
     out, err = capsys.readouterr()
     assert out == ""
     assert "1027 orbits x 1048575 values" in err and "max_r=26" in err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--init", "1,0,0", "--pattern", "1"],
+     '{"count": 1, "init": "0x1", "pattern": "1", "window": 7}'),
+    (["--init", "1,1,0", "--pattern", "01", "--window", "9"],
+     '{"count": 4, "init": "0x3", "pattern": "01", "window": 9}'),
+])
+def test_lfsr_stats_pattern_on_a_connection_without_constant_term(argv, line, capsys):
+    # g = X^3 + X has g(0) = 0, which lfsr.periods refuses: the stepper counts
+    assert run(capsys, "lfsr-stats", "--g", "0xA", *argv) == (EXIT_OK, line + "\n")
 
 
 def test_lfsr_stats_explicit_length_is_not_capped(capsys):

@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 from burstcover.bitmatrix import row_reduce
 from burstcover.codes import lc_eval, make_bch, make_cyclic_code, make_melas, parity_check_matrix
 from burstcover.covering import (
+    CoverSolver,
     CoveringCertificate,
     ThresholdError,
     burst_cover,
     verify_certificate,
 )
 from burstcover.gf2poly import mul
-from burstcover.radius import cyclic_burst_radius
+from burstcover.radius import BudgetError, cyclic_burst_radius
 from test_bitmatrix import row_masks
 from test_lfsr import shift_mod
 
@@ -196,3 +197,15 @@ def test_bad_inputs():
         burst_cover(code, 1 << code.r, 8)
     with pytest.raises(ValueError):
         burst_cover(code, 1, 0)
+
+
+def test_solver_checks_the_length_before_any_table(monkeypatch):
+    # the command line checks the length before it builds the code; a
+    # library caller that built one is stopped here, before the division
+    import burstcover.covering as covering_mod
+    from test_cli import _fail_if_called
+
+    monkeypatch.setattr(covering_mod, "COVER_MAX_N", 62)
+    _fail_if_called(monkeypatch, covering_mod, "parity_check_matrix", "periods")
+    with pytest.raises(BudgetError, match="cover_max_n=62"):
+        CoverSolver(make_bch(2, 6))

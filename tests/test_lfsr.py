@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -11,9 +13,10 @@ from burstcover.lfsr import (
     minimal_connection,
     orbit_minimum,
     orbit_representatives,
+    pattern_counts,
+    periods,
     regenerate_from_trace,
     trace_representation,
-    window_histogram,
 )
 
 
@@ -41,6 +44,33 @@ def shift_mod(f: int, g: int) -> int:
     if f >> (g.bit_length() - 1) & 1:
         f ^= g
     return f
+
+
+def window_histogram(g: int, load: int, s: int, window_length: int) -> list[int]:
+    """Test oracle, shared with test_charsums and test_acceptance: counts of
+    every length-s pattern over the Galois output for `load`.
+
+    Index j of the result counts the pattern whose bit i is (j >> i) & 1
+    at starts k < window_length; reads run on past the window, so a window
+    of one period counts cyclic occurrences.  One rolling pass holding
+    only the s-bit window, so all 2^s patterns cost one generation.
+    """
+    r = g.bit_length() - 1
+    if r < 1 or load.bit_length() > r:
+        raise ValueError("need deg(g) >= 1 and deg(load) < deg(g)")
+    if s < 1 or window_length < 1:
+        raise ValueError("pattern and window lengths must be >= 1")
+    counts = [0] * (1 << s)
+    size, top, high = 1 << r, r - 1, s - 1
+    w = 0
+    for k in range(window_length + high):
+        w = (w >> 1) | (load >> top & 1) << high
+        if k >= high:
+            counts[w] += 1
+        load <<= 1  # the Galois step X*f mod g
+        if load & size:
+            load ^= g
+    return counts
 
 
 def galois_states(g: int, f: int, steps: int) -> list[int]:
@@ -207,7 +237,7 @@ def test_max_zero_run_holds_no_period(monkeypatch):
     def fail(*args):
         raise AssertionError("the period was generated")
 
-    for name in ("lfsr_sequence", "window_histogram", "poly_order"):
+    for name in ("lfsr_sequence", "periods", "poly_order"):
         monkeypatch.setattr(lfsr_mod, name, fail)
     spec = from_bits(default_modulus(16), (1,) + (0,) * 15)
     assert max_zero_run(spec) == 15
@@ -275,6 +305,66 @@ def test_window_histogram_matches_pattern_count(params, s, L):
 def test_window_histogram_rejects_bad_sizes(load, s, window):
     with pytest.raises(ValueError):
         window_histogram(0xB, load, s, window)
+
+
+# connections with g(0) = 1 as products of up to three factors of degree
+# <= 4, so reducible and non-square-free ones (a repeated factor) come up
+connections = st.lists(st.integers(min_value=1, max_value=15), min_size=1, max_size=3).map(
+    lambda lows: functools.reduce(gf2poly.mul, [2 * low + 1 for low in lows]))
+
+
+@given(connections, st.integers(min_value=0, max_value=(1 << 12) - 1), st.sampled_from([1, 2]))
+@example(0b101, 0b10, 2)  # (X + 1)^2
+@example(gf2poly.mul(0b111, 0b111), 0b1011, 1)  # (X^2 + X + 1)^2
+@example(gf2poly.mul(0b11, 0b10011), 0b11111, 2)  # (X + 1)(X^4 + X + 1)
+@settings(max_examples=150)
+def test_periods_match_the_stepper(g, load, multiple):
+    """Term k of a period is bit n - 1 - k of load * h, at n = ord(g) and 2 ord(g)."""
+    load &= (1 << (g.bit_length() - 1)) - 1
+    n = multiple * gf2poly.poly_order(g)
+    (row,) = periods(g, [load], n)
+    assert [row >> (n - 1 - k) & 1 for k in range(n)] == lfsr_sequence(LfsrSpec(g, load), n)
+
+
+def test_periods_of_many_loads_share_one_quotient():
+    g = make_bch(2, 4).g
+    loads = orbit_representatives(g)
+    assert periods(g, loads, 15) == [periods(g, [f], 15)[0] for f in loads]
+    assert periods(g, [], 15) == []
+
+
+@pytest.mark.parametrize("g, n", [
+    (0b1010, 7),  # X^3 + X: g(0) = 0
+    (0b10, 1),  # X
+    (0b1011, 6),  # ord(X^3 + X + 1) = 7 does not divide 6
+    (gf2poly.mul(0b1011, 0b1011), 7),  # its square needs n = 14
+])
+def test_periods_refuse_a_connection_that_does_not_divide(g, n):
+    with pytest.raises(ValueError, match="does not divide"):
+        periods(g, [1], n)
+
+
+@given(connections.filter(lambda g: g.bit_length() <= 9), st.integers(min_value=1, max_value=8),
+       st.lists(st.integers(min_value=1, max_value=255), min_size=1, max_size=6))
+@settings(max_examples=100)
+def test_pattern_counts_match_the_stepped_histogram(g, s, loads):
+    """Every row of pattern_counts against the stepped oracle, m <= 8."""
+    r = g.bit_length() - 1
+    loads = [f & ((1 << r) - 1) or 1 for f in loads]
+    n = gf2poly.poly_order(g)
+    counts = pattern_counts(periods(g, loads, n), n, s)
+    assert counts.shape == (len(loads), 1 << s)
+    for row, f in zip(counts.tolist(), loads):
+        assert row == window_histogram(g, f, s, n)
+
+
+def test_pattern_counts_of_a_pn_period():
+    from burstcover.field import default_modulus
+
+    m = 8
+    n = (1 << m) - 1
+    counts = pattern_counts(periods(default_modulus(m), [1], n), n, m)
+    assert counts[0, 0] == 0 and (counts[0, 1:] == 1).all()
 
 
 def orbit_size(g: int, f: int) -> int:

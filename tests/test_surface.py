@@ -31,7 +31,7 @@ ALLOWED = {
     "trace_representation",
     # one pattern count through the character expansion;
     # test_charsums.py::test_pattern_count_character_duality compares it
-    # with window_histogram
+    # with the stepped oracle window_histogram of tests/test_lfsr.py
     "pattern_count_via_charsums",
 }
 
