@@ -5,7 +5,7 @@ Laurent sums are computed only by the family checks, wcu_family_check
 and laurent_family_check; their reference is the table-free oracle of
 tests/test_charsums.py, which evaluates each polynomial with raw gf2poly
 arithmetic.  They read the one trace table, field.trace_table: by
-linearity the trace of sum c_i x^(e_i) at x = gen^k is the XOR of
+linearity the trace of sum c_i x^(e_i) at x = X^k is the XOR of
 table[log c_i + (e_i k mod n)], so no field element is built.  The
 Weil sums are read from a Walsh-Hadamard transform (_fwht) over the
 coefficient masks of x, at the masks phi(c) whose bits are trace-table
@@ -123,8 +123,6 @@ def _positive_odd_exponents(code: CyclicCode) -> list[int]:
     n = code.factors[0].ctx.n
     out = []
     for f in code.factors:
-        if f.exponent is None:
-            raise ValueError("factor exponents unresolved")
         t = f.exponent
         out.append(t if t >= 1 and t % 2 == 1 else min_odd_coset_member(t, n))
     return out
@@ -151,9 +149,6 @@ def pattern_theorem_check(code: CyclicCode, variant: str, s: int) -> FrequencyRe
     # the bound is |2^s N - window| <= (2^s - 1)(weight 2^(m/2) + shift)
     if len(degrees) != 1:
         window, note = 0, "factors must share one degree"
-    elif (not code.factors[0].ctx.primitive
-          or len({f.ctx for f in code.factors}) != 1):
-        window, note = 0, "factors must share one primitive field context"
     elif not 1 <= s <= m:
         window, note = 0, f"s must be in [1, {m}]"
     elif variant == "equal_degree":
@@ -161,8 +156,8 @@ def pattern_theorem_check(code: CyclicCode, variant: str, s: int) -> FrequencyRe
         weight, shift, positive_weight = t_max - 1, 1, None
         note = "max exponent 1 gives a PN sequence; bound not needed" if t_max < 3 else ""
     elif variant == "melas_mixed":
-        ts = [t for t in exps if t is not None and t > 0]
-        us = [-t for t in exps if t is not None and t < 0]
+        ts = [t for t in exps if t > 0]
+        us = [-t for t in exps if t < 0]
         if not ts or not us:
             note = "needs both positive and negative exponents"
         elif any(e % 2 == 0 for e in ts + us):
@@ -342,20 +337,20 @@ def wcu_family_check(m: int) -> FamilyCheckReport:
     the sum over x of chi(b x^3 + x^5) chi(c x) is the Walsh-Hadamard
     transform of w_b(x) = chi(b x^3 + x^5) read at phi(c): O(n^2 m)
     integer additions for the whole sweep, verdicts exact.  An element
-    indexes a row as 0 for 0 and j + 1 for gen^j.
+    indexes a row as 0 for 0 and j + 1 for X^j.
     """
     ctx = get_context(m)
     n, q = ctx.n, 1 << m
     table = trace_table(ctx)
-    # the default generator is X, so log X^i = i and Tr(gen^j X^i) = table[j + i]
+    # log X^i = i, so Tr(X^j X^i) = table[j + i]
     phi = np.zeros(n + 1, dtype=np.int64)
     for i in range(m):
         phi[1:] |= table[i:i + n].astype(np.int64) << i
     logs = np.array(ctx.log[1:], dtype=np.int64)  # log x for the masks x = 1..n
     fifth = table[5 * logs % n]
-    windows = np.lib.stride_tricks.sliding_window_view(table, n)  # [i, j] = Tr(gen^(i+j))
+    windows = np.lib.stride_tricks.sliding_window_view(table, n)  # [i, j] = Tr(X^(i+j))
 
-    # w[x]: chi(0), chi(x^3), then chi(b x^3 + x^5) for b = 0, gen^0, gen^1, ...
+    # w[x]: chi(0), chi(x^3), then chi(b x^3 + x^5) for b = 0, X^0, X^1, ...
     w = np.empty((q, n + 3), dtype=np.int32)  # every |entry| stays <= q
     w[1:, 1] = table[3 * logs % n]
     w[1:, 2] = fifth

@@ -311,6 +311,9 @@ def _cmd_table1(args) -> int:
     return EXIT_OK if args.no_assert else _table1_exit(rows)
 
 
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")  # one byte per term to its digit
+
+
 def _cmd_lfsr_stats(args) -> int:
     if args.pattern is None:
         _refuse(args, "lfsr-stats without --pattern", "window")
@@ -354,8 +357,8 @@ def _cmd_lfsr_stats(args) -> int:
             print(json.dumps({"count": count, "init": init_hex, "window": window,
                               "pattern": "".join(map(str, args.pattern))}, sort_keys=True))
         else:
-            bits = lfsr_sequence(spec, args.len or period)
-            line = f"{init_hex} : {''.join(str(b) for b in bits)}"
+            bits = bytes(lfsr_sequence(spec, args.len or period)).translate(_BIT_DIGITS)
+            line = f"{init_hex} : {bits.decode()}"
             if args.zero_runs:
                 line += f"  Z={max_zero_run(spec)}"
             print(line)

@@ -37,11 +37,11 @@ class CodeFactor:
     degree: int
     ctx: FieldContext
     root: int                 # raw mask of a root of poly in ctx
-    exponent: int | None      # signed t with root = alpha^t, when known
+    exponent: int | None      # signed t with root = alpha^t; None when degrees differ
 
     @property
     def order(self) -> int:
-        """Multiplicative order of the root, gen^t: n / gcd(t, n) in its context."""
+        """Multiplicative order of the root, X^t: n / gcd(t, n) in its context."""
         n = self.ctx.n
         return n // math.gcd(self.ctx.dlog(self.root), n)
 
@@ -78,7 +78,7 @@ def _resolve_factors(factors: list[int], modulus: int | None) -> tuple[CodeFacto
             raise ValueError("modulus degree does not match the factor degree")
         for h in factors:
             root = find_root(ctx, h)
-            exp = min_odd_coset_member(ctx.dlog(root), ctx.n) if ctx.primitive else None
+            exp = min_odd_coset_member(ctx.dlog(root), ctx.n)
             out.append(CodeFactor(h, shared_degree, ctx, root, exp))
     else:
         if modulus is not None:
@@ -122,7 +122,7 @@ def make_bch(e: int, m: int, modulus=None) -> CyclicCode:
             f" must exceed 2e-1 = {2 * e - 1}"
         )
     ctx = _field(m, modulus)
-    if not ctx.primitive or ctx.m != m:
+    if ctx.m != m:
         raise ValueError("modulus must be primitive of degree m")
     n = (1 << m) - 1
     g = 1
@@ -145,7 +145,7 @@ def make_melas(m: int, modulus=None) -> CyclicCode:
     if m < 3:
         raise ValueError("need m >= 3")
     ctx = _field(m, modulus)
-    if not ctx.primitive or ctx.m != m:
+    if ctx.m != m:
         raise ValueError("modulus must be primitive of degree m")
     m1 = ctx.modulus
     m1_rev = reciprocal(m1)

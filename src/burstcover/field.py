@@ -1,15 +1,14 @@
 """GF(2^m) as tables over gf2poly, in the polynomial basis {1, x, ..., x^(m-1)}.
 
-A FieldContext wraps an irreducible modulus of degree m.  Its exp/log
-tables over a generator of the multiplicative group are stepped with
-gf2poly.mul and gf2poly.rem, and its trace mask (Tr(v) is the parity of
-popcount(v & trace_mask)) is read from those tables, so this module does
-no polynomial arithmetic of its own.  Elements are plain ints (their
-coefficient masks).  There is one cached context per modulus:
+A FieldContext wraps a primitive modulus of degree m, so X generates the
+multiplicative group: exp[k] is X^k, stepped by the shift v*X mod modulus,
+and log X^l = l.  Its trace mask (Tr(v) is the parity of
+popcount(v & trace_mask)) is read from exp.  Elements are plain ints
+(their coefficient masks).  There is one cached context per modulus:
 get_context(m) is context_for_modulus(default_modulus(m)).
 
-trace_table(ctx) is the package's one numpy trace table, Tr(gen^j) for
-j < 2n.  The trace is linear, so Tr(sum c_i x^(e_i)) at x = gen^k is the
+trace_table(ctx) is the package's one numpy trace table, Tr(X^j) for
+j < 2n.  The trace is linear, so Tr(sum c_i x^(e_i)) at x = X^k is the
 XOR of table[log c_i + (e_i k mod n)]: the character sums and trace
 regeneration read it that way, without building a field element.
 
@@ -25,8 +24,6 @@ import functools
 import numpy as np
 
 from . import gf2poly
-from .gf2poly import X
-from .mersenne import MERSENNE_FACTORS
 
 _MAX_TABLE_M = 22
 
@@ -48,16 +45,14 @@ def primitive_moduli(m: int) -> list[int]:
 
 
 class FieldContext:
-    """GF(2^m) modulo a chosen irreducible polynomial."""
+    """GF(2^m) modulo a chosen primitive polynomial, generated by X."""
 
     def __init__(self, modulus: int):
         m = modulus.bit_length() - 1
         if m > _MAX_TABLE_M:
             raise ValueError(f"field tables limited to degree {_MAX_TABLE_M}")
-        if m < 1 or not gf2poly.is_irreducible(modulus):
-            raise ValueError("modulus must be irreducible of degree >= 1")
-        # X has no order; any other irreducible is primitive iff X has order 2^m - 1
-        self.primitive = modulus & 1 == 1 and gf2poly._order_irreducible(modulus) == (1 << m) - 1
+        if not gf2poly.is_primitive(modulus):
+            raise ValueError("modulus must be primitive of degree >= 1")
         self.m = m
         self.modulus = modulus
         self.n = (1 << m) - 1  # multiplicative group order
@@ -65,26 +60,23 @@ class FieldContext:
 
     def _build_tables(self):
         m, n, modulus = self.m, self.n, self.modulus
-        # the least element of order n: no proper divisor n/p of n kills it
-        gen = X if self.primitive else next(
-            v for v in range(1, 1 << m)
-            if all(gf2poly.pow_mod(v, n // p, modulus) != 1 for p in MERSENNE_FACTORS[m]))
         exp = [1] * (2 * n)
         log = [0] * (n + 1)
         v = 1
         for k in range(n):
             exp[k] = exp[k + n] = v
             log[v] = k
-            v = gf2poly.rem(gf2poly.mul(v, gen), modulus)
+            v <<= 1  # the shift v*X mod modulus, inline as in lfsr_sequence
+            if v >> m:
+                v ^= modulus
         self.exp = exp
         self.log = log
-        self.generator = gen
-        # Tr(x^l) is the sum of the conjugates (x^l)^(2^i), read from the tables
+        # Tr(X^l) is the sum of the conjugates X^(l 2^i), read from exp
         mask = 0
         for l in range(m):
             t = 0
             for i in range(m):
-                t ^= exp[(log[1 << l] << i) % n]
+                t ^= exp[(l << i) % n]
             if t not in (0, 1):
                 raise AssertionError("trace left the prime field")
             mask |= t << l
@@ -99,7 +91,7 @@ class FieldContext:
 
     def alpha_pow(self, k: int) -> int:
         """x^k mod modulus, exponent taken modulo 2^m - 1."""
-        return self.exp[self.log[X if self.m > 1 else 1] * k % self.n]
+        return self.exp[k % self.n]
 
     def trace(self, a: int) -> int:
         return (a & self.trace_mask).bit_count() & 1
@@ -112,7 +104,7 @@ class FieldContext:
         return acc
 
     def dlog(self, a: int) -> int:
-        """Discrete log base the context generator (a nonzero)."""
+        """Discrete log base X (a nonzero)."""
         if a == 0:
             raise ValueError("zero has no discrete log")
         return self.log[a]
@@ -140,7 +132,7 @@ def context_for_modulus(modulus: int) -> FieldContext:
 
 @functools.lru_cache(maxsize=None)
 def trace_table(ctx: FieldContext) -> np.ndarray:
-    """Tr(gen^j) as bools for j < 2n, so that s + (t*k mod n) needs no reduction."""
+    """Tr(X^j) as bools for j < 2n, so that s + (t*k mod n) needs no reduction."""
     v = np.array(ctx.exp, dtype=np.int64) & ctx.trace_mask
     for shift in (16, 8, 4, 2, 1):  # fold the parity of up to 32 bits into bit 0
         v ^= v >> shift
@@ -173,13 +165,11 @@ def min_odd_coset_member(t: int, n: int) -> int:
 
 
 def minimal_polynomial(ctx: FieldContext, t: int) -> int:
-    """Minimal polynomial of alpha^t over GF(2), alpha the context generator.
+    """Minimal polynomial of alpha^t over GF(2), alpha = X in ctx.
 
     t is reduced modulo 2^m - 1 and may be negative.  t = 0 names the
     degenerate root 1 and is rejected.
     """
-    if not ctx.primitive:
-        raise ValueError("minimal polynomials need a primitive context")
     n = ctx.n
     t %= n
     if t == 0:

@@ -5,8 +5,9 @@ c_i.  The zero polynomial is 0, X^3+X+1 is 0b1011 = 0xB, and polynomial
 equality is integer equality, so the representation is canonical by
 construction.  Addition is XOR, and a nonzero a has degree
 a.bit_length() - 1.  This is the package's one implementation of
-arithmetic in GF(2)[X]: field builds its GF(2^m) tables from mul, rem,
-pow_mod and is_primitive.
+arithmetic in GF(2)[X]; only the shift X*v mod g is written inline
+elsewhere (field's exp table, lfsr's steppers).  mul and divmod_poly take
+one step per set bit of the multiplier and of the quotient.
 
 Three text forms are accepted by parse_poly and used throughout the CLI:
 a hex mask little-endian by coefficient index ("0xB"), a human-readable
@@ -29,10 +30,9 @@ def mul(a: int, b: int) -> int:
         a, b = b, a
     r = 0
     while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
+        low = b & -b
+        r ^= a * low
+        b ^= low
     return r
 
 
@@ -40,17 +40,11 @@ def divmod_poly(a: int, b: int) -> tuple[int, int]:
     """Quotient and remainder of a divided by b, for nonzero b."""
     if b == 0:
         raise ZeroDivisionError("division by the zero polynomial")
-    da = a.bit_length() - 1
     db = b.bit_length() - 1
-    if da < db:
-        return 0, a
     q = 0
-    b <<= da - db
-    for i in range(da - db, -1, -1):
-        if a >> (db + i) & 1:
-            a ^= b
-            q |= 1 << i
-        b >>= 1
+    while (shift := a.bit_length() - 1 - db) >= 0:
+        a ^= b << shift
+        q |= 1 << shift
     return q, a
 
 

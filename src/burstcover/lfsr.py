@@ -182,7 +182,7 @@ def orbit_minima(r: int, roots) -> np.ndarray:
     """The least member of every orbit of nonzero residues mod g, ascending.
 
     g is square-free of degree r with g(0) = 1, and `roots` holds one
-    (ctx, t_i) per irreducible factor, its root beta_i = gen^(t_i) in ctx.
+    (ctx, t_i) per irreducible factor, its root beta_i = X^(t_i) in ctx.
     Residues are read in 2^_K blocks from 0 up, and the first position of
     each orbit id (_OrbitNames) is the orbit's minimum.  The read stops at
     the block where the last orbit is named, the one that holds the
@@ -214,7 +214,7 @@ class _OrbitNames:
     """An id in 0..total-1 for each orbit of residues under f -> X*f mod g.
 
     By CRT a residue f is the tuple v_i = f(beta_i) over the factors, and
-    the shift multiplies each v_i by beta_i = gen^(t_i): it adds t_i to
+    the shift multiplies each v_i by beta_i = X^(t_i): it adds t_i to
     l_i = log v_i modulo n_i.  A stabilizer chain names each orbit once.
     With M the lcm of the orders of the factors fixed so far, the shifts
     that keep them fixed are the multiples of M, which move l_j in steps of
@@ -333,7 +333,7 @@ def trace_representation(spec: LfsrSpec) -> list[tuple[int, int]]:
 def regenerate_from_trace(gammas, length: int) -> list[int]:
     """Sequence sum_i Tr(gamma_i * beta_i^k) for the factors' fixed roots.
 
-    With beta_i = gen^(t_i), term i at step k is
+    With beta_i = X^(t_i), term i at step k is
     trace_table[log gamma_i + (t_i k mod n)]; a zero gamma_i contributes 0.
     """
     k = np.arange(length, dtype=np.int64)

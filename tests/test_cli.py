@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,19 @@ def test_lfsr_stats_dump_format(capsys):
     assert out.strip() == "0x1 : 1001011"
 
 
+def test_lfsr_stats_dump_holds_few_bytes_per_term(capsys):
+    terms = (1 << 16) - 1  # a full period of x^16+x^5+x^3+x^2+1
+    tracemalloc.start()
+    try:
+        rc = main(["lfsr-stats", "--g", "0x1002D", "--init", ",".join("1" + "0" * 15)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert rc == EXIT_OK and len(out) == len("0x1 : \n") + terms
+    assert peak < 16 * terms
+
+
 def test_lfsr_stats_orbit_reps(capsys):
     rc, out = run(capsys, "lfsr-stats", "--g", "0xB", "--orbit-reps", "--len", "7")
     assert rc == EXIT_OK
@@ -267,6 +281,8 @@ def bad_files(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not.json").write_text("{not json")
     (tmp_path / "melas6.json").write_text(json.dumps(code_to_descriptor(make_melas(6))))
+    (tmp_path / "generic5-0x1F.json").write_text(json.dumps(
+        {"family": "generic", "n": 5, "g_hex": "0x1F", "modulus_hex": "0x1F"}))
 
 
 # Every bad input exits EXIT_USAGE through cli.main, never with a traceback.
@@ -313,6 +329,10 @@ USAGE_ERRORS = {
     "bch-without-m": ["radius", "--family", "bch", "--e", "2"],
     "generic-with-m": ["radius", "--family", "generic", "--n", "15", "--g", "x^4+x+1",
                        "--m", "9"],
+    # x^4+x^3+x^2+x+1 is irreducible but X has order 5 under it: not primitive
+    "generic-non-primitive-modulus": ["radius", "--family", "generic", "--n", "5",
+                                      "--g", "0x1F", "--modulus", "0x1F"],
+    "code-non-primitive-modulus": ["radius", "--code", "generic5-0x1F.json"],
     "geometric-linear": ["radius", *BCH24, "--method", "geometric", "--linear"],
     "orbit-linear": ["radius", *BCH24, "--linear"],
     "dump-matrix-emit": ["radius", *BCH24, "--dump-matrix", "--emit", "json"],

@@ -15,8 +15,10 @@ from burstcover.codes import (
     parity_check_matrix,
 )
 from burstcover.corpus import build_corpus, exact_two_primitive_cases
+from burstcover.field import default_modulus
 from burstcover.gf2poly import mul, reciprocal
 from burstcover.lfsr import LfsrSpec, lfsr_sequence
+from burstcover.radius import cyclic_burst_radius
 from test_bitmatrix import row_masks
 from test_lfsr import shift_mod
 
@@ -304,6 +306,20 @@ def test_modulus_override():
     assert code.factors[0].ctx.modulus == 0x5B
     with pytest.raises(ValueError):
         make_bch(2, 6, modulus=0b1010111)  # order-21 sextic is not primitive
+    with pytest.raises(ValueError, match="primitive"):
+        make_cyclic_code(5, 0b11111, modulus=0b11111)  # a generic code's modulus too
+
+
+@pytest.mark.parametrize("n, g, b, witness, exponents", [
+    (5, 0b11111, 3, 5, [3]),                          # order 5 in GF(16)
+    (45, gf2poly.mul(0x1F, 0x49), 9, 363, [None, None]),  # orders 5 and 9, mixed degrees
+])
+def test_non_primitive_factors_live_in_primitive_contexts(n, g, b, witness, exponents):
+    code = make_cyclic_code(n, g)
+    assert all(f.ctx.modulus == default_modulus(f.degree) for f in code.factors)
+    assert [f.exponent for f in code.factors] == exponents
+    res = cyclic_burst_radius(code)
+    assert (res.b, res.witness) == (b, witness)
 
 
 @given(st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=20))

@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import burstcover.field as field_mod
 from burstcover import gf2poly
 from burstcover.field import (
     FieldContext,
@@ -17,11 +16,13 @@ from burstcover.field import (
     primitive_moduli,
     trace_table,
 )
-from burstcover.gf2poly import is_irreducible, reciprocal
+from burstcover.gf2poly import X, is_irreducible, is_primitive, reciprocal
 
 # Every irreducible modulus of degree <= 10 with a nonzero constant term
-# (226 of them; X itself is irreducible but names no multiplicative group).
+# (225 of them; X itself is irreducible but names no multiplicative group).
 SMALL_MODULI = [p for p in range(3, 1 << 11, 2) if is_irreducible(p)]
+# The 160 of them that are primitive: the moduli a FieldContext accepts.
+SMALL_PRIMITIVE = [p for p in SMALL_MODULI if is_primitive(p)]
 
 
 def test_default_moduli_are_smallest_primitive():
@@ -124,18 +125,21 @@ def test_exp_log_tables():
     assert ctx.mul(a, ctx.exp[ctx.n - ctx.log[a]]) == 1
 
 
-def test_non_primitive_context_still_works():
-    ctx = FieldContext(0b11111)  # irreducible, order 5
-    assert not ctx.primitive
-    assert ctx.mul(0b10, ctx.exp[ctx.n - ctx.log[0b10]]) == 1
-    zeros = sum(1 for v in range(16) if ctx.trace(v) == 0)
-    assert zeros == 8
+def test_non_primitive_moduli_are_refused():
+    # X generates every context, so a modulus under which X has a smaller
+    # order (or none: the modulus X itself) names no context
+    for modulus in [X] + [p for p in SMALL_MODULI if p not in SMALL_PRIMITIVE]:
+        with pytest.raises(ValueError, match="primitive"):
+            FieldContext(modulus)
+    for modulus in (0, 1, 0b110, 0b1111):  # no degree, and two reducible ones
+        with pytest.raises(ValueError):
+            FieldContext(modulus)
 
 
 @pytest.mark.parametrize("ctx", [get_context(m) for m in range(1, 9)]
-                         + [FieldContext(0b11111), FieldContext(0b1001001)], ids=repr)
+                         + [FieldContext(0x19), FieldContext(0x5B)], ids=repr)
 def test_trace_table_matches_scalar_trace(ctx):
-    # 0b11111 and 0b1001001 are irreducible of orders 5 and 9, not primitive
+    # 0x19 and 0x5B are primitive but not the default moduli of degrees 4 and 6
     table = trace_table(ctx)
     assert len(table) == 2 * ctx.n
     assert table.tolist() == [ctx.trace(ctx.exp[j]) for j in range(2 * ctx.n)]
@@ -153,12 +157,11 @@ def _power_sum_trace(v: int, modulus: int) -> int:
 @pytest.mark.parametrize("m", range(1, 11))
 def test_every_small_modulus_multiplies_and_traces(m):
     """ctx.mul against gf2poly, and ctx.trace against the power sum, for
-    every irreducible modulus of degree m, primitive or not.  Both traces
-    are linear, so they agree everywhere once they agree on the basis."""
+    every primitive modulus of degree m.  Both traces are linear, so they
+    agree everywhere once they agree on the basis."""
     rng = random.Random(m)
-    for modulus in (p for p in SMALL_MODULI if p.bit_length() - 1 == m):
+    for modulus in (p for p in SMALL_PRIMITIVE if p.bit_length() - 1 == m):
         ctx = FieldContext(modulus)
-        assert ctx.primitive == gf2poly.is_primitive(modulus)
         elements = range(1 << m)
         others = [0, 1, *rng.sample(elements, min(2, 1 << m))]
         for a in elements:
@@ -177,16 +180,38 @@ def _order(v: int, modulus: int) -> int:
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_generator_is_least_element_of_full_order(m):
-    for modulus in (p for p in SMALL_MODULI if p.bit_length() - 1 == m):
+    # the tables' generator exp[1] is X (1 modulo X + 1), of full order
+    for modulus in (p for p in SMALL_PRIMITIVE if p.bit_length() - 1 == m):
         ctx = FieldContext(modulus)
-        gen = gf2poly.rem(ctx.generator, modulus)  # X is 1 modulo X + 1
+        gen = ctx.exp[1]
+        assert gen == gf2poly.rem(X, modulus)
         assert _order(gen, modulus) == ctx.n
         assert all(_order(v, modulus) < ctx.n for v in range(1, gen))
-        if ctx.primitive:
-            assert ctx.generator == 0b10
+
+
+def _stepped_tables(modulus: int):
+    """exp and log by powers of X taken with gf2poly alone, and the trace
+    mask from the power sums of the basis."""
+    m = modulus.bit_length() - 1
+    n = (1 << m) - 1
+    exp, log, v = [], [0] * (n + 1), 1
+    for k in range(2 * n):
+        exp.append(v)
+        if k < n:
+            log[v] = k
+        v = gf2poly.rem(gf2poly.mul(v, X), modulus)
+    mask = sum(_power_sum_trace(1 << l, modulus) << l for l in range(m))
+    return exp, log, mask
+
+
+def test_tables_match_the_stepped_oracle():
+    for modulus in SMALL_PRIMITIVE:
+        ctx = FieldContext(modulus)
+        assert (ctx.exp, ctx.log, ctx.trace_mask) == _stepped_tables(modulus), hex(modulus)
 
 
 def test_non_primitive_modulus_tests_irreducibility_once(monkeypatch):
+    # the one check is_primitive, which tests irreducibility once, refuses 0x1F
     calls = []
     irreducible = gf2poly.is_irreducible
 
@@ -195,12 +220,13 @@ def test_non_primitive_modulus_tests_irreducibility_once(monkeypatch):
         return irreducible(p)
 
     monkeypatch.setattr(gf2poly, "is_irreducible", counted)
-    monkeypatch.setattr(field_mod, "is_irreducible", counted, raising=False)  # a direct import
-    ctx = FieldContext(0x1F)  # x^4 + x^3 + x^2 + x + 1: x has order 5
+    with pytest.raises(ValueError, match="primitive"):
+        FieldContext(0x1F)  # x^4 + x^3 + x^2 + x + 1: x has order 5
     assert calls == [0x1F]
-    assert not ctx.primitive
-    assert (ctx.generator, ctx.trace_mask) == (3, 14)
-    assert ctx.exp[:15] == [1, 3, 5, 15, 14, 13, 8, 7, 9, 4, 12, 11, 2, 6, 10]
+    ctx = FieldContext(0x19)  # x^4 + x^3 + 1 is primitive
+    assert calls == [0x1F, 0x19]
+    assert ctx.trace_mask == 14
+    assert ctx.exp[:15] == [1, 2, 4, 8, 9, 11, 15, 7, 14, 5, 10, 13, 3, 6, 12]
 
 
 def test_one_context_per_modulus():

@@ -47,6 +47,46 @@ def test_divmod_reconstructs(a, b):
     assert r.bit_length() < b.bit_length()
 
 
+def _mul_by_bit_positions(a: int, b: int) -> int:
+    """Oracle: one step per bit position of b, set or not."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    return r
+
+
+def _divmod_by_bit_positions(a: int, b: int) -> tuple[int, int]:
+    """Oracle: one step per quotient bit position, set or not."""
+    da = a.bit_length() - 1
+    db = b.bit_length() - 1
+    if da < db:
+        return 0, a
+    q = 0
+    b <<= da - db
+    for i in range(da - db, -1, -1):
+        if a >> (db + i) & 1:
+            a ^= b
+            q |= 1 << i
+        b >>= 1
+    return q, a
+
+
+wide_polys = st.integers(min_value=0, max_value=(1 << 200) - 1)
+
+
+@given(wide_polys, wide_polys)
+def test_mul_matches_the_bit_position_loop(a, b):
+    assert mul(a, b) == mul(b, a) == _mul_by_bit_positions(a, b)
+
+
+@given(wide_polys, st.integers(min_value=1, max_value=(1 << 80) - 1))
+def test_divmod_matches_the_bit_position_loop(a, b):
+    assert divmod_poly(a, b) == _divmod_by_bit_positions(a, b)
+
+
 def test_division_by_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         divmod_poly(5, 0)
