@@ -288,8 +288,10 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    if not 6 <= args.m_min <= args.m_max <= 11:
+    if not 6 <= args.m_min <= 11 or not 6 <= args.m_max <= 11:
         raise ValueError("table1 covers 6 <= m <= 11")
+    if args.m_min > args.m_max:
+        raise ValueError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
     rows = compute_table1(args.m_min, args.m_max, args.modulus, args.sensitivity)
 
     def render(rows):

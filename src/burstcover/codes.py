@@ -62,6 +62,9 @@ class CyclicCode:
             return f"Melas(m={self.params[0]})"
         return f"cyclic[n={self.n}, g={to_hex(self.g)}]"
 
+    def __hash__(self) -> int:  # n and g determine the code; equality checks every field
+        return hash((self.n, self.g))
+
 
 def _field(m: int, modulus) -> FieldContext:
     """The context of GF(2^m) under `modulus` (any parse_poly form), or the default one."""
@@ -182,7 +185,9 @@ def parity_check_matrix(code: CyclicCode) -> BinaryMatrix:
 def lc_eval(code: CyclicCode, i: int, f: int) -> int:
     """Syndrome of the window combination (i, f): sum of columns i+j, j in supp(f).
 
-    Column indices wrap modulo n.
+    Column indices wrap modulo n.  Reads one parity column per set bit of
+    f, at most b' of them for a certificate of width <= b'; the column
+    cache hashes the code on (n, g).
     """
     if not 0 <= i < code.n:
         raise ValueError("window start out of range")
@@ -190,12 +195,10 @@ def lc_eval(code: CyclicCode, i: int, f: int) -> int:
         raise ValueError("combination pattern must be nonnegative")
     cols = parity_check_matrix(code).columns
     s = 0
-    j = 0
     while f:
-        if f & 1:
-            s ^= cols[(i + j) % code.n]
-        f >>= 1
-        j += 1
+        low = f & -f
+        s ^= cols[(i + low.bit_length() - 1) % code.n]
+        f ^= low
     return s
 
 

@@ -149,6 +149,16 @@ def test_table1_plain_and_exit(capsys):
     assert "modulus-dependent" in out  # Melas(6) needs a non-default class
 
 
+@pytest.mark.parametrize("bounds, message", [
+    (("--m-min", "9", "--m-max", "6"), "--m-min 9 exceeds --m-max 6"),
+    (("--m-min", "5"), "table1 covers 6 <= m <= 11"),
+    (("--m-max", "12"), "table1 covers 6 <= m <= 11"),
+])
+def test_table1_range_errors_name_their_fault(bounds, message, capsys):
+    assert main(["table1", *bounds]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 def test_table1_fixture_values():
     rows = compute_table1(6, 8)
     for row in rows:
@@ -348,6 +358,7 @@ USAGE_ERRORS = {
     "zero-init-pattern": ["lfsr-stats", "--g", "0xB", "--init", "0,0,0", "--pattern", "1"],
     "s-max-above-m": ["verify", "patterns", "--family", "bch", "--m", "4", "--s-max", "9"],
     "table1-modulus-range": ["table1", "--m-max", "7", "--modulus", "0x43"],
+    "table1-inverted-range": ["table1", "--m-min", "9", "--m-max", "6"],
     # a factor of degree 23 is past the field tables (field._MAX_TABLE_M = 22)
     "orbit-reps-degree-23": ["lfsr-stats", "--g", "x^23+x^5+1", "--orbit-reps"],
     "generic-degree-23-factor": ["radius", "--family", "generic", "--n", str((1 << 23) - 1),
@@ -360,6 +371,7 @@ CHECKED_BEFORE = {
     "s-max-above-m": ["make_bch", "make_melas", "pattern_theorem_check"],
     "find-avoidance-above-m": ["make_bch", "make_melas", "pattern_theorem_check"],
     "table1-modulus-range": ["make_bch", "make_melas", "cyclic_burst_radius"],
+    "table1-inverted-range": ["make_bch", "make_melas", "cyclic_burst_radius"],
 }
 
 

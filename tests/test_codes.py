@@ -15,6 +15,7 @@ from burstcover.codes import (
     parity_check_matrix,
 )
 from burstcover.corpus import build_corpus, exact_two_primitive_cases
+from burstcover.covering import get_solver
 from burstcover.field import default_modulus
 from burstcover.gf2poly import mul, reciprocal
 from burstcover.lfsr import LfsrSpec, lfsr_sequence
@@ -193,6 +194,62 @@ def test_melas_column_stacking():
         hi = col >> m
         assert lo == ctx.alpha_pow(j)
         assert hi == ctx.alpha_pow(-j)
+
+
+def _lc_eval_bit_loop(code, i, f):
+    """lc_eval's former loop: one iteration per bit position of f, set or not."""
+    cols = parity_check_matrix(code).columns
+    s = 0
+    j = 0
+    while f:
+        if f & 1:
+            s ^= cols[(i + j) % code.n]
+        f >>= 1
+        j += 1
+    return s
+
+
+_BIT_LOOP_CODES = {
+    "bch2_8": make_bch(2, 8),
+    "melas_8": make_melas(8),
+    "mixed_21": make_cyclic_code(21, mul(0b111, 0xB)),  # factor degrees 2 and 3
+}
+
+
+# widths up to 2n: from i = n - 1 the window wraps past n twice
+@pytest.mark.parametrize("name", _BIT_LOOP_CODES)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_lc_eval_matches_the_bit_position_loop(name, data):
+    code = _BIT_LOOP_CODES[name]
+    n = code.n
+    i = data.draw(st.sampled_from([0, n - 1]) | st.integers(min_value=0, max_value=n - 1),
+                  label="i")
+    width = data.draw(st.integers(min_value=0, max_value=2 * n), label="width")
+    f = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1), label="f")
+    assert lc_eval(code, i, f) == _lc_eval_bit_loop(code, i, f)
+
+
+@pytest.mark.parametrize("name", _BIT_LOOP_CODES)
+def test_lc_eval_matches_the_bit_position_loop_at_the_edges(name):
+    code = _BIT_LOOP_CODES[name]
+    n = code.n
+    for i in (0, 1, n - 1):
+        for f in (0, 1, 1 << (n - 1), 1 << n, 1 << (2 * n - 1), (1 << n) - 1,
+                  (1 << 2 * n) - 1, ((1 << 2 * n) - 1) ^ 0b1010):
+            assert lc_eval(code, i, f) == _lc_eval_bit_loop(code, i, f), (i, f)
+
+
+def test_code_hashes_on_n_and_g():
+    for code in _BIT_LOOP_CODES.values():
+        assert hash(code) == hash((code.n, code.g))
+
+
+def test_equal_builds_share_the_cached_solver_and_columns():
+    a, b = make_bch(2, 8), make_bch(2, 8)
+    assert a is not b and a == b
+    assert get_solver(a) is get_solver(b)
+    assert parity_check_matrix(a) is parity_check_matrix(b)
 
 
 def test_lc_eval_zero_pattern():

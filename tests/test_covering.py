@@ -11,6 +11,7 @@ from burstcover.covering import (
     CoveringCertificate,
     ThresholdError,
     burst_cover,
+    get_solver,
     verify_certificate,
 )
 from burstcover.gf2poly import mul
@@ -209,3 +210,18 @@ def test_solver_checks_the_length_before_any_table(monkeypatch):
     _fail_if_called(monkeypatch, covering_mod, "parity_check_matrix", "periods")
     with pytest.raises(BudgetError, match="cover_max_n=62"):
         CoverSolver(make_bch(2, 6))
+
+
+def test_generic_twin_of_a_bch_code_is_its_own_cache_key():
+    # same n and g, so the same hash, but a different family: unequal codes
+    bch = make_bch(2, 8)
+    twin = make_cyclic_code(bch.n, bch.g)
+    assert hash(twin) == hash(bch) and twin != bch
+    assert twin.describe() != bch.describe()
+    assert get_solver(twin) is not get_solver(bch)
+    b = cyclic_burst_radius(bch).b
+    for x in (0, 1, 0x1234, (1 << bch.r) - 1):
+        for b_prime in (b, bch.r):
+            cert = burst_cover(bch, x, b_prime)
+            assert burst_cover(twin, x, b_prime) == cert
+            assert verify_certificate(twin, x, cert, b_prime)
