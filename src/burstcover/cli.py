@@ -132,12 +132,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _bits(text: str) -> tuple[int, ...]:
-    """A nonempty bit string such as 101 or 1,0,1."""
+def _bits(text: str) -> bytes:
+    """A nonempty bit string such as 101 or 1,0,1, one byte per bit."""
     digits = text.replace(",", "")
     if not digits or digits.strip("01"):
         raise argparse.ArgumentTypeError(f"{text!r} is not a bit string")
-    return tuple(int(b) for b in digits)
+    return bytes(int(b) for b in digits)
 
 
 def _refuse(args, mode: str, *dests: str):
@@ -310,7 +310,7 @@ def _cmd_table1(args) -> int:
         print(_to_csv(slim))
     else:
         print(_emit(rows, args.emit, render))
-    return EXIT_OK if args.no_assert else _table1_exit(rows)
+    return _table1_exit(rows)
 
 
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")  # one byte per term to its digit
@@ -353,13 +353,12 @@ def _cmd_lfsr_stats(args) -> int:
             if load == 0:
                 raise ValueError("the all-zero sequence is excluded")
             window = args.window or period
-            pattern = bytes(args.pattern)  # one byte per term
-            terms = bytes(lfsr_sequence(spec, window + len(pattern) - 1))
-            count = sum(terms.startswith(pattern, k) for k in range(window))
+            terms = lfsr_sequence(spec, window + len(args.pattern) - 1)
+            count = sum(terms.startswith(args.pattern, k) for k in range(window))
             print(json.dumps({"count": count, "init": init_hex, "window": window,
                               "pattern": "".join(map(str, args.pattern))}, sort_keys=True))
         else:
-            bits = bytes(lfsr_sequence(spec, args.len or period)).translate(_BIT_DIGITS)
+            bits = lfsr_sequence(spec, args.len or period).translate(_BIT_DIGITS)
             line = f"{init_hex} : {bits.decode()}"
             if args.zero_runs:
                 line += f"  Z={max_zero_run(spec)}"
@@ -571,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus")
     p.add_argument("--sensitivity", action="store_true",
                    help="sweep every primitive-modulus class")
-    p.add_argument("--no-assert", action="store_true")
     _add_emit(p, "plain")
 
     p = add_parser("lfsr-stats", help="dump sequences and pattern counts")

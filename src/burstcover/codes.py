@@ -22,6 +22,7 @@ from . import gf2poly
 from .bitmatrix import BinaryMatrix, row_reduce
 from .field import (
     FieldContext,
+    _check_table_degree,
     context_for_modulus,
     default_modulus,
     find_root,
@@ -119,6 +120,7 @@ def make_bch(e: int, m: int, modulus=None) -> CyclicCode:
     """
     if e < 1 or m < 2:
         raise ValueError("need e >= 1 and m >= 2")
+    _check_table_degree(m)  # before the shifts by m and the modulus search
     if not (1 << ((m + 1) // 2)) > 2 * e - 1:
         raise ValueError(
             f"long-code condition violated: 2^ceil(m/2) = {1 << ((m + 1) // 2)}"
@@ -147,6 +149,7 @@ def make_melas(m: int, modulus=None) -> CyclicCode:
     """Melas code of length 2^m - 1: roots alpha and alpha^(-1), m >= 3."""
     if m < 3:
         raise ValueError("need m >= 3")
+    _check_table_degree(m)  # before the modulus search
     ctx = _field(m, modulus)
     if ctx.m != m:
         raise ValueError("modulus must be primitive of degree m")
@@ -268,6 +271,7 @@ def descriptor_length(desc: dict) -> int:
             and all(type(p) is int for p in params)):
         raise ValueError(f"descriptor key 'params': {family} needs the integers "
                          f"[{', '.join(names)}], got {params!r}")
+    _check_table_degree(params[-1])  # before the shift by m
     n = (1 << max(params[-1], 0)) - 1
     if desc.get("n") not in (None, n):
         raise ValueError(f"descriptor key 'n' is {desc['n']!r}, but the code it describes has {n}")

@@ -9,8 +9,9 @@ get_context(m) is context_for_modulus(default_modulus(m)).
 
 trace_table(ctx) is the package's one numpy trace table, Tr(X^j) for
 j < 2n.  The trace is linear, so Tr(sum c_i x^(e_i)) at x = X^k is the
-XOR of table[log c_i + (e_i k mod n)]: the character sums and trace
-regeneration read it that way, without building a field element.
+XOR of table[log c_i + (e_i k mod n)]: the character sums, trace
+regeneration and the cover tables read it that way, without building a
+field element.
 
 The default modulus for each m is the lexicographically smallest
 primitive polynomial of degree m, where coefficient strings compare as
@@ -26,6 +27,12 @@ import numpy as np
 from . import gf2poly
 
 _MAX_TABLE_M = 22
+
+
+def _check_table_degree(m: int):
+    """Refuse a degree past the field tables, before any work that grows with it."""
+    if m > _MAX_TABLE_M:
+        raise ValueError(f"field tables limited to degree {_MAX_TABLE_M}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -49,8 +56,7 @@ class FieldContext:
 
     def __init__(self, modulus: int):
         m = modulus.bit_length() - 1
-        if m > _MAX_TABLE_M:
-            raise ValueError(f"field tables limited to degree {_MAX_TABLE_M}")
+        _check_table_degree(m)
         if not gf2poly.is_primitive(modulus):
             raise ValueError("modulus must be primitive of degree >= 1")
         self.m = m

@@ -63,17 +63,17 @@ class LfsrSpec:
         return cls(g, f)
 
 
-def lfsr_sequence(spec: LfsrSpec, length: int) -> list[int]:
-    """First `length` terms: the top bit of X^k * load mod g for k < length."""
+def lfsr_sequence(spec: LfsrSpec, length: int) -> bytes:
+    """First `length` terms, one byte each: the top bit of X^k * load mod g."""
     g, f = spec.connection, spec.load
     size, top = 1 << spec.order, spec.order - 1
-    out = []
-    for _ in range(length):
-        out.append(f >> top & 1)
+    out = bytearray(length)
+    for k in range(length):
+        out[k] = f >> top & 1
         f <<= 1  # the shift X*f mod g, inline as in orbit_minimum
         if f & size:
             f ^= g
-    return out
+    return bytes(out)
 
 
 def fibonacci_to_galois(g: int, init) -> int:
@@ -330,8 +330,8 @@ def trace_representation(spec: LfsrSpec) -> list[tuple[int, int]]:
     return gammas
 
 
-def regenerate_from_trace(gammas, length: int) -> list[int]:
-    """Sequence sum_i Tr(gamma_i * beta_i^k) for the factors' fixed roots.
+def regenerate_from_trace(gammas, length: int) -> bytes:
+    """Sequence sum_i Tr(gamma_i * beta_i^k), one byte a term, for the factors' fixed roots.
 
     With beta_i = X^(t_i), term i at step k is
     trace_table[log gamma_i + (t_i k mod n)]; a zero gamma_i contributes 0.
@@ -342,4 +342,4 @@ def regenerate_from_trace(gammas, length: int) -> list[int]:
         if gamma:
             ctx, t = _root(h)
             bits ^= trace_table(ctx)[ctx.log[gamma] + t * k % ctx.n]
-    return bits.astype(int).tolist()
+    return bits.astype(np.uint8).tobytes()

@@ -4,14 +4,23 @@ from operator import xor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burstcover.bitmatrix import BinaryMatrix
-from burstcover.covering import _preimages
+from burstcover.bitmatrix import BinaryMatrix, row_reduce
 
 
 def from_rows(masks, cols):
     """The matrix whose row i is masks[i], bit j = column j."""
     return BinaryMatrix(len(masks), cols, tuple(sum((m >> j & 1) << i for i, m in enumerate(masks))
                                                 for j in range(cols)))
+
+
+def preimages(images: list[int]) -> list[int]:
+    """u_j with A u_j = e_j, for the invertible A whose column j is images[j]."""
+    r = len(images)
+    # reduce [A^T | I] to [I | (A^-1)^T]: row j is column j of A^-1
+    reduced, pivots = row_reduce([a | 1 << (r + j) for j, a in enumerate(images)], r)
+    if len(pivots) < r:
+        raise ValueError("singular system")
+    return [row >> r for row in reduced]
 
 
 def row_masks(M):
@@ -49,9 +58,9 @@ def test_solve_and_invert_square_systems(M, x):
     x &= (1 << r) - 1
     if A.rank() < r:
         with pytest.raises(ValueError, match="singular system"):
-            _preimages(A.columns)
+            preimages(A.columns)
         return
-    u = _preimages(A.columns)
+    u = preimages(A.columns)
     assert all(_mul_vec(A, u[j]) == 1 << j for j in range(r))
     b = _mul_vec(A, x)
     # A x = b solved as x = A^-1 b, the sum of the preimages of b's bits

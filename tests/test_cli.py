@@ -69,7 +69,7 @@ def test_matrix_radius_budget_checked_before_the_rank(monkeypatch, capsys):
 def test_cover_budget_checked_before_any_table(monkeypatch, capsys):
     import burstcover.covering as covering_mod
 
-    _fail_if_called(monkeypatch, covering_mod, "parity_check_matrix", "periods")
+    _fail_if_called(monkeypatch, covering_mod, "trace_table", "derivative")
     assert main(["cover", "--family", "bch", "--e", "2", "--m", "20",
                  "--syndrome", "1", "--bprime", "38"]) == EXIT_BUDGET
     assert "cover_max_n=262144" in capsys.readouterr().err
@@ -176,8 +176,9 @@ def test_table1_json_deterministic(capsys):
 
 
 def test_table1_csv_matches_json_payload(capsys):
-    _, csv_out = run(capsys, "table1", "--m-max", "6", "--emit", "csv", "--no-assert")
-    _, json_out = run(capsys, "table1", "--m-max", "6", "--emit", "json", "--no-assert")
+    rc_csv, csv_out = run(capsys, "table1", "--m-max", "6", "--emit", "csv")
+    rc_json, json_out = run(capsys, "table1", "--m-max", "6", "--emit", "json")
+    assert rc_csv == rc_json == EXIT_OK
     rows = json.loads(json_out)
     lines = csv_out.strip().splitlines()
     header = lines[0].split(",")
@@ -204,7 +205,7 @@ def test_lfsr_stats_dump_holds_few_bytes_per_term(capsys):
         tracemalloc.stop()
     out = capsys.readouterr().out
     assert rc == EXIT_OK and len(out) == len("0x1 : \n") + terms
-    assert peak < 16 * terms
+    assert peak < 8 * terms  # one byte a term from lfsr_sequence, a few copies of it
 
 
 def test_lfsr_stats_orbit_reps(capsys):
@@ -293,6 +294,22 @@ def bad_files(tmp_path, monkeypatch):
     (tmp_path / "melas6.json").write_text(json.dumps(code_to_descriptor(make_melas(6))))
     (tmp_path / "generic5-0x1F.json").write_text(json.dumps(
         {"family": "generic", "n": 5, "g_hex": "0x1F", "modulus_hex": "0x1F"}))
+    (tmp_path / "bch-degree-10^12.json").write_text(json.dumps(
+        {"family": "bch", "params": [2, 10**12]}))
+
+
+# bch and melas degrees past the field tables (field._MAX_TABLE_M = 22):
+# refused from the descriptor, before a shift by m or a modulus search.
+TABLE_CEILING = {
+    "bch-degree-10^12": ["radius", "--family", "bch", "--e", "2", "--m", str(10**12)],
+    "code-file-bch-degree-10^12": ["cover", "--code", "bch-degree-10^12.json",
+                                   "--syndrome", "1"],
+    "bch-degree-2000": ["radius", "--family", "bch", "--e", "2", "--m", "2000"],
+    "melas-degree-2000": ["radius", "--family", "melas", "--m", "2000"],
+    "melas-degree-65": ["radius", "--family", "melas", "--m", "65"],
+    "cover-melas-degree-23": ["cover", "--family", "melas", "--m", "23", "--syndrome", "1",
+                              "--bprime", "40"],
+}
 
 
 # Every bad input exits EXIT_USAGE through cli.main, never with a traceback.
@@ -310,6 +327,7 @@ USAGE_ERRORS = {
     "zero-init-zero-runs": ["lfsr-stats", "--g", "0xB", "--init", "0,0,0", "--zero-runs"],
     "geometric-too-long": ["radius", *BCH26, "--method", "geometric"],
     "deleted-cyclic-flag": ["radius", *BCH24, "--cyclic"],
+    "deleted-no-assert": ["table1", "--m-max", "6", "--no-assert"],
     "deleted-verify-e": ["verify", "patterns", "--e", "3"],
     "unknown-flag": ["radius", *BCH24, "--no-such-flag"],
     "negative-max": ["verify", "appendix", "--max", "-1"],
@@ -363,6 +381,7 @@ USAGE_ERRORS = {
     "orbit-reps-degree-23": ["lfsr-stats", "--g", "x^23+x^5+1", "--orbit-reps"],
     "generic-degree-23-factor": ["radius", "--family", "generic", "--n", str((1 << 23) - 1),
                                  "--g", "x^23+x^5+1"],
+    **TABLE_CEILING,
 }
 
 # Rows whose check must come before this work in cli.py (patched to fail).
@@ -385,6 +404,15 @@ def test_usage_errors(name, bad_files, monkeypatch, capsys):
     assert rc == EXIT_USAGE
     assert "Traceback" not in err
     assert "error:" in err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("name", TABLE_CEILING)
+def test_field_degree_ceiling_checked_before_any_search(name, bad_files, monkeypatch, capsys):
+    import burstcover.codes as codes_mod
+
+    _fail_if_called(monkeypatch, codes_mod, "make_bch", "make_melas", "default_modulus")
+    assert main(TABLE_CEILING[name]) == EXIT_USAGE
+    assert "field tables limited to degree 22" in capsys.readouterr().err
 
 
 # Each exits EXIT_BUDGET before any of its work starts.

@@ -8,6 +8,7 @@ from burstcover.codes import (
     code_from_descriptor,
     code_to_descriptor,
     codewords,
+    descriptor_length,
     lc_eval,
     make_bch,
     make_cyclic_code,
@@ -100,6 +101,25 @@ def test_melas_construction():
 def test_melas_rejects_small_m():
     with pytest.raises(ValueError):
         make_melas(2)
+
+
+@pytest.mark.parametrize("build, args", [
+    (make_bch, (2, 10**12)),  # the long-code check would shift by m / 2
+    (make_bch, (2, 2000)),
+    (make_bch, (2, 23)),
+    (make_melas, (2000,)),
+    (make_melas, (65,)),  # past gf2poly's order computation too
+    (descriptor_length, ({"family": "bch", "params": [2, 10**12]},)),
+    (descriptor_length, ({"family": "melas", "params": [23]},)),
+], ids=["bch-10^12", "bch-2000", "bch-23", "melas-2000", "melas-65",
+        "descriptor-bch-10^12", "descriptor-melas-23"])
+def test_family_degree_past_the_field_tables_is_refused_first(build, args, monkeypatch):
+    import burstcover.codes as codes_mod
+    from test_cli import _fail_if_called
+
+    _fail_if_called(monkeypatch, codes_mod, "default_modulus", "minimal_polynomial")
+    with pytest.raises(ValueError, match="field tables limited to degree 22"):
+        build(*args)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])

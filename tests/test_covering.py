@@ -6,17 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 from burstcover.bitmatrix import row_reduce
 from burstcover.codes import lc_eval, make_bch, make_cyclic_code, make_melas, parity_check_matrix
+from burstcover.corpus import build_corpus, exact_two_primitive_cases
 from burstcover.covering import (
     CoverSolver,
     CoveringCertificate,
     ThresholdError,
+    _apply,
+    _chunk_tables,
     burst_cover,
     get_solver,
     verify_certificate,
 )
 from burstcover.gf2poly import mul
+from burstcover.lfsr import periods
 from burstcover.radius import BudgetError, cyclic_burst_radius
-from test_bitmatrix import row_masks
+from test_bitmatrix import preimages, row_masks
 from test_lfsr import shift_mod
 
 
@@ -202,12 +206,12 @@ def test_bad_inputs():
 
 def test_solver_checks_the_length_before_any_table(monkeypatch):
     # the command line checks the length before it builds the code; a
-    # library caller that built one is stopped here, before the division
+    # library caller that built one is stopped here, before any trace read
     import burstcover.covering as covering_mod
     from test_cli import _fail_if_called
 
     monkeypatch.setattr(covering_mod, "COVER_MAX_N", 62)
-    _fail_if_called(monkeypatch, covering_mod, "parity_check_matrix", "periods")
+    _fail_if_called(monkeypatch, covering_mod, "trace_table", "derivative")
     with pytest.raises(BudgetError, match="cover_max_n=62"):
         CoverSolver(make_bch(2, 6))
 
@@ -225,3 +229,59 @@ def test_generic_twin_of_a_bch_code_is_its_own_cache_key():
             cert = burst_cover(bch, x, b_prime)
             assert burst_cover(twin, x, b_prime) == cert
             assert verify_certificate(twin, x, cert, b_prime)
+
+
+def division_tables(code):
+    """The solver's two tables as once built from the period of load 1.
+
+    Load 1's dual sequence is h = (X^n + 1)/g read from bit n - 1 down,
+    load X^j emits it shifted by j, and two r x r inversions map a syndrome
+    to its load and r sequence bits back to theirs.
+    """
+    n, r = code.n, code.r
+    low = (1 << r) - 1
+    one = int(format(periods(code.g, [1], n)[0], f"0{n}b")[::-1], 2)
+    runs = [s | (s & low) << n for s in (one >> j for j in range(r))]
+    run_of_load = _chunk_tables(runs)
+    loads = preimages(parity_check_matrix(code).columns[:r])
+    return (_chunk_tables([_apply(run_of_load, f) for f in loads]),
+            _chunk_tables(preimages([s & low for s in runs])))
+
+
+def _table_codes():
+    """The corpus, every BCH(e,m) with e <= 3 and Melas(m) for m = 3..12,
+    and three small generic codes, one of them of mixed degrees."""
+    codes = [entry.code for entry in build_corpus() + exact_two_primitive_cases()]
+    for m in range(3, 13):
+        codes += [make_bch(e, m) for e in (1, 2, 3) if 1 << (m + 1) // 2 > 2 * e - 1]
+        codes.append(make_melas(m))
+    return codes + [make_cyclic_code(105, mul(0xB, 0x13)),
+                    make_cyclic_code(21, mul(0b111, 0xB)),
+                    make_cyclic_code(15, 0b11)]
+
+
+def test_trace_form_tables_match_the_division():
+    codes = _table_codes()
+    assert len(codes) == 93
+    for code in codes:
+        solver = CoverSolver(code)
+        tables = (solver._run_of_syndrome, solver._load_of_window)
+        assert tables == division_tables(code), code.describe()
+
+
+def test_solver_set_up_neither_divides_nor_inverts(monkeypatch):
+    # each function is patched under every name a package module holds it by
+    import sys
+
+    code = make_melas(7)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the set-up divided or inverted")
+
+    for original in (periods, row_reduce):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("burstcover") and getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, fail)
+    solver = CoverSolver(code)
+    monkeypatch.undo()
+    assert (solver._run_of_syndrome, solver._load_of_window) == division_tables(code)

@@ -112,7 +112,7 @@ def test_loads_and_initial_bits_are_validated(make):
 
 def test_zero_initial_conditions_stay_zero():
     spec = from_bits(0xB, (0, 0, 0))
-    assert spec.load == 0 and lfsr_sequence(spec, 20) == [0] * 20
+    assert spec.load == 0 and lfsr_sequence(spec, 20) == bytes(20)
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=255))
@@ -132,12 +132,12 @@ def test_primitive_connection_reaches_full_period(m, init_bits):
 
 def test_galois_zero_load():
     assert galois_states(0xB, 0, 5) == [0] * 5
-    assert lfsr_sequence(LfsrSpec(0xB, 0), 5) == [0] * 5
+    assert lfsr_sequence(LfsrSpec(0xB, 0), 5) == bytes(5)
 
 
 def test_galois_hand_example():
     assert galois_states(0xB, 0b100, 3) == [0b100, 0b011, 0b110]  # X^2, 1+X, X+X^2
-    assert lfsr_sequence(LfsrSpec(0xB, 0b100), 3) == [1, 0, 1]
+    assert lfsr_sequence(LfsrSpec(0xB, 0b100), 3) == bytes([1, 0, 1])
 
 
 @given(specs)
@@ -152,8 +152,8 @@ def test_galois_output_matches_fibonacci(params):
     steps = 3 * r + 8
     init = [bits >> i & 1 for i in range(r)]
     out = lfsr_sequence(from_bits(g, init), steps)
-    assert out[:r] == init
-    assert out == fibonacci(g, init, steps)
+    assert out[:r] == bytes(init)
+    assert out == bytes(fibonacci(g, init, steps))
     assert fibonacci_to_galois(g, lfsr_sequence(LfsrSpec(g, bits), r)) == bits
 
 
@@ -323,7 +323,7 @@ def test_periods_match_the_stepper(g, load, multiple):
     load &= (1 << (g.bit_length() - 1)) - 1
     n = multiple * gf2poly.poly_order(g)
     (row,) = periods(g, [load], n)
-    assert [row >> (n - 1 - k) & 1 for k in range(n)] == lfsr_sequence(LfsrSpec(g, load), n)
+    assert bytes(row >> (n - 1 - k) & 1 for k in range(n)) == lfsr_sequence(LfsrSpec(g, load), n)
 
 
 def test_periods_of_many_loads_share_one_quotient():
