@@ -37,10 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2poly
-from .codes import CyclicCode
+from .codes import CyclicCode, factor_roots
 from .field import FieldContext, get_context, min_odd_coset_member, trace_table
 from .gf2poly import poly_order, quot
-from .lfsr import LfsrSpec, minimal_connection, orbit_representatives, pattern_counts, periods
+from .lfsr import LfsrSpec, minimal_connection, orbit_minima, pattern_counts, periods
 
 
 def _within(x, m: int, a: int, b: int = 0):
@@ -112,7 +112,7 @@ _BLOCK_CELLS = 1 << 20  # rows x max(period, 2^s) per pattern_counts block: 8 MB
 
 def _orbit_counts(code: CyclicCode, s: int, window: int):
     """(orbit representatives, their pattern counts), ascending, in row blocks."""
-    reps = orbit_representatives(code.g)
+    reps = orbit_minima(code.r, factor_roots(code)).tolist()
     rows = periods(code.g, reps, window)
     step = max(1, _BLOCK_CELLS // max(window, 1 << s))
     for i in range(0, len(reps), step):

@@ -21,6 +21,7 @@ from .codes import (
     FAMILY_PARAMS,
     code_from_descriptor,
     descriptor_length,
+    factor_roots,
     make_bch,
     make_melas,
     parity_check_matrix,
@@ -40,7 +41,14 @@ from .charsums import (
 )
 from .field import primitive_moduli
 from .gf2poly import parse_poly, to_hex, to_terms
-from .lfsr import LfsrSpec, fibonacci_to_galois, lfsr_sequence, max_zero_run, orbit_representatives
+from .lfsr import (
+    LfsrSpec,
+    fibonacci_to_galois,
+    lfsr_sequence,
+    max_zero_run,
+    orbit_minima,
+    orbit_representatives,
+)
 from .radius import (
     MAX_R,
     BudgetError,
@@ -438,8 +446,8 @@ def _verify_patterns(args) -> int:
     family = args.family
     if family in ("bch", "melas"):
         m = 6 if args.m is None else args.m
-        if 2 * m > MAX_R:
-            raise BudgetError(f"orbit enumeration over 2^{2 * m} residues exceeds max_r={MAX_R}")
+        if 2 * m > MAX_R:  # about 2^(2m)/n orbits x n window terms
+            raise BudgetError(f"pattern census of 2^{2 * m} cells exceeds max_r={MAX_R}")
         for flag, s in (("--s-max", args.s_max), ("--find-avoidance", args.find_avoidance)):
             if s is not None and s > m:
                 raise ValueError(f"{flag} must be in [1, {m}], got {s}")
@@ -463,7 +471,7 @@ def _verify_patterns(args) -> int:
         cases = 0
         for entry in mixed_degree_entries():
             dmin = min(f.degree for f in entry.code.factors)
-            for rep_load in orbit_representatives(entry.code.g):
+            for rep_load in orbit_minima(entry.code.r, factor_roots(entry.code)).tolist():
                 spec = LfsrSpec(entry.code.g, rep_load)
                 for s in range(1, dmin + 1):
                     rep = niederreiter_check(spec, s)

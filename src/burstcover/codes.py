@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from . import gf2poly
 from .bitmatrix import BinaryMatrix, row_reduce
 from .field import (
+    _MAX_TABLE_M,
     FieldContext,
     _check_table_degree,
     context_for_modulus,
@@ -29,7 +30,7 @@ from .field import (
     min_odd_coset_member,
     minimal_polynomial,
 )
-from .gf2poly import X, mul, parse_poly, pow_mod, reciprocal, to_hex
+from .gf2poly import X, is_square_free, mul, parse_poly, pow_mod, reciprocal, to_hex
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,11 @@ def make_cyclic_code(n: int, g, modulus=None) -> CyclicCode:
         raise ValueError("generator degree must satisfy 1 <= deg(g) < n")
     if pow_mod(X, n, g) != 1:
         raise ValueError("generator does not divide X^n - 1")
-    factors = gf2poly.factor(g)
-    if any(k > 1 for _, k in factors):
+    if not is_square_free(g):
         raise ValueError("generator has repeated factors")
+    # before trial division, whose time grows with the largest factor's degree
+    _check_table_degree(gf2poly.high_degree_part(g, _MAX_TABLE_M).bit_length() - 1)
+    factors = gf2poly.factor(g)
     modulus = parse_poly(modulus) if modulus is not None else None
     return CyclicCode(n, g, r, _resolve_factors([h for h, _ in factors], modulus))
 
@@ -163,6 +166,12 @@ def make_melas(m: int, modulus=None) -> CyclicCode:
         CodeFactor(m1_rev, m, ctx, ctx.alpha_pow(-1), -1),
     )
     return CyclicCode(n, mul(m1, m1_rev), 2 * m, factors, family="melas", params=(m,))
+
+
+def factor_roots(code: CyclicCode) -> list[tuple[FieldContext, int]]:
+    """(ctx, t) for each factor, its root X^t in ctx: the roots that
+    lfsr.orbit_minima names the shift orbits of residues mod g by."""
+    return [(fac.ctx, fac.ctx.dlog(fac.root)) for fac in code.factors]
 
 
 @functools.lru_cache(maxsize=None)

@@ -138,11 +138,15 @@ def context_for_modulus(modulus: int) -> FieldContext:
 
 @functools.lru_cache(maxsize=None)
 def trace_table(ctx: FieldContext) -> np.ndarray:
-    """Tr(X^j) as bools for j < 2n, so that s + (t*k mod n) needs no reduction."""
-    v = np.array(ctx.exp, dtype=np.int64) & ctx.trace_mask
+    """Tr(X^j) as bools for j < 2n, so that s + (t*k mod n) needs no reduction.
+
+    The parities of one period are folded, then tiled: Tr(X^(j+n)) = Tr(X^j).
+    """
+    v = np.fromiter(ctx.exp, dtype=np.uint32, count=ctx.n)
+    v &= ctx.trace_mask
     for shift in (16, 8, 4, 2, 1):  # fold the parity of up to 32 bits into bit 0
         v ^= v >> shift
-    return (v & 1).astype(bool)
+    return np.tile((v & 1).astype(bool), 2)
 
 
 def cyclotomic_coset(t: int, n: int) -> list[int]:

@@ -124,6 +124,19 @@ def is_square_free(a: int) -> bool:
     return gcd(a, derivative(a)) == 1
 
 
+def high_degree_part(a: int, d: int) -> int:
+    """The product of the irreducible factors of degree > d of square-free a.
+
+    Step k divides out gcd(X^(2^k) - X, a), the product of the factors
+    whose degree divides k (the test of is_irreducible), for k = 1..d.
+    """
+    b = X
+    for _ in range(d):
+        b = rem(mul(b, b), a)
+        a = quot(a, gcd(b ^ X, a))
+    return a
+
+
 def factor(g: int) -> list[tuple[int, int]]:
     """Factor g into (irreducible, multiplicity) pairs, ascending.
 
@@ -231,7 +244,10 @@ def _from_terms(s: str) -> int:
         elif term == "x":
             t = X
         elif term.startswith("x^"):
-            t = 1 << int(term[2:])
+            k = int(term[2:])
+            if k >= 1 << 24:  # before the shift allocates 2^k bits
+                raise ValueError(f"polynomial term {term!r}: exponents stop below 2^24")
+            t = 1 << k
         else:
             raise ValueError(f"bad polynomial term {term!r}")
         if a & t:

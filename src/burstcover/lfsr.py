@@ -16,7 +16,8 @@ continuing into the next period.  The all-zero sequence is excluded
 from every statistic (its zero run is unbounded).
 
 orbit_minima is the one enumerator of the shift orbits f -> X*f mod g,
-read by the radius engine and orbit_representatives: it names orbits by
+read by the radius engine and the pattern checks (from a code's own
+factor roots) and by orbit_representatives (from g): it names orbits by
 discrete logs at the roots of g (_OrbitNames), reads the residues from 0
 up in numpy blocks and keeps each orbit's first residue, its minimum.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,7 +176,7 @@ def orbit_representatives(g: int) -> list[int]:
 
 
 # Residues per numpy block of orbit_minima: f = hi * 2^_K + lo has the
-# factor components low[lo] ^ high[hi], so one 2^_K block is live at a time.
+# factor components low[lo] ^ high(hi), so one 2^_K block is live at a time.
 _K = 12
 
 
@@ -186,7 +188,8 @@ def orbit_minima(r: int, roots) -> np.ndarray:
     Residues are read in 2^_K blocks from 0 up, and the first position of
     each orbit id (_OrbitNames) is the orbit's minimum.  The read stops at
     the block where the last orbit is named, the one that holds the
-    largest minimum.
+    largest minimum.  Positions are int32: the callers keep the minima
+    below 2^26, the radius engine by a proven bound u >= b, lfsr-stats by r.
     """
     names = _OrbitNames(r, roots)
     unnamed = np.iinfo(np.int32).max
@@ -228,9 +231,10 @@ class _OrbitNames:
         self.n, self.logs, self.tables, t = [], [], [], []
         for ctx, t_i in roots:
             # beta^k for k < r: f(beta) is their XOR over supp(f), so the
-            # component of hi * 2^_K + lo is low[lo] ^ high[hi]
+            # component of hi * 2^_K + lo is low[lo] ^ high(hi), the XOR of
+            # the high columns at the set bits of hi
             cols = [ctx.exp[t_i * k % ctx.n] for k in range(r)]
-            self.tables.append((_closure(cols[:_K]), _closure(cols[_K:])))
+            self.tables.append((_closure(cols[:_K]), cols[_K:]))
             self.n.append(ctx.n)
             self.logs.append(_log_array(ctx))
             t.append(t_i)
@@ -256,7 +260,7 @@ class _OrbitNames:
         """Orbit ids of the residues in [start, stop), inside one 2^_K block."""
         hi = start >> _K
         lo = slice(start - (hi << _K), stop - (hi << _K))
-        comps = [low[lo] ^ high[hi] for low, high in self.tables]
+        comps = [low[lo] ^ _xor_at(high, hi) for low, high in self.tables]
         logs = [log[v] for log, v in zip(self.logs, comps)]
         ids = self._name(len(self.chains) - 1, logs[:])  # every component nonzero
         rows = np.flatnonzero(functools.reduce(np.logical_or, [v == 0 for v in comps]))
@@ -281,6 +285,11 @@ class _OrbitNames:
                 for i, w in carry:
                     logs[i] = (logs[i] + s * w) % self.n[i]
         return ids
+
+
+def _xor_at(cols, bits: int) -> int:
+    """The XOR of cols[k] over the set bits k of `bits`."""
+    return functools.reduce(operator.xor, (c for k, c in enumerate(cols) if bits >> k & 1), 0)
 
 
 def _closure(cols) -> np.ndarray:

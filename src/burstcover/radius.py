@@ -7,7 +7,8 @@ Three independent methods compute the radius:
   of degree < b, the syndrome of a burst at position 0: b is the bit
   length of the largest orbit minimum.  The minima come from
   lfsr.orbit_minima, which reads the residues from 0 up in numpy blocks
-  and stops below 2^b, so the work grows as 2^b, not 2^r.
+  and stops below 2^b, so the work grows as 2^b, not 2^r; it is budgeted
+  by a proven upper bound u >= b.
 * matrix: mark every syndrome reachable as a combination within a
   window of b consecutive columns, growing b until the space is full.
 * geometric: exhaust F_2^n and test membership in some burst ball
@@ -28,15 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitmatrix import BinaryMatrix
-from .codes import CyclicCode, codewords
+from .codes import CyclicCode, codewords, factor_roots
 from .gf2poly import to_hex, to_terms
 from .lfsr import _closure, orbit_minima, orbit_minimum
 
 
-# Redundancy limit of the orbit and matrix methods.  The matrix method
-# holds one byte per syndrome, 2^r bytes; the orbit method holds one
-# int32 per orbit (the orbit's minimum), about 4 * 2^r / n bytes, and its
-# time grows as 2^b.
+# 2^MAX_R is the most entries either table method reads or holds.  The
+# matrix method holds one byte per syndrome, so it takes r <= MAX_R.  The
+# orbit method reads the residues below 2^b and holds one int32 minimum
+# per orbit, each minimum a distinct residue below 2^b; so it takes any
+# code whose least proven upper bound u >= b is at most MAX_R.
 MAX_R = 26
 
 # Work limits of the brute-force methods: window combinations marked by the
@@ -79,11 +81,21 @@ def cyclic_burst_radius(code: CyclicCode) -> RadiusResult:
     the bit length of the largest orbit minimum.  The witness is the least
     orbit minimum of that bit length, the least residue of degree b - 1 on
     an orbit with none lower.
+
+    The work is bounded by u, the least applicable upper or exact bound of
+    bounds_report: u <= r (basic_upper), so the report is read only when
+    r > MAX_R, and a radius above u is a failed bound, not a budget.
     """
+    u, bound = code.r, "basic_upper"
     if code.r > MAX_R:
-        raise BudgetError(f"orbit method over 2^{code.r} residues exceeds max_r={MAX_R}")
-    minima = orbit_minima(code.r, [(fac.ctx, fac.ctx.dlog(fac.root)) for fac in code.factors])
+        u, bound = min((ent.value, ent.name) for ent in bounds_report(code).entries
+                       if ent.applicable and ent.kind in ("upper", "exact"))
+        if u > MAX_R:
+            raise BudgetError(f"orbit method over 2^{u} residues ({bound}) exceeds max_r={MAX_R}")
+    minima = orbit_minima(code.r, factor_roots(code))
     b = int(minima[-1]).bit_length()
+    if b > u:
+        raise AssertionError(f"{bound}: radius {b} above upper bound {u}")
     witness = int(minima[np.searchsorted(minima, 1 << (b - 1))])
     return RadiusResult(b=b, method="orbit", witness=witness, cyclic=True, n=code.n, r=code.r)
 

@@ -283,10 +283,10 @@ def test_pattern_theorem_inapplicable_cases():
 
 @pytest.mark.parametrize("s", [-1, 0, 6])
 def test_avoidance_length_checked_before_any_orbit(s, monkeypatch):
-    def no_walk(g):
+    def no_walk(r, roots):
         raise AssertionError("walked the orbits")
 
-    monkeypatch.setattr(charsums, "orbit_representatives", no_walk)
+    monkeypatch.setattr(charsums, "orbit_minima", no_walk)
     with pytest.raises(ValueError, match=r"\[1, 5\]"):
         find_avoidance_witness(make_bch(2, 5), s)
 
@@ -318,6 +318,19 @@ def test_checks_read_periods_not_the_steppers(monkeypatch):
     for load, period in ((100, 217), (0xB, 31)):  # load 0xB leaves the factor X^5 + X^2 + 1
         rep = niederreiter_check(LfsrSpec.from_galois(g, load), 2)
         assert rep.applicable and rep.ok and rep.window == period
+
+
+def test_pattern_checks_read_the_codes_own_roots(monkeypatch):
+    # the orbits come from the code's factors: g is neither factored nor
+    # searched for roots again
+    import burstcover.lfsr as lfsr_mod
+
+    codes = [make_bch(2, 6), make_melas(6)]
+    _fail_if_called(monkeypatch, gf2poly, "factor")
+    _fail_if_called(monkeypatch, lfsr_mod, "find_root", "orbit_representatives")
+    assert pattern_theorem_check(codes[0], "equal_degree", 3).ok
+    assert pattern_theorem_check(codes[1], "melas_mixed", 2).ok
+    assert find_avoidance_witness(codes[1], 4) is not None
 
 
 def test_melas_mixed_theorem():

@@ -381,6 +381,10 @@ USAGE_ERRORS = {
     "orbit-reps-degree-23": ["lfsr-stats", "--g", "x^23+x^5+1", "--orbit-reps"],
     "generic-degree-23-factor": ["radius", "--family", "generic", "--n", str((1 << 23) - 1),
                                  "--g", "x^23+x^5+1"],
+    # 2^24 and 10^12: refused before the shift builds a 2^k-bit integer
+    "term-exponent-2^24": ["lfsr-stats", "--g", f"x^{1 << 24}+1", "--orbit-reps"],
+    "generic-term-exponent-10^12": ["radius", "--family", "generic", "--n", "7",
+                                    "--g", "x^1000000000000"],
     **TABLE_CEILING,
 }
 
@@ -566,13 +570,35 @@ def test_help_exits_ok(capsys):
     assert "--dump-matrix" in capsys.readouterr().out
 
 
+# primitive polynomials of degrees 41 and 47, whose trial division takes
+# seconds: the generator is refused from its distinct-degree split instead
+@pytest.mark.parametrize("n, g", [((1 << 41) - 1, "0x20000000009"),
+                                  ((1 << 47) - 1, "0x800000000021")])
+def test_generic_factor_above_the_tables_refused_before_factoring(n, g, monkeypatch, capsys):
+    from burstcover import gf2poly
+
+    _fail_if_called(monkeypatch, gf2poly, "factor")
+    assert main(["radius", "--family", "generic", "--n", str(n), "--g", g]) == EXIT_USAGE
+    assert "field tables limited to degree 22" in capsys.readouterr().err
+
+
+def test_orbit_method_refuses_u_above_max_r_before_the_orbit_tables(capsys, monkeypatch):
+    # BCH(2,18): u = bch_upper = 28 > MAX_R
+    import burstcover.lfsr as lfsr_mod
+
+    _fail_if_called(monkeypatch, lfsr_mod, "_OrbitNames")
+    rc = main(["radius", "--family", "bch", "--e", "2", "--m", "18"])
+    assert rc == EXIT_BUDGET
+    assert "2^28 residues (bch_upper) exceeds max_r=26" in capsys.readouterr().err
+
+
 def test_orbit_method_honours_max_r(capsys, monkeypatch):
     import burstcover.radius as radius_mod
 
-    monkeypatch.setattr(radius_mod, "MAX_R", 11)
+    monkeypatch.setattr(radius_mod, "MAX_R", 9)
     rc = main(["radius", *BCH26])
     assert rc == EXIT_BUDGET
-    assert "max_r=11" in capsys.readouterr().err
+    assert "max_r=9" in capsys.readouterr().err
 
 
 def test_closed_stdout_is_not_a_usage_error():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,6 +144,20 @@ def test_trace_table_matches_scalar_trace(ctx):
     table = trace_table(ctx)
     assert len(table) == 2 * ctx.n
     assert table.tolist() == [ctx.trace(ctx.exp[j]) for j in range(2 * ctx.n)]
+
+
+def test_trace_table_build_peak_is_under_8_bytes_per_entry():
+    # one period is folded in uint32 and then tiled; an int64 copy of all
+    # 2n entries of exp alone would take 8 bytes per entry
+    ctx = get_context(16)
+    tracemalloc.start()
+    try:
+        table = trace_table.__wrapped__(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.tolist() == [ctx.trace(ctx.exp[j]) for j in range(2 * ctx.n)]
+    assert peak < 8 * len(table)
 
 
 def _power_sum_trace(v: int, modulus: int) -> int:

@@ -8,6 +8,7 @@ from burstcover.gf2poly import (
     divmod_poly,
     factor,
     gcd,
+    high_degree_part,
     is_irreducible,
     is_primitive,
     is_square_free,
@@ -191,6 +192,17 @@ def test_square_free_matches_factorization(a):
     assert is_square_free(a) == all(m == 1 for _, m in factor(a))
 
 
+@given(nonzero_polys, st.integers(min_value=0, max_value=16))
+def test_high_degree_part_matches_factorization(a, d):
+    if not is_square_free(a):
+        return
+    expected = 1
+    for h, _ in factor(a):
+        if h.bit_length() - 1 > d:
+            expected = mul(expected, h)
+    assert high_degree_part(a, d) == expected
+
+
 def test_derivative_examples():
     assert derivative(0b101) == 0       # X^2+1: even exponents vanish
     assert derivative(0b1011) == 0b101  # X^3+X+1 -> X^2+1
@@ -219,6 +231,13 @@ def test_parse_poly_forms(text, expected):
 def test_text_round_trips(a):
     assert parse_poly(to_hex(a)) == a
     assert parse_poly(to_terms(a)) == a
+
+
+def test_parse_refuses_term_exponents_past_2_to_24():
+    assert parse_poly(f"x^{(1 << 24) - 1}+1") == (1 << (1 << 24) - 1) | 1
+    for text in (f"x^{1 << 24}", "x^1000000000000+x+1"):
+        with pytest.raises(ValueError, match="exponents stop below 2\\^24"):
+            parse_poly(text)
 
 
 def test_parse_rejects_repeated_terms():

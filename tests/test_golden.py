@@ -31,6 +31,8 @@ CASES = {
     "radius_orbit_json": ["radius", *BCH26, "--emit", "json"],
     "radius_orbit_csv": ["radius", *BCH26, "--emit", "csv"],
     "radius_orbit_plain": ["radius", *MELAS6],
+    "radius_orbit_bch16_json": ["radius", "--family", "bch", "--e", "2", "--m", "16",
+                                "--emit", "json"],
     "radius_matrix_json": ["radius", *BCH26, "--method", "matrix", "--emit", "json"],
     "radius_matrix_csv": ["radius", "--family", "generic", "--n", "105",
                           "--g", "x^7+x^5+x^3+x^2+1", "--method", "matrix",

@@ -9,7 +9,13 @@ import burstcover.lfsr as lfsr_mod
 import burstcover.radius as radius_mod
 from burstcover import gf2poly
 from burstcover.bitmatrix import BinaryMatrix
-from burstcover.codes import make_bch, make_cyclic_code, make_melas, parity_check_matrix
+from burstcover.codes import (
+    factor_roots,
+    make_bch,
+    make_cyclic_code,
+    make_melas,
+    parity_check_matrix,
+)
 from burstcover.corpus import build_corpus
 from burstcover.covering import burst_cover, verify_certificate
 from burstcover.field import primitive_moduli
@@ -17,6 +23,8 @@ from burstcover.gf2poly import mul, poly_order
 from burstcover.lfsr import orbit_representatives
 from burstcover.radius import (
     MAX_R,
+    BoundEntry,
+    BoundsReport,
     BudgetError,
     bounds_report,
     cyclic_burst_radius,
@@ -189,19 +197,65 @@ def test_geometric_work_budget(monkeypatch):
 
 
 def test_orbit_budget_guard(monkeypatch):
-    monkeypatch.setattr(radius_mod, "MAX_R", 11)
+    monkeypatch.setattr(radius_mod, "MAX_R", 9)
     with pytest.raises(BudgetError):
         cyclic_burst_radius(make_bch(2, 6))
 
 
 def test_orbit_budget_checked_before_any_work(monkeypatch):
-    def no_work(code):
-        raise AssertionError("field tables built before the max_r check")
+    def no_work(r, roots):
+        raise AssertionError("orbit tables built before the max_r check")
 
     monkeypatch.setattr(lfsr_mod, "_OrbitNames", no_work)
-    monkeypatch.setattr(radius_mod, "MAX_R", 11)
+    monkeypatch.setattr(radius_mod, "MAX_R", 9)
     with pytest.raises(BudgetError):
         cyclic_burst_radius(make_bch(2, 6))
+
+
+@pytest.mark.parametrize("make, b", [(lambda: make_bch(2, 14), 19), (lambda: make_melas(14), 20)])
+def test_orbit_method_admits_r_above_max_r_when_u_fits(make, b):
+    # r = 28 > MAX_R, but u = floor(1.5 m + 1) = 22 <= MAX_R
+    code = make()
+    assert code.r > MAX_R
+    res = cyclic_burst_radius(code)
+    assert res.b == b
+    assert witness_recheck(code, res)
+
+
+def test_orbit_budget_names_the_bound(monkeypatch):
+    # BCH(2,6): r = 12, u = bch_upper = 10
+    monkeypatch.setattr(radius_mod, "MAX_R", 9)
+    with pytest.raises(BudgetError, match=r"2\^10 residues \(bch_upper\) exceeds max_r=9"):
+        cyclic_burst_radius(make_bch(2, 6))
+    monkeypatch.setattr(radius_mod, "MAX_R", 11)  # r > MAX_R >= u: admitted
+    assert cyclic_burst_radius(make_bch(2, 6)).b == 9
+
+
+def test_radius_above_a_proven_bound_is_an_assertion(monkeypatch):
+    # a bound below the radius (9) is a failed theorem, not a budget
+    def report(code):
+        return BoundsReport(code.describe(), code.n, code.r,
+                            (BoundEntry("false_upper", "upper", 8, True),))
+
+    monkeypatch.setattr(radius_mod, "bounds_report", report)
+    monkeypatch.setattr(radius_mod, "MAX_R", 11)
+    with pytest.raises(AssertionError, match="false_upper: radius 9 above upper bound 8"):
+        cyclic_burst_radius(make_bch(2, 6))
+
+
+def test_orbit_names_close_at_most_k_columns(monkeypatch):
+    # the high columns are XORed per block; only the low _K are closed
+    closure = lfsr_mod._closure
+    sizes = []
+
+    def counted(cols):
+        sizes.append(len(cols))
+        return closure(cols)
+
+    monkeypatch.setattr(lfsr_mod, "_closure", counted)
+    code = make_bch(2, 9)  # r = 18
+    assert lfsr_mod.orbit_minima(code.r, factor_roots(code)).tolist() == walk_minima(code.g)
+    assert sizes == [lfsr_mod._K, lfsr_mod._K]
 
 
 def _walk_radius(code):
@@ -287,7 +341,7 @@ def test_three_factor_bch_matches_walk(m):
     make_cyclic_code(105, _product([0b111, 0xB, 0x13])),  # degrees 2, 3 and 4
 ], ids=["bch-2-4", "melas-4", "parity-x-0x13", "orders-5-9", "degrees-2-3-4"])
 def test_orbit_names_are_exactly_the_orbits(code):
-    names = lfsr_mod._OrbitNames(code.r, _roots(code))
+    names = lfsr_mod._OrbitNames(code.r, factor_roots(code))
     assert code.r <= lfsr_mod._K  # one block holds every residue
     ids = names.ids(0, 1 << code.r).tolist()
     orbit_of = {}  # walk every state with f -> X*f mod g; 0 is an orbit of its own
@@ -303,10 +357,6 @@ def test_orbit_names_are_exactly_the_orbits(code):
     named = [i for s in by_orbit.values() for i in s]
     assert len(set(named)) == len(named)  # different orbits, different ids
     assert sorted(named) == list(range(names.total))
-
-
-def _roots(code):
-    return [(fac.ctx, fac.ctx.dlog(fac.root)) for fac in code.factors]
 
 
 def test_factor_orders_match_poly_order():
@@ -346,7 +396,7 @@ def test_orbit_minima_stops_at_the_block_of_the_largest_minimum(code, monkeypatc
         return ids(self, start, stop)
 
     monkeypatch.setattr(lfsr_mod._OrbitNames, "ids", counted)
-    minima = lfsr_mod.orbit_minima(code.r, _roots(code))
+    minima = lfsr_mod.orbit_minima(code.r, factor_roots(code))
     assert minima.tolist() == walk_minima(code.g)
     assert starts == list(range(0, (minima[-1] >> 3) + 1 << 3, 1 << 3))
 
@@ -357,10 +407,10 @@ def test_table_methods_share_the_max_r_default(monkeypatch):
     for fn in (cyclic_burst_radius, matrix_burst_radius):
         assert "max_r" not in inspect.signature(fn).parameters
     code = make_bch(2, 6)
-    monkeypatch.setattr(radius_mod, "MAX_R", 11)
-    with pytest.raises(BudgetError, match="max_r=11"):
+    monkeypatch.setattr(radius_mod, "MAX_R", 9)
+    with pytest.raises(BudgetError, match="max_r=9"):
         cyclic_burst_radius(code)
-    with pytest.raises(BudgetError, match="max_r=11"):
+    with pytest.raises(BudgetError, match="max_r=9"):
         matrix_burst_radius(parity_check_matrix(code))
 
 
