@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2poly
-from .codes import CyclicCode, factor_roots
+from .codes import CyclicCode
 from .field import FieldContext, get_context, min_odd_coset_member, trace_table
 from .gf2poly import poly_order, quot
 from .lfsr import LfsrSpec, minimal_connection, orbit_minima, pattern_counts, periods
@@ -112,7 +112,7 @@ _BLOCK_CELLS = 1 << 20  # rows x max(period, 2^s) per pattern_counts block: 8 MB
 
 def _orbit_counts(code: CyclicCode, s: int, window: int):
     """(orbit representatives, their pattern counts), ascending, in row blocks."""
-    reps = orbit_minima(code.r, factor_roots(code)).tolist()
+    reps = orbit_minima(code.r, code.factors).tolist()
     rows = periods(code.g, reps, window)
     step = max(1, _BLOCK_CELLS // max(window, 1 << s))
     for i in range(0, len(reps), step):

@@ -21,7 +21,6 @@ from .codes import (
     FAMILY_PARAMS,
     code_from_descriptor,
     descriptor_length,
-    factor_roots,
     make_bch,
     make_melas,
     parity_check_matrix,
@@ -471,7 +470,7 @@ def _verify_patterns(args) -> int:
         cases = 0
         for entry in mixed_degree_entries():
             dmin = min(f.degree for f in entry.code.factors)
-            for rep_load in orbit_minima(entry.code.r, factor_roots(entry.code)).tolist():
+            for rep_load in orbit_minima(entry.code.r, entry.code.factors).tolist():
                 spec = LfsrSpec(entry.code.g, rep_load)
                 for s in range(1, dmin + 1):
                     rep = niederreiter_check(spec, s)

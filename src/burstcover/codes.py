@@ -1,15 +1,17 @@
 """Binary cyclic codes: construction, parity checks, window combinations.
 
 A code of length n is specified by a square-free generator polynomial g
-dividing X^n - 1.  Column j of its parity-check matrix stacks, for each
-irreducible factor g_i of degree d_i, a d_i-bit block: the j-th power of
-a fixed root of g_i over the polynomial basis of GF(2^(d_i)).
+dividing X^n - 1.  Each irreducible factor g_i of degree d_i holds the
+log t_i of a fixed root X^(t_i) in its field context GF(2^(d_i)), set
+by factors_of from g or by make_bch and make_melas from their exponents.
+Column j of the parity-check matrix stacks, per factor, a d_i-bit block:
+X^(j t_i) over the polynomial basis.
 
 When all factors share one degree m they also share one field context,
-and each factor is labelled with a signed exponent t_i such that
-alpha^(t_i) is a root.  Exponents stay signed (the reciprocal factor of
-a Melas code is labelled -1); they are reduced modulo 2^m - 1 only when
-evaluated.
+and each factor also carries a signed exponent label of the cyclotomic
+coset of t_i.  Labels stay signed (the reciprocal factor of a Melas code
+is labelled -1, its t_i is 2^m - 2); the character-sum hypotheses
+read them.
 """
 
 from __future__ import annotations
@@ -38,14 +40,13 @@ class CodeFactor:
     poly: int
     degree: int
     ctx: FieldContext
-    root: int                 # raw mask of a root of poly in ctx
-    exponent: int | None      # signed t with root = alpha^t; None when degrees differ
+    t: int                    # the root of poly is X^t in ctx, 0 <= t < n
+    exponent: int | None      # signed label of t's coset; None when degrees differ
 
     @property
     def order(self) -> int:
         """Multiplicative order of the root, X^t: n / gcd(t, n) in its context."""
-        n = self.ctx.n
-        return n // math.gcd(self.ctx.dlog(self.root), n)
+        return self.ctx.n // math.gcd(self.t, self.ctx.n)
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,21 @@ def _field(m: int, modulus) -> FieldContext:
     return context_for_modulus(parse_poly(modulus) if modulus else default_modulus(m))
 
 
-def _resolve_factors(factors: list[int], modulus: int | None) -> tuple[CodeFactor, ...]:
+def factors_of(g: int, modulus=None) -> tuple[CodeFactor, ...]:
+    """The irreducible factors of g, each with the log t of its least root X^t.
+
+    The one place that factors a generator to find roots.  Equal-degree
+    factors share the context of `modulus` (default if None); otherwise
+    each gets the default context of its degree.
+    """
+    if g & 1 == 0:
+        raise ValueError("generator must have nonzero constant term")
+    if not is_square_free(g):
+        raise ValueError("generator has repeated factors")
+    # before trial division, whose time grows with the largest factor's degree
+    _check_table_degree(gf2poly.high_degree_part(g, _MAX_TABLE_M).bit_length() - 1)
+    factors = [h for h, _ in gf2poly.factor(g)]
+    modulus = parse_poly(modulus) if modulus is not None else None
     degrees = [h.bit_length() - 1 for h in factors]
     shared_degree = degrees[0] if len(set(degrees)) == 1 else None
     out = []
@@ -82,16 +97,14 @@ def _resolve_factors(factors: list[int], modulus: int | None) -> tuple[CodeFacto
         if ctx.m != shared_degree:
             raise ValueError("modulus degree does not match the factor degree")
         for h in factors:
-            root = find_root(ctx, h)
-            exp = min_odd_coset_member(ctx.dlog(root), ctx.n)
-            out.append(CodeFactor(h, shared_degree, ctx, root, exp))
+            t = ctx.dlog(find_root(ctx, h))
+            out.append(CodeFactor(h, shared_degree, ctx, t, min_odd_coset_member(t, ctx.n)))
     else:
         if modulus is not None:
             raise ValueError("a single modulus needs equal-degree factors")
         for h, d in zip(factors, degrees):
             ctx = _field(d, None)
-            root = find_root(ctx, h)
-            out.append(CodeFactor(h, d, ctx, root, None))
+            out.append(CodeFactor(h, d, ctx, ctx.dlog(find_root(ctx, h)), None))
     return tuple(out)
 
 
@@ -105,13 +118,7 @@ def make_cyclic_code(n: int, g, modulus=None) -> CyclicCode:
         raise ValueError("generator degree must satisfy 1 <= deg(g) < n")
     if pow_mod(X, n, g) != 1:
         raise ValueError("generator does not divide X^n - 1")
-    if not is_square_free(g):
-        raise ValueError("generator has repeated factors")
-    # before trial division, whose time grows with the largest factor's degree
-    _check_table_degree(gf2poly.high_degree_part(g, _MAX_TABLE_M).bit_length() - 1)
-    factors = gf2poly.factor(g)
-    modulus = parse_poly(modulus) if modulus is not None else None
-    return CyclicCode(n, g, r, _resolve_factors([h for h, _ in factors], modulus))
+    return CyclicCode(n, g, r, factors_of(g, modulus))
 
 
 def make_bch(e: int, m: int, modulus=None) -> CyclicCode:
@@ -141,7 +148,7 @@ def make_bch(e: int, m: int, modulus=None) -> CyclicCode:
         if h.bit_length() - 1 != m:
             raise AssertionError("minimal polynomial degree differs from m")
         g = mul(g, h)
-        factors.append(CodeFactor(h, m, ctx, ctx.alpha_pow(t), t))
+        factors.append(CodeFactor(h, m, ctx, t % n, t))
     code = CyclicCode(n, g, e * m, tuple(factors), family="bch", params=(e, m))
     if code.r != g.bit_length() - 1:
         raise AssertionError("factors were not coprime")
@@ -162,16 +169,10 @@ def make_melas(m: int, modulus=None) -> CyclicCode:
         raise ValueError("modulus is self-reciprocal: repeated roots")
     n = (1 << m) - 1
     factors = (
-        CodeFactor(m1, m, ctx, ctx.alpha_pow(1), 1),
-        CodeFactor(m1_rev, m, ctx, ctx.alpha_pow(-1), -1),
+        CodeFactor(m1, m, ctx, 1, 1),
+        CodeFactor(m1_rev, m, ctx, n - 1, -1),
     )
     return CyclicCode(n, mul(m1, m1_rev), 2 * m, factors, family="melas", params=(m,))
-
-
-def factor_roots(code: CyclicCode) -> list[tuple[FieldContext, int]]:
-    """(ctx, t) for each factor, its root X^t in ctx: the roots that
-    lfsr.orbit_minima names the shift orbits of residues mod g by."""
-    return [(fac.ctx, fac.ctx.dlog(fac.root)) for fac in code.factors]
 
 
 @functools.lru_cache(maxsize=None)
@@ -185,7 +186,7 @@ def parity_check_matrix(code: CyclicCode) -> BinaryMatrix:
     columns = [0] * code.n
     offset = 0
     for fac in code.factors:
-        exp, period, t = fac.ctx.exp, fac.ctx.n, fac.ctx.dlog(fac.root)
+        exp, period, t = fac.ctx.exp, fac.ctx.n, fac.t
         columns = [c | exp[j * t % period] << offset for j, c in enumerate(columns)]
         offset += fac.degree
     # no nonzero codeword has degree < r, so columns 0..r-1 are independent
@@ -253,8 +254,10 @@ def _descriptor_value(desc: dict, key: str):
         return value
     try:
         return parse_poly(value)
-    except (AttributeError, TypeError, ValueError):
-        raise ValueError(f"descriptor key {key!r}: {value!r} is not a polynomial") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        # parse_poly names the fault of a string or int; a JSON list gets only the plain message
+        why = f": {exc}" if isinstance(exc, ValueError) else ""
+        raise ValueError(f"descriptor key {key!r}: {value!r} is not a polynomial{why}") from None
 
 
 def descriptor_length(desc: dict) -> int:

@@ -93,8 +93,8 @@ class CoverSolver:
         runs = []
         for fac in code.factors:
             ctx, table = fac.ctx, trace_table(fac.ctx)
-            steps = ctx.dlog(fac.root) * k % ctx.n
-            c = -ctx.dlog(ctx.evaluate(derivative(code.g), fac.root))
+            steps = fac.t * k % ctx.n
+            c = -ctx.dlog(ctx.evaluate(derivative(code.g), ctx.exp[fac.t]))
             for j in range(fac.degree):
                 bits = np.packbits(table[(j + c) % ctx.n + steps], bitorder="little")
                 runs.append(int.from_bytes(bits.tobytes(), "little"))

@@ -17,9 +17,10 @@ from every statistic (its zero run is unbounded).
 
 orbit_minima is the one enumerator of the shift orbits f -> X*f mod g,
 read by the radius engine and the pattern checks (from a code's own
-factor roots) and by orbit_representatives (from g): it names orbits by
-discrete logs at the roots of g (_OrbitNames), reads the residues from 0
-up in numpy blocks and keeps each orbit's first residue, its minimum.
+factors) and by orbit_representatives (from codes.factors_of(g)): it
+names orbits by discrete logs at the roots of g (_OrbitNames), reads the
+residues from 0 up in numpy blocks and keeps each orbit's first residue,
+its minimum.  The trace form reads the same factor records.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2poly
-from .field import find_root, get_context, trace_table
-from .gf2poly import derivative, divmod_poly, gcd, is_square_free, poly_order, quot
+from .codes import factors_of
+from .field import trace_table
+from .gf2poly import derivative, divmod_poly, gcd, poly_order, quot
 
 
 @dataclass(frozen=True)
@@ -165,14 +167,11 @@ def orbit_representatives(g: int) -> list[int]:
 
     The representative is the smallest member as an integer.  Requires g
     square-free with g(0) = 1, so the shift map is a permutation, and its
-    factors of degree at most 22, the field-table ceiling.
+    factors of degree at most 22, the field-table ceiling (factors_of
+    checks all three).
     """
-    if g & 1 == 0:
-        raise ValueError("g must have nonzero constant term")
-    if not is_square_free(g):
-        raise ValueError("g must be square-free")
-    roots = [_root(h) for h, _ in gf2poly.factor(g)]
-    return orbit_minima(g.bit_length() - 1, roots).tolist() if roots else []  # g = 1: none
+    factors = factors_of(g)
+    return orbit_minima(g.bit_length() - 1, factors).tolist() if factors else []  # g = 1: none
 
 
 # Residues per numpy block of orbit_minima: f = hi * 2^_K + lo has the
@@ -180,18 +179,18 @@ def orbit_representatives(g: int) -> list[int]:
 _K = 12
 
 
-def orbit_minima(r: int, roots) -> np.ndarray:
+def orbit_minima(r: int, factors) -> np.ndarray:
     """The least member of every orbit of nonzero residues mod g, ascending.
 
-    g is square-free of degree r with g(0) = 1, and `roots` holds one
-    (ctx, t_i) per irreducible factor, its root beta_i = X^(t_i) in ctx.
+    g is square-free of degree r with g(0) = 1, and `factors` holds its
+    irreducible factors (codes.CodeFactor), each root beta_i = X^(t_i).
     Residues are read in 2^_K blocks from 0 up, and the first position of
     each orbit id (_OrbitNames) is the orbit's minimum.  The read stops at
     the block where the last orbit is named, the one that holds the
     largest minimum.  Positions are int32: the callers keep the minima
     below 2^26, the radius engine by a proven bound u >= b, lfsr-stats by r.
     """
-    names = _OrbitNames(r, roots)
+    names = _OrbitNames(r, factors)
     unnamed = np.iinfo(np.int32).max
     first = np.full(names.total, unnamed, dtype=np.int32)
     named = 0
@@ -227,9 +226,10 @@ class _OrbitNames:
     own chain and its own id offset.
     """
 
-    def __init__(self, r: int, roots):
+    def __init__(self, r: int, factors):
         self.n, self.logs, self.tables, t = [], [], [], []
-        for ctx, t_i in roots:
+        for fac in factors:
+            ctx, t_i = fac.ctx, fac.t
             # beta^k for k < r: f(beta) is their XOR over supp(f), so the
             # component of hi * 2^_K + lo is low[lo] ^ high(hi), the XOR of
             # the high columns at the set bits of hi
@@ -300,38 +300,28 @@ def _closure(cols) -> np.ndarray:
     return arr
 
 
-def _root(h: int) -> tuple:
-    """(ctx, t): the default field of deg(h), and the log of a root of h there."""
-    ctx = get_context(h.bit_length() - 1)
-    return ctx, ctx.dlog(find_root(ctx, h))
+def trace_representation(spec: LfsrSpec) -> list[tuple]:
+    """Pairs (factor_i, gamma_i) with a_k = sum_i Tr(gamma_i * beta_i^k).
 
-
-def trace_representation(spec: LfsrSpec) -> list[tuple[int, int]]:
-    """Pairs (h_i, gamma_i) with a_k = sum_i Tr(gamma_i * beta_i^k).
-
-    beta_i is a fixed root of the i-th irreducible factor h_i of the
-    connection polynomial g, and gamma_i a raw mask, both in the default
-    field of deg(h_i).  Lagrange interpolation at the distinct roots of g
-    gives the top coefficient of any h mod g as sum_beta h(beta)/g'(beta).
-    For h = X^k * f that is sum_beta beta^k f(beta)/g'(beta), and the
-    conjugate roots of h_i add up to a trace, so
+    factor_i runs over codes.factors_of(g) for the connection polynomial
+    g, beta_i = X^(t_i) is its root and gamma_i a raw mask in its field.
+    Lagrange interpolation at the distinct roots of g gives the top
+    coefficient of any h mod g as sum_beta h(beta)/g'(beta).  For
+    h = X^k * f that is sum_beta beta^k f(beta)/g'(beta), and the
+    conjugate roots of factor_i add up to a trace, so
     gamma_i = f(beta_i)/g'(beta_i) in closed form.  The result is checked
     by regenerating the first ord(g) + r terms.
     """
     g = spec.connection
-    if not is_square_free(g):
-        raise ValueError("trace form needs a square-free connection polynomial")
-    if g & 1 == 0:
-        raise ValueError("g must have nonzero constant term")
     r = spec.order
     dg = derivative(g)  # nonzero at every root, since g is square-free
     gammas = []
-    for h, _ in gf2poly.factor(g):
-        ctx, t = _root(h)
-        beta = ctx.exp[t]
+    for fac in factors_of(g):
+        ctx = fac.ctx
+        beta = ctx.exp[fac.t]
         value = ctx.evaluate(spec.load, beta)
         gamma = ctx.exp[ctx.log[value] + ctx.n - ctx.log[ctx.evaluate(dg, beta)]] if value else 0
-        gammas.append((h, gamma))
+        gammas.append((fac, gamma))
 
     total = poly_order(g) + r
     if regenerate_from_trace(gammas, total) != lfsr_sequence(spec, total):
@@ -340,15 +330,15 @@ def trace_representation(spec: LfsrSpec) -> list[tuple[int, int]]:
 
 
 def regenerate_from_trace(gammas, length: int) -> bytes:
-    """Sequence sum_i Tr(gamma_i * beta_i^k), one byte a term, for the factors' fixed roots.
+    """Sequence sum_i Tr(gamma_i * beta_i^k), one byte a term, from (factor, gamma) pairs.
 
     With beta_i = X^(t_i), term i at step k is
     trace_table[log gamma_i + (t_i k mod n)]; a zero gamma_i contributes 0.
     """
     k = np.arange(length, dtype=np.int64)
     bits = np.zeros(length, dtype=bool)
-    for h, gamma in gammas:
+    for fac, gamma in gammas:
         if gamma:
-            ctx, t = _root(h)
-            bits ^= trace_table(ctx)[ctx.log[gamma] + t * k % ctx.n]
+            ctx = fac.ctx
+            bits ^= trace_table(ctx)[ctx.log[gamma] + fac.t * k % ctx.n]
     return bits.astype(np.uint8).tobytes()

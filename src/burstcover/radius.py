@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitmatrix import BinaryMatrix
-from .codes import CyclicCode, codewords, factor_roots
+from .codes import CyclicCode, codewords
 from .gf2poly import to_hex, to_terms
 from .lfsr import _closure, orbit_minima, orbit_minimum
 
@@ -92,7 +92,7 @@ def cyclic_burst_radius(code: CyclicCode) -> RadiusResult:
                        if ent.applicable and ent.kind in ("upper", "exact"))
         if u > MAX_R:
             raise BudgetError(f"orbit method over 2^{u} residues ({bound}) exceeds max_r={MAX_R}")
-    minima = orbit_minima(code.r, factor_roots(code))
+    minima = orbit_minima(code.r, code.factors)
     b = int(minima[-1]).bit_length()
     if b > u:
         raise AssertionError(f"{bound}: radius {b} above upper bound {u}")

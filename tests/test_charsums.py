@@ -327,7 +327,7 @@ def test_pattern_checks_read_the_codes_own_roots(monkeypatch):
 
     codes = [make_bch(2, 6), make_melas(6)]
     _fail_if_called(monkeypatch, gf2poly, "factor")
-    _fail_if_called(monkeypatch, lfsr_mod, "find_root", "orbit_representatives")
+    _fail_if_called(monkeypatch, lfsr_mod, "factors_of", "orbit_representatives")
     assert pattern_theorem_check(codes[0], "equal_degree", 3).ok
     assert pattern_theorem_check(codes[1], "melas_mixed", 2).ok
     assert find_avoidance_witness(codes[1], 4) is not None
@@ -342,8 +342,6 @@ def test_melas_mixed_theorem():
 
 
 def test_pattern_count_character_duality():
-    from burstcover.field import find_root
-
     m = 6
     code = make_bch(2, m)
     ctx = code.factors[0].ctx
@@ -351,9 +349,9 @@ def test_pattern_count_character_duality():
     gammas = trace_representation(spec)
     terms = []
     for fac in code.factors:
-        gamma = next(gv for h, gv in gammas if h == fac.poly)
         # the representation picked its own (conjugate) root of the factor
-        terms.append((gamma, ctx.dlog(find_root(ctx, fac.poly))))
+        own, gamma = next(pair for pair in gammas if pair[0].poly == fac.poly)
+        terms.append((gamma, own.t))
     for s, ys in ((1, (0, 1)), (2, (0, 3)), (3, (1, 5))):
         counts = window_histogram(code.g, 0b110010101011, s, (1 << m) - 1)
         for y in ys:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,7 +18,9 @@ from burstcover.cli import (
     compute_table1,
     main,
 )
+from burstcover.charsums import laurent_family_check, niederreiter_check
 from burstcover.codes import code_to_descriptor, make_bch, make_melas
+from burstcover.radius import cyclic_burst_radius, matrix_burst_radius
 
 
 def run(capsys, *argv):
@@ -37,6 +40,11 @@ def test_radius_generic_and_methods(capsys):
             rc, out = run(capsys, "radius", "--family", "generic", "--n", "7",
                           "--g", g, "--method", method)
             assert rc == EXIT_OK and "radius 1" in out
+    # BCH(2,4) has radius 7, so the geometric search steps b past 1
+    for method in ("orbit", "matrix", "geometric"):
+        rc, out = run(capsys, "radius", "--family", "bch", "--e", "2", "--m", "4",
+                      "--method", method)
+        assert rc == EXIT_OK and f"radius 7 ({method})" in out
 
 
 def test_radius_from_descriptor(tmp_path, capsys):
@@ -272,6 +280,12 @@ def test_fixture_mismatch_exit_code():
     assert _table1_exit(rows) == EXIT_OK
 
 
+BCH24 = ["--family", "bch", "--e", "2", "--m", "4"]
+BCH25 = ["--family", "bch", "--e", "2", "--m", "5"]
+BCH26 = ["--family", "bch", "--e", "2", "--m", "6"]
+LFSR_B = ["lfsr-stats", "--g", "0xB", "--init", "1,0,0"]
+
+
 def test_violation_exit_code(capsys, monkeypatch):
     import burstcover.cli as cli_mod
 
@@ -281,10 +295,55 @@ def test_violation_exit_code(capsys, monkeypatch):
     assert json.loads(out)["violations"]
 
 
-BCH24 = ["--family", "bch", "--e", "2", "--m", "4"]
-BCH25 = ["--family", "bch", "--e", "2", "--m", "5"]
-BCH26 = ["--family", "bch", "--e", "2", "--m", "6"]
-LFSR_B = ["lfsr-stats", "--g", "0xB", "--init", "1,0,0"]
+def test_threshold_below_radius_exits_2(capsys):
+    # BCH(2,6) has radius 9: no window of width 3 covers this syndrome
+    rc = main(["cover", *BCH26, "--syndrome", "0FFF", "--bprime", "3"])
+    assert rc == EXIT_BOUND_VIOLATION
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: threshold below radius"
+
+
+def _radius_above_r(code):
+    """The orbit result with b = r + 1, above the basic upper bound r."""
+    return dataclasses.replace(cyclic_burst_radius(code), b=code.r + 1)
+
+
+def _matrix_off_by_one(H, cyclic=True):
+    res = matrix_burst_radius(H, cyclic)
+    return dataclasses.replace(res, b=res.b + 1)
+
+
+def _violated(check):
+    """check, with one made-up violation in each report it returns."""
+    return lambda *args: dataclasses.replace(check(*args), violations=((0, 0),))
+
+
+# Each command's violation branch, reached by patching the check that cli.py reads.
+VIOLATIONS = {
+    "bounds": (["bounds", *BCH25, "--with-radius"], "cyclic_burst_radius", _radius_above_r),
+    "equivalence-matrix": (["verify", "equivalence", "--nmax", "15"],
+                           "matrix_burst_radius", _matrix_off_by_one),
+    "equivalence-geometric": (["verify", "equivalence", "--nmax", "15"],
+                              "geometric_is_covering", lambda code, b: False),
+    "verify-bounds": (["verify", "bounds"], "cyclic_burst_radius", _radius_above_r),
+    "patterns-mixed": (["verify", "patterns", "--family", "mixed"],
+                       "niederreiter_check", _violated(niederreiter_check)),
+    "charsums": (["verify", "charsums", "--m-max", "3", "--laurent-m-max", "3",
+                  "--draws", "5"], "laurent_family_check", _violated(laurent_family_check)),
+}
+
+
+@pytest.mark.parametrize("name", VIOLATIONS)
+def test_violations_exit_2(name, capsys, monkeypatch):
+    import burstcover.cli as cli_mod
+
+    argv, target, patched = VIOLATIONS[name]
+    monkeypatch.setattr(cli_mod, target, patched)
+    rc, out = run(capsys, *argv)
+    assert rc == EXIT_BOUND_VIOLATION
+    if argv[0] == "bounds":  # plain output: one line per violated bound
+        assert any(line.startswith("  VIOLATION: ") for line in out.splitlines())
+    else:
+        assert json.loads(out)["violations"]
 
 
 @pytest.fixture
@@ -408,6 +467,16 @@ def test_usage_errors(name, bad_files, monkeypatch, capsys):
     assert rc == EXIT_USAGE
     assert "Traceback" not in err
     assert "error:" in err.strip().splitlines()[-1]
+
+
+def test_descriptor_errors_keep_the_parsers_reason(tmp_path, capsys):
+    assert main(USAGE_ERRORS["generic-term-exponent-10^12"]) == EXIT_USAGE
+    assert "exponents stop below 2^24" in capsys.readouterr().err
+    # a JSON list is no polynomial form: parse_poly's TypeError adds nothing
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps({"family": "generic", "n": 7, "g_hex": ["x"]}))
+    assert main(["radius", "--code", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.strip().endswith("['x'] is not a polynomial")
 
 
 @pytest.mark.parametrize("name", TABLE_CEILING)

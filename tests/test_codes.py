@@ -147,7 +147,7 @@ def _parity_rows_by_column(code):
             for l in range(fac.degree):
                 if v >> l & 1:
                     masks[base + l] |= 1 << j
-            v = fac.ctx.mul(v, fac.root)
+            v = fac.ctx.mul(v, fac.ctx.exp[fac.t])
         base += fac.degree
     return tuple(masks)
 
@@ -187,7 +187,7 @@ def test_lc_eval_matches_root_definition(code, data):
     f = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1), label="f")
     expected, base = 0, 0
     for fac in code.factors:
-        ctx, beta = fac.ctx, fac.root
+        ctx, beta = fac.ctx, fac.ctx.exp[fac.t]
         expected |= ctx.mul(ctx.evaluate(1 << i, beta), ctx.evaluate(f, beta)) << base
         base += fac.degree
     assert lc_eval(code, i, f) == expected
@@ -301,8 +301,8 @@ def test_lc_eval_debug_cross_check(i, f):
         fx = 0
         for j in range(f.bit_length()):
             if f >> j & 1:
-                fx ^= ctx.exp[ctx.log[fac.root] * j % ctx.n]
-        expected |= ctx.mul(ctx.exp[ctx.log[fac.root] * i % ctx.n], fx) << base
+                fx ^= ctx.exp[fac.t * j % ctx.n]
+        expected |= ctx.mul(ctx.exp[fac.t * i % ctx.n], fx) << base
         base += fac.degree
     assert lc_eval(code, i, f) == expected
 

@@ -455,7 +455,7 @@ def test_trace_representation_zero_sequence_component():
     spec = LfsrSpec.from_galois(g, 0b1011001)
     gammas = trace_representation(spec)
     # dropping the second component leaves a sequence with connection g1
-    only_first = [(h, gamma) for h, gamma in gammas if h == g1]
+    only_first = [(fac, gamma) for fac, gamma in gammas if fac.poly == g1]
     bits = regenerate_from_trace(only_first, 40)
     sub = from_bits(g1, bits[:3])
     assert lfsr_sequence(sub, 40) == bits

@@ -10,7 +10,6 @@ import burstcover.radius as radius_mod
 from burstcover import gf2poly
 from burstcover.bitmatrix import BinaryMatrix
 from burstcover.codes import (
-    factor_roots,
     make_bch,
     make_cyclic_code,
     make_melas,
@@ -254,7 +253,7 @@ def test_orbit_names_close_at_most_k_columns(monkeypatch):
 
     monkeypatch.setattr(lfsr_mod, "_closure", counted)
     code = make_bch(2, 9)  # r = 18
-    assert lfsr_mod.orbit_minima(code.r, factor_roots(code)).tolist() == walk_minima(code.g)
+    assert lfsr_mod.orbit_minima(code.r, code.factors).tolist() == walk_minima(code.g)
     assert sizes == [lfsr_mod._K, lfsr_mod._K]
 
 
@@ -341,7 +340,7 @@ def test_three_factor_bch_matches_walk(m):
     make_cyclic_code(105, _product([0b111, 0xB, 0x13])),  # degrees 2, 3 and 4
 ], ids=["bch-2-4", "melas-4", "parity-x-0x13", "orders-5-9", "degrees-2-3-4"])
 def test_orbit_names_are_exactly_the_orbits(code):
-    names = lfsr_mod._OrbitNames(code.r, factor_roots(code))
+    names = lfsr_mod._OrbitNames(code.r, code.factors)
     assert code.r <= lfsr_mod._K  # one block holds every residue
     ids = names.ids(0, 1 << code.r).tolist()
     orbit_of = {}  # walk every state with f -> X*f mod g; 0 is an orbit of its own
@@ -396,7 +395,7 @@ def test_orbit_minima_stops_at_the_block_of_the_largest_minimum(code, monkeypatc
         return ids(self, start, stop)
 
     monkeypatch.setattr(lfsr_mod._OrbitNames, "ids", counted)
-    minima = lfsr_mod.orbit_minima(code.r, factor_roots(code))
+    minima = lfsr_mod.orbit_minima(code.r, code.factors)
     assert minima.tolist() == walk_minima(code.g)
     assert starts == list(range(0, (minima[-1] >> 3) + 1 << 3, 1 << 3))
 

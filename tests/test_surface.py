@@ -1,6 +1,6 @@
 """The package exports nothing that only its tests reach, imports nothing
-that it does not use, and names in its comments no private name that is
-gone.
+that it does not use, names in its comments no private name that is
+gone, and finds the roots of a generator's factors in one place.
 
 A public top-level function or class of `src/burstcover` must be named
 somewhere other than its own definition, and a public method of a public
@@ -25,10 +25,6 @@ PACKAGE = ROOT / "src" / "burstcover"
 # Laurent sums have no scalar twin in the package: their reference is the
 # table-free oracle in tests/test_charsums.py.)
 ALLOWED = {
-    # the trace form a_k = sum_i Tr(gamma_i beta_i^k) of one sequence; its
-    # self-check reads field.trace_table against the Galois stepper
-    # lfsr_sequence, run by test_lfsr.py::test_trace_representation_round_trip
-    "trace_representation",
     # one pattern count through the character expansion;
     # test_charsums.py::test_pattern_count_character_duality compares it
     # with the stepped oracle window_histogram of tests/test_lfsr.py
@@ -130,3 +126,19 @@ def _mentioned_private_names() -> set[str]:
 def test_comments_name_no_missing_private_name():
     defined = _defined_names()
     assert {m for m in _mentioned_private_names() if m.split(":")[1] not in defined} == set()
+
+
+def _callers(name: str) -> set[str]:
+    """module.function of each top-level package function or class that calls `name`."""
+    return {f"{path.stem}.{top.name}" for path, tree in _modules() for top in tree.body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None))}
+
+
+def test_one_path_from_a_generator_to_its_roots():
+    # a factor's root X^t is found once, by codes.factors_of; every engine
+    # reads the CodeFactor records that codes builds
+    assert _callers("find_root") == {"codes.factors_of"}
+    assert _callers("CodeFactor") == {"codes.factors_of", "codes.make_bch", "codes.make_melas"}
