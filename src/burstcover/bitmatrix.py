@@ -1,4 +1,9 @@
-"""Dense bit matrices stored as their columns, packed into ints (bit i = row i)."""
+"""Dense bit matrices stored as their columns, packed into ints (bit i = row i).
+
+Also the numpy blocks of the brute-force oracles: _closure enumerates the
+span of some columns by doubling, and _row_blocks cuts a (rows x width)
+array of work into blocks of at most _ORACLE_CELLS cells.
+"""
 
 from __future__ import annotations
 
@@ -57,3 +62,30 @@ class BinaryMatrix:
                              axis=1, bitorder="little")
         rows = np.packbits(bits[:, :self.rows].T, axis=1, bitorder="little")
         return ["0x" + format(int.from_bytes(row.tobytes(), "little"), "X") for row in rows]
+
+
+def _closure(cols) -> np.ndarray:
+    """All XOR combinations of the given columns, by doubling.
+
+    k columns give 2^k values, entry u the XOR of the columns at the set
+    bits of u; a (rows, k) array gives one such row per row of columns.
+    """
+    cols = np.asarray(cols, dtype=np.int64)
+    arr = np.zeros(cols.shape[:-1] + (1 << cols.shape[-1],), dtype=np.int64)
+    combos = arr.T  # combos[u] holds combination u of every row
+    for k, c in enumerate(cols.T):
+        np.bitwise_xor(combos[:1 << k], c, out=combos[1 << k:2 << k])
+    return arr
+
+
+# Cells per numpy block of the verification oracles: window closures of
+# the matrix method, codeword x pattern marks of the geometric one, and
+# Laurent draws x field elements.
+_ORACLE_CELLS = 1 << 14
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices of range(rows), each of at most _ORACLE_CELLS cells of `width`
+    (one row when a row alone is wider)."""
+    step = max(1, _ORACLE_CELLS // width)
+    return (slice(i, min(i + step, rows)) for i in range(0, rows, step))

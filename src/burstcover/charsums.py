@@ -30,6 +30,7 @@ Checked bounds:
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2poly
+from .bitmatrix import _row_blocks
 from .codes import CyclicCode
 from .field import FieldContext, get_context, min_odd_coset_member, trace_table
 from .gf2poly import poly_order, quot
@@ -89,13 +91,12 @@ def niederreiter_check(spec: LfsrSpec, s: int) -> FrequencyReport:
     if gmin == 1:
         raise ValueError("the all-zero sequence is excluded")
     rmin = gmin.bit_length() - 1
-    min_factor_degree = min(h.bit_length() - 1 for h, _ in gf2poly.factor(gmin))
+    min_factor_degree, pi = _degree_and_period(gmin)
     if s < 1 or s > min_factor_degree:
         return FrequencyReport(
             "niederreiter", s, 0, 0, 0, (), applicable=False,
             note=f"s must be in [1, {min_factor_degree}] for this sequence",
         )
-    pi = poly_order(gmin)
     load = quot(spec.load, quot(spec.connection, gmin))  # load/d on g/d, d = gcd(load, g)
     counts = pattern_counts(periods(gmin, [load], pi), pi, s)[0].tolist()
     slack = (1 << s) - 1
@@ -105,6 +106,13 @@ def niederreiter_check(spec: LfsrSpec, s: int) -> FrequencyReport:
         "niederreiter", s, pi, 1, 1 << s, violations, vacuous=_within(pi, rmin, slack),
         note=f"minimal polynomial degree {rmin}, period {pi}",
     )
+
+
+@functools.lru_cache(maxsize=1024)
+def _degree_and_period(gmin: int) -> tuple[int, int]:
+    """(least irreducible factor degree, order) of a minimal connection
+    polynomial, kept for the calls at s = 1, 2, ... on its sequences."""
+    return min(h.bit_length() - 1 for h, _ in gf2poly.factor(gmin)), poly_order(gmin)
 
 
 _BLOCK_CELLS = 1 << 20  # rows x max(period, 2^s) per pattern_counts block: 8 MB of int64
@@ -284,8 +292,10 @@ def gcd_power_inequality_check(a: int, b: int) -> bool:
 # at m = 10, 0.1 s / 81 MB at m = 11, 0.5 s / 238 MB at m = 12 (a ceiling
 # above 11 needs row blocks).  A Laurent call at m = 16 took 0.08 s after
 # 0.28 s for its field context (37 MB); contexts grow 2x per step of m.
-# 1000 Laurent draws at m = 16 took 0.29 s, so 2000 draws for each of the
-# 9 forms take about 5 s at m = 16 and about twice that over all m <= 16.
+# 2000 Laurent draws take 0.01 s at m = 10 (in blocks of 2^14 cells),
+# 0.02 s at m = 12 and 0.07 s at m = 14 (one draw at a time from m = 11 on)
+# and 0.28 s at m = 16, so 2000 draws for each of the 9 forms take about
+# 2.5 s at m = 16 and 6 s for the whole `verify charsums --laurent-m-max 16`.
 WCU_M_MAX = 11
 LAURENT_M_MAX = 16
 LAURENT_DRAWS_MAX = 2000
@@ -390,14 +400,33 @@ def wcu_family_check(m: int) -> FamilyCheckReport:
     )
 
 
+# Row length from which _laurent_sums gathers and counts one draw at a
+# time.  A 1-D count costs about 1 us a call and the axis-1 count about
+# 0.4 ns a cell, and a block of such rows holds at most 8 draws, so from
+# m = 11 on the blocks were no faster than one call per draw.
+_FLAT_ROW_MIN = 1 << 10
+
+
 def _laurent_sums(ctx: FieldContext, t: int, u: int, coeffs) -> np.ndarray:
-    """Sum of chi(a x^t + b x^(-u)) over nonzero x, for each (a, b) in coeffs."""
+    """Sum of chi(a x^t + b x^(-u)) over nonzero x, for each (a, b) in coeffs.
+
+    At x = X^k the two trace bits are table[log a + (t k mod n)] and
+    table[log b + (-u k mod n)].  A block of draws gathers them as one
+    (draws x n) array, then XORs and counts each row; rows of
+    _FLAT_ROW_MIN or more cells go one draw at a time, with a 1-D count.
+    """
     n = ctx.n
     table = trace_table(ctx)
     k = np.arange(n, dtype=np.int64)
     tk, uk = t * k % n, -u * k % n
-    return np.array([n - 2 * int(np.count_nonzero(table[ctx.log[a] + tk] ^ table[ctx.log[b] + uk]))
-                     for a, b in coeffs], dtype=np.int64)
+    if n >= _FLAT_ROW_MIN:
+        return np.array([n - 2 * np.count_nonzero(table[ctx.log[a] + tk] ^ table[ctx.log[b] + uk])
+                         for a, b in coeffs], dtype=np.int64)
+    logs = np.array([(ctx.log[a], ctx.log[b]) for a, b in coeffs], dtype=np.int64).reshape(-1, 2)
+    ones = np.empty(len(logs), dtype=np.int64)
+    for rows in _row_blocks(len(logs), n):
+        ones[rows] = np.count_nonzero(table[logs[rows, :1] + tk] ^ table[logs[rows, 1:] + uk], axis=1)
+    return n - 2 * ones
 
 
 def laurent_family_check(m: int, t: int, u: int, draws: int, seed: int) -> FamilyCheckReport:

@@ -20,8 +20,10 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gf2poly
-from .bitmatrix import BinaryMatrix, row_reduce
+from .bitmatrix import BinaryMatrix, _closure, row_reduce
 from .field import (
     _MAX_TABLE_M,
     FieldContext,
@@ -215,10 +217,10 @@ def lc_eval(code: CyclicCode, i: int, f: int) -> int:
     return s
 
 
-def codewords(code: CyclicCode):
-    """All codewords u*g, deg(u) <= n-r-1, as n-bit masks."""
-    for u in range(1 << (code.n - code.r)):
-        yield mul(u, code.g)
+def codewords(code: CyclicCode) -> np.ndarray:
+    """All codewords as n-bit masks, entry u the product u*g, deg(u) < n - r:
+    the XOR closure of g * X^k for k < n - r.  The masks are int64, so n <= 63."""
+    return _closure([code.g << k for k in range(code.n - code.r)])
 
 
 def code_to_descriptor(code: CyclicCode) -> dict:

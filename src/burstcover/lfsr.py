@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2poly
+from .bitmatrix import _closure
 from .codes import factors_of
 from .field import trace_table
 from .gf2poly import derivative, divmod_poly, gcd, poly_order, quot
@@ -290,14 +291,6 @@ class _OrbitNames:
 def _xor_at(cols, bits: int) -> int:
     """The XOR of cols[k] over the set bits k of `bits`."""
     return functools.reduce(operator.xor, (c for k, c in enumerate(cols) if bits >> k & 1), 0)
-
-
-def _closure(cols) -> np.ndarray:
-    """All XOR combinations of the given columns (2^len values)."""
-    arr = np.zeros(1 << len(cols), dtype=np.int64)
-    for k, c in enumerate(cols):
-        np.bitwise_xor(arr[:1 << k], c, out=arr[1 << k:2 << k])
-    return arr
 
 
 def trace_representation(spec: LfsrSpec) -> list[tuple]:

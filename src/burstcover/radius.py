@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmatrix import BinaryMatrix
+from .bitmatrix import BinaryMatrix, _closure, _row_blocks
 from .codes import CyclicCode, codewords
 from .gf2poly import to_hex, to_terms
-from .lfsr import _closure, orbit_minima, orbit_minimum
+from .lfsr import orbit_minima, orbit_minimum
 
 
 # 2^MAX_R is the most entries either table method reads or holds.  The
@@ -106,7 +106,8 @@ def matrix_burst_radius(H: BinaryMatrix, cyclic: bool = True) -> RadiusResult:
     Brute force over window sizes: for each b the reachable syndromes
     are marked in a bitmap, so the first fully covered level is the
     radius and the smallest syndrome missed at the previous level is
-    the witness.
+    the witness.  The windows of a block of starts are closed together,
+    one (starts x 2^b) array of _ORACLE_CELLS cells marked at once.
     """
     r, n = H.rows, H.cols
     if r < 1:
@@ -115,7 +116,7 @@ def matrix_burst_radius(H: BinaryMatrix, cyclic: bool = True) -> RadiusResult:
         raise BudgetError(f"syndrome bitmap of 2^{r} entries exceeds max_r={MAX_R}")
     if H.rank() != r:
         raise ValueError("matrix is rank deficient")
-    cols = H.columns
+    cols = np.array(H.columns, dtype=np.int64)
     full = 1 << r
     covered = np.zeros(full, dtype=bool)
     covered[0] = True
@@ -127,42 +128,57 @@ def matrix_burst_radius(H: BinaryMatrix, cyclic: bool = True) -> RadiusResult:
         b += 1
         if b > n:
             raise AssertionError("full coverage must occur by b = n")
-        starts = range(n) if cyclic else range(max(1, n - b + 1))
-        work += len(starts) << b
+        starts = n if cyclic else max(1, n - b + 1)
+        work += starts << b
         if work > MATRIX_MAX_WORK:
             raise BudgetError(f"window enumeration work {work} exceeds {MATRIX_MAX_WORK}")
         covered = np.zeros(full, dtype=bool)
         covered[0] = True
-        for i in starts:
-            window = [cols[(i + j) % n] for j in range(min(b, n))]
-            covered[_closure(window)] = True
+        windows = (np.arange(starts)[:, None] + np.arange(b)) % n  # row i: columns i..i+b-1
+        for rows in _row_blocks(starts, 1 << b):
+            covered[_closure(cols[windows[rows]])] = True
     return RadiusResult(b=b, method="matrix", witness=witness, cyclic=cyclic, n=n, r=r)
 
 
 def _burst_patterns(n: int, b: int) -> np.ndarray:
-    """All n-bit vectors supported in some cyclic window of b positions."""
+    """All n-bit vectors supported in some cyclic window of b < n positions, ascending.
+
+    A nonzero one is a rotation of an odd p < 2^b, its window started at
+    a set bit, so there are at most 1 + n * 2^(b-1); they are marked in a
+    2^n bitmap, a block of rotations at a time.
+    """
     mask = (1 << n) - 1
-    pats = set()
-    for p in range(1 << min(b, n)):
-        for i in range(n):
-            pats.add(((p << i) | (p >> (n - i))) & mask)
-    return np.fromiter(pats, dtype=np.int64, count=len(pats))
+    odd = np.arange(1, 1 << b, 2, dtype=np.int64)
+    shifts = np.arange(n, dtype=np.int64)[:, None]
+    marked = np.zeros(1 << n, dtype=bool)
+    marked[0] = True
+    for rows in _row_blocks(n, max(1, len(odd))):
+        i = shifts[rows]
+        marked[((odd << i) | (odd >> (n - i))) & mask] = True
+    return np.flatnonzero(marked)
 
 
 def geometric_is_covering(code: CyclicCode, b: int) -> bool:
-    """Exhaustive check that burst balls of size b around codewords cover F_2^n."""
+    """Exhaustive check that burst balls of size b around codewords cover F_2^n.
+
+    The budget is checked before anything is enumerated, on 2^(n-r)
+    codewords times 1 + n * 2^(b-1) patterns, a bound on the pattern count
+    for every b, exact when 2b <= n.  The cover is marked a block of
+    codewords x patterns at a time.
+    """
     n = code.n
     if n > GEOMETRIC_MAX_N:
         raise ValueError(f"exhaustive space 2^{n} exceeds max_n={GEOMETRIC_MAX_N}")
     if b >= n:
         return True
-    cw = list(codewords(code))
+    work = (1 << (n - code.r)) * min(1 << n, 1 + (n << b) // 2)
+    if work > GEOMETRIC_MAX_WORK:
+        raise BudgetError(f"codeword/pattern product {work} exceeds {GEOMETRIC_MAX_WORK}")
+    cw = codewords(code)
     pats = _burst_patterns(n, b)
-    if len(cw) * len(pats) > GEOMETRIC_MAX_WORK:
-        raise BudgetError("codeword/pattern product exceeds the budget")
     covered = np.zeros(1 << n, dtype=bool)
-    for c in cw:
-        covered[pats ^ c] = True
+    for rows in _row_blocks(len(cw), len(pats)):
+        covered[cw[rows, None] ^ pats] = True
     return bool(covered.all())
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import burstcover.bitmatrix as bitmatrix_mod
 from burstcover import gf2poly
 from burstcover import charsums
 from burstcover.charsums import (
@@ -18,9 +19,10 @@ from burstcover.charsums import (
     wcu_family_check,
 )
 from burstcover.codes import make_bch, make_cyclic_code, make_melas
+from burstcover.corpus import mixed_degree_entries
 from burstcover.field import default_modulus, get_context, trace_table
 from burstcover.gf2poly import mul
-from burstcover.lfsr import LfsrSpec, fibonacci_to_galois, trace_representation
+from burstcover.lfsr import LfsrSpec, fibonacci_to_galois, orbit_minima, trace_representation
 from test_cli import _fail_if_called
 from test_lfsr import window_histogram
 
@@ -189,6 +191,45 @@ def test_laurent_family_sums_match_oracle(m, monkeypatch):
             oracle = _char_sum_oracle(
                 m, lambda x: _mulmod(m, a, pos[x]) ^ _mulmod(m, b, neg[x]))
             assert s == oracle, (t, u, a, b)
+
+
+def _laurent_pair_loop(ctx, t, u, coeffs):
+    """The per-pair loop: one gather, XOR and 1-D count for each draw."""
+    table = trace_table(ctx)
+    k = np.arange(ctx.n, dtype=np.int64)
+    tk, uk = t * k % ctx.n, -u * k % ctx.n
+    return [ctx.n - 2 * int(np.count_nonzero(table[ctx.log[a] + tk] ^ table[ctx.log[b] + uk]))
+            for a, b in coeffs]
+
+
+@pytest.mark.parametrize("cells", [1, 100, None])
+@pytest.mark.parametrize("m", range(2, 13))
+def test_laurent_blocks_match_the_pair_loop(m, cells, monkeypatch):
+    # cells = 1: one-row blocks; 100: blocks of a few draws with a short last
+    # one; m >= 11 rows are counted one draw at a time whatever the block
+    if cells:
+        monkeypatch.setattr(bitmatrix_mod, "_ORACLE_CELLS", cells)
+    ctx = get_context(m)
+    rng = random.Random(m)
+    coeffs = [(rng.randrange(1, ctx.n + 1), rng.randrange(1, ctx.n + 1)) for _ in range(37)]
+    for t, u in ((1, 1), (3, 5), (5, 3)):
+        sums = charsums._laurent_sums(ctx, t, u, coeffs)
+        assert sums.dtype == np.int64
+        assert sums.tolist() == _laurent_pair_loop(ctx, t, u, coeffs), (t, u)
+    assert charsums._laurent_sums(ctx, 1, 1, []).tolist() == []
+
+
+def test_niederreiter_cache_matches_the_uncached_report(monkeypatch):
+    def reports():  # s = 0 and s = dmin + 1 are the inapplicable reports
+        return [niederreiter_check(LfsrSpec(entry.code.g, load), s)
+                for entry in mixed_degree_entries()[:6]
+                for load in orbit_minima(entry.code.r, entry.code.factors).tolist()[:8]
+                for s in range(min(f.degree for f in entry.code.factors) + 2)]
+
+    cached = reports()
+    monkeypatch.setattr(charsums, "_degree_and_period", charsums._degree_and_period.__wrapped__)
+    assert len(cached) > 50 and {rep.applicable for rep in cached} == {True, False}
+    assert cached == reports()
 
 
 @st.composite

@@ -1,15 +1,20 @@
 import inspect
 import random
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import burstcover.bitmatrix as bitmatrix_mod
 import burstcover.lfsr as lfsr_mod
 import burstcover.radius as radius_mod
 from burstcover import gf2poly
 from burstcover.bitmatrix import BinaryMatrix
+from burstcover.charsums import laurent_family_check
 from burstcover.codes import (
+    codewords,
     make_bch,
     make_cyclic_code,
     make_melas,
@@ -17,7 +22,7 @@ from burstcover.codes import (
 )
 from burstcover.corpus import build_corpus
 from burstcover.covering import burst_cover, verify_certificate
-from burstcover.field import primitive_moduli
+from burstcover.field import get_context, primitive_moduli, trace_table
 from burstcover.gf2poly import mul, poly_order
 from burstcover.lfsr import orbit_representatives
 from burstcover.radius import (
@@ -193,6 +198,121 @@ def test_geometric_work_budget(monkeypatch):
     monkeypatch.setattr(radius_mod, "GEOMETRIC_MAX_WORK", 1 << 11)
     with pytest.raises(BudgetError):
         geometric_is_covering(code, 3)
+
+
+def test_geometric_budget_checked_before_any_enumeration(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("codewords or patterns enumerated before the work budget")
+
+    monkeypatch.setattr(radius_mod, "codewords", no_enumeration)
+    monkeypatch.setattr(radius_mod, "_burst_patterns", no_enumeration)
+    monkeypatch.setattr(radius_mod, "GEOMETRIC_MAX_WORK", 1 << 11)
+    # 2^11 codewords times 1 + 15 * 2^(b-1) patterns, at b = 3 and b = 14
+    for b in (3, 14):
+        with pytest.raises(BudgetError, match="exceeds 2048"):
+            geometric_is_covering(make_cyclic_code(15, 0x13), b)
+
+
+def _rotation_set(n, b):
+    """Every rotation of every b-bit pattern, as a set of n-bit masks."""
+    mask = (1 << n) - 1
+    return {((p << i) | (p >> (n - i))) & mask for p in range(1 << b) for i in range(n)}
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_burst_patterns_match_the_rotation_set(n):
+    # the work budget's pattern count 1 + n * 2^(b-1) bounds every b and is exact for 1 <= b <= n/2
+    for b in range(n):
+        pats = _rotation_set(n, b)
+        assert radius_mod._burst_patterns(n, b).tolist() == sorted(pats)
+        bound = 1 + (n << b) // 2
+        assert len(pats) <= bound and (len(pats) == bound or 2 * b > n or b == 0)
+
+
+def test_codewords_are_the_products_in_order():
+    for code in (make_cyclic_code(7, 0xB), make_cyclic_code(15, mul(0b111, 0x13)), make_bch(2, 4)):
+        assert codewords(code).tolist() == [mul(u, code.g) for u in range(1 << (code.n - code.r))]
+
+
+def _geometric_oracle(code, b):
+    """The per-codeword loop: every codeword XOR a set of burst patterns."""
+    n = code.n
+    if b >= n:
+        return True
+    pats = _rotation_set(n, b)
+    covered = set()
+    for u in range(1 << (n - code.r)):
+        c = mul(u, code.g)
+        covered.update(c ^ p for p in pats)
+    return len(covered) == 1 << n
+
+
+@pytest.mark.parametrize("cells", [1, 64, None])
+def test_geometric_blocks_match_the_codeword_loop(cells, monkeypatch):
+    if cells:  # blocks of a few codewords, or of one
+        monkeypatch.setattr(bitmatrix_mod, "_ORACLE_CELLS", cells)
+    codes = [e.code for e in build_corpus() if e.code.n <= 16]
+    codes += [make_cyclic_code(15, g) for g in (0x3, 0x7, 0x13, 0x1F)] + [make_cyclic_code(9, 0x49)]
+    assert len(codes) > 8
+    for code in codes:
+        b = cyclic_burst_radius(code).b
+        for trial in (b - 1, b):
+            assert geometric_is_covering(code, trial) == _geometric_oracle(code, trial) == (trial >= b)
+
+
+def _matrix_oracle(H, cyclic):
+    """The per-start loop: one closure per window start, (b, witness)."""
+    r, n, cols = H.rows, H.cols, H.columns
+    covered = np.zeros(1 << r, dtype=bool)
+    covered[0] = True
+    witness = 1
+    b = 0
+    while not covered.all():
+        witness = int(np.argmin(covered))
+        b += 1
+        covered = np.zeros(1 << r, dtype=bool)
+        covered[0] = True
+        for i in range(n) if cyclic else range(max(1, n - b + 1)):
+            span = [0]
+            for j in range(b):
+                span += [v ^ cols[(i + j) % n] for v in span]
+            covered[span] = True
+    return b, witness
+
+
+@pytest.mark.parametrize("cells", [1, 64, None])
+@pytest.mark.parametrize("cyclic", [True, False])
+def test_matrix_blocks_match_the_per_start_loop(cells, cyclic, monkeypatch):
+    if cells:  # blocks of one start, or of a few starts with a short last block
+        monkeypatch.setattr(bitmatrix_mod, "_ORACLE_CELLS", cells)
+    matrices = [EXT_HAMMING, EXT_HAMMING_PERMUTED]
+    matrices += [parity_check_matrix(code) for code in (
+        make_bch(2, 4), make_bch(2, 5), make_melas(5), make_cyclic_code(21, mul(0b111, 0xB)),
+        make_cyclic_code(15, mul(0b11, 0x13)))]
+    for H in matrices:
+        res = matrix_burst_radius(H, cyclic=cyclic)
+        assert (res.b, res.witness) == _matrix_oracle(H, cyclic)
+
+
+def test_oracle_blocks_bound_the_peak():
+    # one block holds 2^14 cells, 128 kB of int64: the peaks are 0.41 MB
+    # (matrix), 0.42 MB (geometric) and 0.68 MB (Laurent, with its 2000
+    # draws as Python tuples); blocks of 2^16 cells reach 0.80, 0.81 and 1.0 MB
+    H = parity_check_matrix(make_bch(2, 8))
+    code = make_cyclic_code(15, 0x3)  # 2^14 codewords, the most at n <= 16
+    trace_table(get_context(10))
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: matrix_burst_radius(H)) < 640 << 10
+    assert peak(lambda: [geometric_is_covering(code, b) for b in (1, 4, 7)]) < 640 << 10
+    assert peak(lambda: laurent_family_check(10, 3, 5, 2000, seed=5)) < 800 << 10
 
 
 def test_orbit_budget_guard(monkeypatch):
