@@ -356,7 +356,7 @@ def wcu_family_check(m: int) -> FamilyCheckReport:
     phi = np.zeros(n + 1, dtype=np.int64)
     for i in range(m):
         phi[1:] |= table[i:i + n].astype(np.int64) << i
-    logs = np.array(ctx.log[1:], dtype=np.int64)  # log x for the masks x = 1..n
+    logs = ctx.log[1:]  # log x for the masks x = 1..n
     fifth = table[5 * logs % n]
     windows = np.lib.stride_tricks.sliding_window_view(table, n)  # [i, j] = Tr(X^(i+j))
 
@@ -419,10 +419,10 @@ def _laurent_sums(ctx: FieldContext, t: int, u: int, coeffs) -> np.ndarray:
     table = trace_table(ctx)
     k = np.arange(n, dtype=np.int64)
     tk, uk = t * k % n, -u * k % n
+    logs = ctx.log[np.array(coeffs, dtype=np.int64).reshape(-1, 2)]  # (log a, log b) per draw
     if n >= _FLAT_ROW_MIN:
-        return np.array([n - 2 * np.count_nonzero(table[ctx.log[a] + tk] ^ table[ctx.log[b] + uk])
-                         for a, b in coeffs], dtype=np.int64)
-    logs = np.array([(ctx.log[a], ctx.log[b]) for a, b in coeffs], dtype=np.int64).reshape(-1, 2)
+        return np.array([n - 2 * np.count_nonzero(table[la + tk] ^ table[lb + uk])
+                         for la, lb in logs.tolist()], dtype=np.int64)
     ones = np.empty(len(logs), dtype=np.int64)
     for rows in _row_blocks(len(logs), n):
         ones[rows] = np.count_nonzero(table[logs[rows, :1] + tk] ^ table[logs[rows, 1:] + uk], axis=1)

@@ -151,10 +151,9 @@ def make_bch(e: int, m: int, modulus=None) -> CyclicCode:
             raise AssertionError("minimal polynomial degree differs from m")
         g = mul(g, h)
         factors.append(CodeFactor(h, m, ctx, t % n, t))
-    code = CyclicCode(n, g, e * m, tuple(factors), family="bch", params=(e, m))
-    if code.r != g.bit_length() - 1:
+    if len({fac.poly for fac in factors}) != e:
         raise AssertionError("factors were not coprime")
-    return code
+    return CyclicCode(n, g, e * m, tuple(factors), family="bch", params=(e, m))
 
 
 def make_melas(m: int, modulus=None) -> CyclicCode:
@@ -188,8 +187,8 @@ def parity_check_matrix(code: CyclicCode) -> BinaryMatrix:
     columns = [0] * code.n
     offset = 0
     for fac in code.factors:
-        exp, period, t = fac.ctx.exp, fac.ctx.n, fac.t
-        columns = [c | exp[j * t % period] << offset for j, c in enumerate(columns)]
+        powers = fac.ctx.exp[np.arange(code.n) * fac.t % fac.ctx.n].tolist()  # ints, for the shift
+        columns = [c | p << offset for c, p in zip(columns, powers)]
         offset += fac.degree
     # no nonzero codeword has degree < r, so columns 0..r-1 are independent
     if len(row_reduce(columns[:code.r], code.r)[1]) != code.r:

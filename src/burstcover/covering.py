@@ -94,7 +94,7 @@ class CoverSolver:
         for fac in code.factors:
             ctx, table = fac.ctx, trace_table(fac.ctx)
             steps = fac.t * k % ctx.n
-            c = -ctx.dlog(ctx.evaluate(derivative(code.g), ctx.exp[fac.t]))
+            c = -ctx.dlog(ctx.evaluate(derivative(code.g), ctx.alpha_pow(fac.t)))
             for j in range(fac.degree):
                 bits = np.packbits(table[(j + c) % ctx.n + steps], bitorder="little")
                 runs.append(int.from_bytes(bits.tobytes(), "little"))

@@ -2,16 +2,18 @@
 
 A FieldContext wraps a primitive modulus of degree m, so X generates the
 multiplicative group: exp[k] is X^k, stepped by the shift v*X mod modulus,
-and log X^l = l.  Its trace mask (Tr(v) is the parity of
-popcount(v & trace_mask)) is read from exp.  Elements are plain ints
-(their coefficient masks).  There is one cached context per modulus:
-get_context(m) is context_for_modulus(default_modulus(m)).
+and log X^l = l.  exp (2n entries, uint32) and log (int64) are read-only
+numpy arrays, which every engine indexes in place.  Its trace mask (Tr(v)
+is the parity of popcount(v & trace_mask)) is read from exp.  Elements
+are plain ints (their coefficient masks), and so is every scalar result.
+There is one cached context per modulus: get_context(m) is
+context_for_modulus(default_modulus(m)).
 
 trace_table(ctx) is the package's one numpy trace table, Tr(X^j) for
-j < 2n.  The trace is linear, so Tr(sum c_i x^(e_i)) at x = X^k is the
-XOR of table[log c_i + (e_i k mod n)]: the character sums, trace
-regeneration and the cover tables read it that way, without building a
-field element.
+j < 2n, read-only like exp and log.  The trace is linear, so
+Tr(sum c_i x^(e_i)) at x = X^k is the XOR of table[log c_i + (e_i k mod n)]:
+the character sums, trace regeneration and the cover tables read it that
+way, without building a field element.
 
 The default modulus for each m is the lexicographically smallest
 primitive polynomial of degree m, where coefficient strings compare as
@@ -20,6 +22,7 @@ integers.  This makes every derived object reproducible.
 
 from __future__ import annotations
 
+import array
 import functools
 
 import numpy as np
@@ -66,38 +69,39 @@ class FieldContext:
 
     def _build_tables(self):
         m, n, modulus = self.m, self.n, self.modulus
-        exp = [1] * (2 * n)
-        log = [0] * (n + 1)
+        exp = array.array("I")  # uint32 in one compact buffer, not a list of ints
         v = 1
-        for k in range(n):
-            exp[k] = exp[k + n] = v
-            log[v] = k
+        for _ in range(n):
+            exp.append(v)
             v <<= 1  # the shift v*X mod modulus, inline as in lfsr_sequence
             if v >> m:
                 v ^= modulus
-        self.exp = exp
-        self.log = log
+        exp.extend(exp)  # exp[k + n] = exp[k], so a sum of two logs needs no reduction
+        self.exp = np.frombuffer(exp, dtype=np.uint32)
+        self.log = np.zeros(n + 1, dtype=np.int64)  # int64: the orbit engine multiplies logs
+        self.log[self.exp[:n]] = np.arange(n, dtype=np.uint32)  # log[0] is unused
+        self.exp.flags.writeable = self.log.flags.writeable = False
         # Tr(X^l) is the sum of the conjugates X^(l 2^i), read from exp
         mask = 0
         for l in range(m):
             t = 0
             for i in range(m):
-                t ^= exp[(l << i) % n]
+                t ^= self.alpha_pow(l << i)
             if t not in (0, 1):
                 raise AssertionError("trace left the prime field")
             mask |= t << l
         self.trace_mask = mask
 
-    # -- table-driven operations on raw masks ------------------------------
+    # -- table-driven operations on raw masks, in and out as ints ----------
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self.exp[self.log[a] + self.log[b]]
+        return self.exp.item(self.log.item(a) + self.log.item(b))
 
     def alpha_pow(self, k: int) -> int:
         """x^k mod modulus, exponent taken modulo 2^m - 1."""
-        return self.exp[k % self.n]
+        return self.exp.item(k % self.n)
 
     def trace(self, a: int) -> int:
         return (a & self.trace_mask).bit_count() & 1
@@ -113,7 +117,7 @@ class FieldContext:
         """Discrete log base X (a nonzero)."""
         if a == 0:
             raise ValueError("zero has no discrete log")
-        return self.log[a]
+        return self.log.item(a)
 
     def __eq__(self, other):
         return isinstance(other, FieldContext) and other.modulus == self.modulus
@@ -142,11 +146,12 @@ def trace_table(ctx: FieldContext) -> np.ndarray:
 
     The parities of one period are folded, then tiled: Tr(X^(j+n)) = Tr(X^j).
     """
-    v = np.fromiter(ctx.exp, dtype=np.uint32, count=ctx.n)
-    v &= ctx.trace_mask
+    v = ctx.exp[:ctx.n] & ctx.trace_mask
     for shift in (16, 8, 4, 2, 1):  # fold the parity of up to 32 bits into bit 0
         v ^= v >> shift
-    return np.tile((v & 1).astype(bool), 2)
+    table = np.tile((v & 1).astype(bool), 2)
+    table.flags.writeable = False  # cached: one caller's write would reach every later one
+    return table
 
 
 def cyclotomic_coset(t: int, n: int) -> list[int]:

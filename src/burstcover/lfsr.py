@@ -18,9 +18,10 @@ from every statistic (its zero run is unbounded).
 orbit_minima is the one enumerator of the shift orbits f -> X*f mod g,
 read by the radius engine and the pattern checks (from a code's own
 factors) and by orbit_representatives (from codes.factors_of(g)): it
-names orbits by discrete logs at the roots of g (_OrbitNames), reads the
-residues from 0 up in numpy blocks and keeps each orbit's first residue,
-its minimum.  The trace form reads the same factor records.
+names orbits by discrete logs at the roots of g (_OrbitNames, which
+gathers them from each field's log array in place), reads the residues
+from 0 up in numpy blocks and keeps each orbit's first residue, its
+minimum.  The trace form reads the same factor records.
 """
 
 from __future__ import annotations
@@ -208,11 +209,6 @@ def orbit_minima(r: int, factors) -> np.ndarray:
     return np.sort(first)[1:]  # first[0] = 0 is the zero orbit
 
 
-@functools.lru_cache(maxsize=None)
-def _log_array(ctx) -> np.ndarray:
-    return np.array(ctx.log, dtype=np.int64)
-
-
 class _OrbitNames:
     """An id in 0..total-1 for each orbit of residues under f -> X*f mod g.
 
@@ -234,10 +230,10 @@ class _OrbitNames:
             # beta^k for k < r: f(beta) is their XOR over supp(f), so the
             # component of hi * 2^_K + lo is low[lo] ^ high(hi), the XOR of
             # the high columns at the set bits of hi
-            cols = [ctx.exp[t_i * k % ctx.n] for k in range(r)]
+            cols = ctx.exp[t_i * np.arange(r) % ctx.n].tolist()
             self.tables.append((_closure(cols[:_K]), cols[_K:]))
             self.n.append(ctx.n)
-            self.logs.append(_log_array(ctx))
+            self.logs.append(ctx.log)
             t.append(t_i)
         self.chains = [(0, [])]  # the zero residue is an orbit of its own
         self.total = 1
@@ -311,9 +307,9 @@ def trace_representation(spec: LfsrSpec) -> list[tuple]:
     gammas = []
     for fac in factors_of(g):
         ctx = fac.ctx
-        beta = ctx.exp[fac.t]
+        beta = ctx.alpha_pow(fac.t)
         value = ctx.evaluate(spec.load, beta)
-        gamma = ctx.exp[ctx.log[value] + ctx.n - ctx.log[ctx.evaluate(dg, beta)]] if value else 0
+        gamma = ctx.alpha_pow(ctx.dlog(value) - ctx.dlog(ctx.evaluate(dg, beta))) if value else 0
         gammas.append((fac, gamma))
 
     total = poly_order(g) + r
@@ -333,5 +329,5 @@ def regenerate_from_trace(gammas, length: int) -> bytes:
     for fac, gamma in gammas:
         if gamma:
             ctx = fac.ctx
-            bits ^= trace_table(ctx)[ctx.log[gamma] + fac.t * k % ctx.n]
+            bits ^= trace_table(ctx)[ctx.dlog(gamma) + fac.t * k % ctx.n]
     return bits.astype(np.uint8).tobytes()

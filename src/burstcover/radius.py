@@ -106,8 +106,9 @@ def matrix_burst_radius(H: BinaryMatrix, cyclic: bool = True) -> RadiusResult:
     Brute force over window sizes: for each b the reachable syndromes
     are marked in a bitmap, so the first fully covered level is the
     radius and the smallest syndrome missed at the previous level is
-    the witness.  The windows of a block of starts are closed together,
-    one (starts x 2^b) array of _ORACLE_CELLS cells marked at once.
+    the witness.  Marks are kept across widths, so width b marks only the
+    combinations that use each window's last column; the windows of a
+    block of starts are closed together, _ORACLE_CELLS cells at once.
     """
     r, n = H.rows, H.cols
     if r < 1:
@@ -132,11 +133,10 @@ def matrix_burst_radius(H: BinaryMatrix, cyclic: bool = True) -> RadiusResult:
         work += starts << b
         if work > MATRIX_MAX_WORK:
             raise BudgetError(f"window enumeration work {work} exceeds {MATRIX_MAX_WORK}")
-        covered = np.zeros(full, dtype=bool)
-        covered[0] = True
         windows = (np.arange(starts)[:, None] + np.arange(b)) % n  # row i: columns i..i+b-1
-        for rows in _row_blocks(starts, 1 << b):
-            covered[_closure(cols[windows[rows]])] = True
+        for rows in _row_blocks(starts, 1 << (b - 1)):
+            w = windows[rows]
+            covered[_closure(cols[w[:, :-1]]) ^ cols[w[:, -1:]]] = True
     return RadiusResult(b=b, method="matrix", witness=witness, cyclic=cyclic, n=n, r=r)
 
 

@@ -423,3 +423,20 @@ def test_bch_factor_degrees_and_coprimality():
             for i, fi in enumerate(code.factors):
                 for fj in code.factors[i + 1:]:
                     assert gf2poly.gcd(fi.poly, fj.poly) == 1
+
+
+def test_make_bch_refuses_a_repeated_factor(monkeypatch):
+    # every factor has degree m, so deg g = e*m always; only a repeated
+    # minimal polynomial can make the factors fail to be coprime
+    import burstcover.codes as codes_mod
+
+    real = codes_mod.minimal_polynomial
+    monkeypatch.setattr(codes_mod, "minimal_polynomial", lambda ctx, t: real(ctx, 1))
+    with pytest.raises(AssertionError, match="coprime"):
+        make_bch(2, 6)
+
+
+def test_factor_roots_are_ints():
+    # t feeds shifts, pow(x, -1, n) and --emit json, so it is never a numpy scalar
+    codes = [make_bch(2, 6), make_melas(5), make_cyclic_code(45, gf2poly.mul(0x1F, 0x49))]
+    assert all(type(f.t) is int for code in codes for f in code.factors)

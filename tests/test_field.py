@@ -126,6 +126,39 @@ def test_exp_log_tables():
     assert ctx.mul(a, ctx.exp[ctx.n - ctx.log[a]]) == 1
 
 
+def test_scalar_methods_return_ints():
+    # no numpy scalar reaches gf2poly, a shift past 32 bits or --emit json
+    ctx = get_context(6)
+    values = [ctx.mul(0b101, 0b11001), ctx.alpha_pow(-7), ctx.evaluate(0xB, 0b101),
+              ctx.dlog(0b101), ctx.trace(0b101), ctx.trace_mask,
+              find_root(ctx, 0xB), minimal_polynomial(ctx, 3)]
+    assert [type(v) for v in values] == [int] * len(values)
+
+
+def test_tables_are_read_only():
+    # the context and trace table are cached and shared by every caller
+    ctx = get_context(6)
+    for table in (ctx.exp, ctx.log, trace_table(ctx)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            table ^= table
+    assert ctx.exp[:3].tolist() == [1, 2, 4] and ctx.log[2] == 1 and trace_table(ctx).any()
+
+
+def test_context_tables_are_compact():
+    # 2n uint32 exp entries and n + 1 int64 logs: 1 MB at m = 16, where
+    # lists of ints took 5.75 MB
+    modulus = default_modulus(16)
+    tracemalloc.start()
+    try:
+        FieldContext(modulus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 def test_non_primitive_moduli_are_refused():
     # X generates every context, so a modulus under which X has a smaller
     # order (or none: the modulus X itself) names no context
@@ -198,7 +231,7 @@ def test_generator_is_least_element_of_full_order(m):
     # the tables' generator exp[1] is X (1 modulo X + 1), of full order
     for modulus in (p for p in SMALL_PRIMITIVE if p.bit_length() - 1 == m):
         ctx = FieldContext(modulus)
-        gen = ctx.exp[1]
+        gen = ctx.alpha_pow(1)
         assert gen == gf2poly.rem(X, modulus)
         assert _order(gen, modulus) == ctx.n
         assert all(_order(v, modulus) < ctx.n for v in range(1, gen))
@@ -220,9 +253,12 @@ def _stepped_tables(modulus: int):
 
 
 def test_tables_match_the_stepped_oracle():
-    for modulus in SMALL_PRIMITIVE:
+    moduli = [p for m in range(1, 13) for p in primitive_moduli(m)]
+    assert len(moduli) == 480
+    for modulus in moduli:
         ctx = FieldContext(modulus)
-        assert (ctx.exp, ctx.log, ctx.trace_mask) == _stepped_tables(modulus), hex(modulus)
+        tables = (ctx.exp.tolist(), ctx.log.tolist(), ctx.trace_mask)
+        assert tables == _stepped_tables(modulus), hex(modulus)
 
 
 def test_non_primitive_modulus_tests_irreducibility_once(monkeypatch):
@@ -241,7 +277,7 @@ def test_non_primitive_modulus_tests_irreducibility_once(monkeypatch):
     ctx = FieldContext(0x19)  # x^4 + x^3 + 1 is primitive
     assert calls == [0x1F, 0x19]
     assert ctx.trace_mask == 14
-    assert ctx.exp[:15] == [1, 2, 4, 8, 9, 11, 15, 7, 14, 5, 10, 13, 3, 6, 12]
+    assert ctx.exp[:15].tolist() == [1, 2, 4, 8, 9, 11, 15, 7, 14, 5, 10, 13, 3, 6, 12]
 
 
 def test_one_context_per_modulus():

@@ -454,6 +454,7 @@ def test_trace_representation_zero_sequence_component():
     g = gf2poly.mul(g1, g2)
     spec = LfsrSpec.from_galois(g, 0b1011001)
     gammas = trace_representation(spec)
+    assert all(type(gamma) is int for _, gamma in gammas)
     # dropping the second component leaves a sequence with connection g1
     only_first = [(fac, gamma) for fac, gamma in gammas if fac.poly == g1]
     bits = regenerate_from_trace(only_first, 40)

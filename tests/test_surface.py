@@ -1,6 +1,7 @@
 """The package exports nothing that only its tests reach, imports nothing
 that it does not use, names in its comments no private name that is
-gone, and finds the roots of a generator's factors in one place.
+gone, finds the roots of a generator's factors in one place, and copies
+the field tables into no array of its own.
 
 A public top-level function or class of `src/burstcover` must be named
 somewhere other than its own definition, and a public method of a public
@@ -142,3 +143,29 @@ def test_one_path_from_a_generator_to_its_roots():
     # reads the CodeFactor records that codes builds
     assert _callers("find_root") == {"codes.factors_of"}
     assert _callers("CodeFactor") == {"codes.factors_of", "codes.make_bch", "codes.make_melas"}
+
+
+def _table_copies(trees) -> set[str]:
+    """module:line of each np.array, np.asarray or np.fromiter call that
+    reads an `.exp` or `.log` attribute (np.log and math.log aside)."""
+    copies = set()
+    for name, tree in trees:
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) in ("array", "asarray", "fromiter")):
+                continue
+            args = [*node.args, *(k.value for k in node.keywords)]
+            if any(isinstance(sub, ast.Attribute) and sub.attr in ("exp", "log")
+                   and getattr(sub.value, "id", None) not in ("np", "math")
+                   for arg in args for sub in ast.walk(arg)):
+                copies.add(f"{name}:{node.lineno}")
+    return copies
+
+
+def test_field_tables_have_one_representation():
+    # FieldContext holds exp and log as read-only numpy arrays; every
+    # other module indexes them in place
+    assert _table_copies((path.stem, tree) for path, tree in _modules()
+                         if path.stem != "field") == set()
+    snippet = "x = np.array(ctx.log[1:])\ny = np.fromiter(c.exp, int)\nz = np.array(np.log(w))"
+    assert _table_copies([("snippet", ast.parse(snippet))]) == {"snippet:1", "snippet:2"}
