@@ -26,6 +26,18 @@ Checked bounds:
   and negative groups), counted over windows of length 2^m - 1.
 * The pattern-presence guarantees derived from those bounds.
 * The exact power inequality supporting the two-primitive-factor case.
+
+The pattern checks count each code once.  Over a whole period read
+cyclically, a length-(s-1) pattern occurs as often as its two length-s
+extensions together, so the counts at s - 1 are those at s with the top
+bit summed out (_marginals).  pattern_census takes the orbit
+representatives and their periods once, counts them at s_max in row
+blocks of _BLOCK_CELLS, and builds the report of every s = 1..s_max in
+that one pass; it is cached per (code, variant, s_max), and
+pattern_theorem_check(code, variant, s) reads its report at s = m.
+find_avoidance_witness reads the same census (_census), and
+niederreiter_check one cached count per sequence at its least factor
+degree (_period_census).
 """
 
 from __future__ import annotations
@@ -85,22 +97,18 @@ def niederreiter_check(spec: LfsrSpec, s: int) -> FrequencyReport:
 
     For every pattern y of length s <= (min factor degree of the minimal
     polynomial): |N - pi/2^s| <= (1 - 2^-s) * 2^(r/2).  The report flags
-    the bound as vacuous when its lower bound on N is not positive.
+    the bound as vacuous when its lower bound on N is not positive.  The
+    counts come from _period_census, one count per sequence.
     """
-    gmin = minimal_connection(spec)
-    if gmin == 1:
-        raise ValueError("the all-zero sequence is excluded")
+    gmin, min_factor_degree, pi, by_s = _period_census(spec)
     rmin = gmin.bit_length() - 1
-    min_factor_degree, pi = _degree_and_period(gmin)
     if s < 1 or s > min_factor_degree:
         return FrequencyReport(
             "niederreiter", s, 0, 0, 0, (), applicable=False,
             note=f"s must be in [1, {min_factor_degree}] for this sequence",
         )
-    load = quot(spec.load, quot(spec.connection, gmin))  # load/d on g/d, d = gcd(load, g)
-    counts = pattern_counts(periods(gmin, [load], pi), pi, s)[0].tolist()
     slack = (1 << s) - 1
-    violations = tuple((y, c) for y, c in enumerate(counts)
+    violations = tuple((y, c) for y, c in enumerate(by_s[s - 1].tolist())
                        if not _within((c << s) - pi, rmin, slack))
     return FrequencyReport(
         "niederreiter", s, pi, 1, 1 << s, violations, vacuous=_within(pi, rmin, slack),
@@ -108,23 +116,61 @@ def niederreiter_check(spec: LfsrSpec, s: int) -> FrequencyReport:
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _period_census(spec: LfsrSpec) -> tuple:
+    """(minimal connection gmin, its least factor degree d, its period pi,
+    the counts over one period at s = 1..d), kept for the calls at
+    s = 1, 2, ... on one sequence: one count at s = d, the rest its
+    marginals."""
+    gmin = minimal_connection(spec)
+    if gmin == 1:
+        raise ValueError("the all-zero sequence is excluded")
+    min_factor_degree, pi = _degree_and_period(gmin)
+    load = quot(spec.load, quot(spec.connection, gmin))  # load/d on g/d, d = gcd(load, g)
+    counts = pattern_counts(periods(gmin, [load], pi), pi, min_factor_degree)
+    return gmin, min_factor_degree, pi, [c[0] for _, c in _marginals(counts)][::-1]
+
+
 @functools.lru_cache(maxsize=1024)
 def _degree_and_period(gmin: int) -> tuple[int, int]:
     """(least irreducible factor degree, order) of a minimal connection
-    polynomial, kept for the calls at s = 1, 2, ... on its sequences."""
+    polynomial, shared by the sequences it is minimal for."""
     return min(h.bit_length() - 1 for h, _ in gf2poly.factor(gmin)), poly_order(gmin)
+
+
+def _marginals(counts: np.ndarray):
+    """(s, counts at s) for s = S down to 1, from pattern_counts' array at S.
+
+    Over a whole period read cyclically, a length-(s-1) pattern occurs as
+    often as its two length-s extensions together, so the counts at s - 1
+    are those at s with the top bit (the last term) summed out, one bit at
+    a time; only the array at s and its marginal are live together.
+    """
+    s = counts.shape[1].bit_length() - 1
+    while True:
+        yield s, counts
+        if s == 1:
+            return
+        half = 1 << (s - 1)
+        counts = counts[:, :half] + counts[:, half:]
+        s -= 1
 
 
 _BLOCK_CELLS = 1 << 20  # rows x max(period, 2^s) per pattern_counts block: 8 MB of int64
 
 
-def _orbit_counts(code: CyclicCode, s: int, window: int):
-    """(orbit representatives, their pattern counts), ascending, in row blocks."""
+def _census(code: CyclicCode, s_max: int):
+    """(orbit representatives, their counts at s_max), ascending, in row blocks.
+
+    The one count of a code's sequences: representatives and periods once,
+    then one pattern_counts per block of rows; _marginals gives smaller s.
+    """
+    window = (1 << max(f.degree for f in code.factors)) - 1
     reps = orbit_minima(code.r, code.factors).tolist()
     rows = periods(code.g, reps, window)
-    step = max(1, _BLOCK_CELLS // max(window, 1 << s))
+    step = max(1, _BLOCK_CELLS // max(window, 1 << s_max))
     for i in range(0, len(reps), step):
-        yield reps[i:i + step], pattern_counts(rows[i:i + step], window, s)
+        yield reps[i:i + step], pattern_counts(rows[i:i + step], window, s_max)
 
 
 def _positive_odd_exponents(code: CyclicCode) -> list[int]:
@@ -149,54 +195,87 @@ def pattern_theorem_check(code: CyclicCode, variant: str, s: int) -> FrequencyRe
     signed exponents split into positive t's and negated u's; it also
     reports how many sequences satisfy the positive-only bound, which is
     sharper whenever the negative-exponent components are inactive.
+
+    An applicable s reads pattern_census(code, variant, m)[s - 1], so the
+    calls at s = 1..m share one cached census of the code.
     """
     degrees = {f.degree for f in code.factors}
     m = max(degrees)
-    window = (1 << m) - 1
-    exps = [f.exponent for f in code.factors]
-    # the bound is |2^s N - window| <= (2^s - 1)(weight 2^(m/2) + shift)
     if len(degrees) != 1:
-        window, note = 0, "factors must share one degree"
+        note = "factors must share one degree"
     elif not 1 <= s <= m:
-        window, note = 0, f"s must be in [1, {m}]"
-    elif variant == "equal_degree":
-        t_max = max(_positive_odd_exponents(code))
-        weight, shift, positive_weight = t_max - 1, 1, None
-        note = "max exponent 1 gives a PN sequence; bound not needed" if t_max < 3 else ""
-    elif variant == "melas_mixed":
-        ts = [t for t in exps if t > 0]
-        us = [-t for t in exps if t < 0]
-        if not ts or not us:
-            note = "needs both positive and negative exponents"
-        elif any(e % 2 == 0 for e in ts + us):
-            note = "exponents must be odd"
-        else:
-            weight, shift, note = max(ts) + max(us), 0, ""
-            # sharper positive-only bound, met when the negative parts idle
-            positive_weight = max(ts) - 1
+        note = f"s must be in [1, {m}]"
     else:
-        raise ValueError(f"unknown variant {variant!r}")
-    if note:
-        return FrequencyReport(variant, s, window, 0, 0, (), applicable=False, note=note)
+        return pattern_census(code, variant, m)[s - 1]
+    return FrequencyReport(variant, s, 0, 0, 0, (), applicable=False, note=note)
 
-    slack = (1 << s) - 1
+
+def _bound_weights(code: CyclicCode, variant: str) -> tuple:
+    """(weight, shift, positive_weight, note) of the bound
+    |2^s N - window| <= (2^s - 1)(weight 2^(m/2) + shift); a nonempty note
+    says why the variant does not apply to the code."""
+    if variant == "equal_degree":
+        t_max = max(_positive_odd_exponents(code))
+        note = "max exponent 1 gives a PN sequence; bound not needed" if t_max < 3 else ""
+        return t_max - 1, 1, None, note
+    if variant != "melas_mixed":
+        raise ValueError(f"unknown variant {variant!r}")
+    exps = [f.exponent for f in code.factors]
+    ts = [t for t in exps if t > 0]
+    us = [-t for t in exps if t < 0]
+    if not ts or not us:
+        return 0, 0, None, "needs both positive and negative exponents"
+    if any(e % 2 == 0 for e in ts + us):
+        return 0, 0, None, "exponents must be odd"
+    # sharper positive-only bound, met when the negative parts idle
+    return max(ts) + max(us), 0, max(ts) - 1, ""
+
+
+@functools.lru_cache(maxsize=32)
+def pattern_census(code: CyclicCode, variant: str, s_max: int) -> tuple[FrequencyReport, ...]:
+    """pattern_theorem_check(code, variant, s) for s = 1..s_max, from one count.
+
+    The code's factors share one degree m, and 1 <= s_max <= m.  One pass
+    over _census builds every report: each row block is counted once at
+    s_max and each smaller s reads its marginal.  Cached per (code,
+    variant, s_max), so per-s callers share it.
+    """
+    degrees = {f.degree for f in code.factors}
+    m = max(degrees)
+    if len(degrees) != 1 or not 1 <= s_max <= m:
+        raise ValueError(f"a census needs factors of one degree m and s_max in [1, m], "
+                         f"got degrees {sorted(degrees)} and s_max {s_max}")
+    window = (1 << m) - 1
+    weight, shift, positive_weight, note = _bound_weights(code, variant)
+    if note:
+        return tuple(FrequencyReport(variant, s, window, 0, 0, (), applicable=False, note=note)
+                     for s in range(1, s_max + 1))
+
     guaranteed = _guaranteed_pattern_length(m, weight)
-    violations, misses, sequences, stronger = [], [], 0, 0
-    for reps, counts in _orbit_counts(code, s, window):
+    violations = [[] for _ in range(s_max)]
+    misses = [[] for _ in range(s_max)]
+    stronger = [0] * s_max
+    sequences = 0
+    for reps, top in _census(code, s_max):
         sequences += len(reps)
-        devs = (counts << s) - window
-        bad = ~_within(devs, m, slack * weight, slack * shift)
-        violations += [(reps[i], int(y), int(counts[i, y])) for i, y in zip(*np.nonzero(bad))]
-        if s <= guaranteed:
-            misses += [(reps[i], int(y)) for i, y in zip(*np.nonzero(counts == 0))]
-        if positive_weight is not None:
-            stronger += int(_within(devs, m, slack * positive_weight, slack).all(axis=1).sum())
-    return FrequencyReport(
-        variant, s, window, sequences, sequences << s, tuple(violations),
-        guaranteed_s=guaranteed, corollary_misses=tuple(misses),
-        stronger_bound_sequences=None if positive_weight is None else stronger,
-        note=f"m={m}, exponents={exps}",
-    )
+        for s, counts in _marginals(top):
+            slack = (1 << s) - 1
+            devs = (counts << s) - window
+            bad = ~_within(devs, m, slack * weight, slack * shift)
+            violations[s - 1] += [(reps[i], int(y), int(counts[i, y]))
+                                  for i, y in zip(*np.nonzero(bad))]
+            if s <= guaranteed:
+                misses[s - 1] += [(reps[i], int(y)) for i, y in zip(*np.nonzero(counts == 0))]
+            if positive_weight is not None:
+                stronger[s - 1] += int(_within(devs, m, slack * positive_weight, slack)
+                                       .all(axis=1).sum())
+    note = f"m={m}, exponents={[f.exponent for f in code.factors]}"
+    return tuple(FrequencyReport(
+        variant, s, window, sequences, sequences << s, tuple(violations[s - 1]),
+        guaranteed_s=guaranteed, corollary_misses=tuple(misses[s - 1]),
+        stronger_bound_sequences=None if positive_weight is None else stronger[s - 1],
+        note=note,
+    ) for s in range(1, s_max + 1))
 
 
 def _guaranteed_pattern_length(m: int, weight: int) -> int:
@@ -212,12 +291,13 @@ def find_avoidance_witness(code: CyclicCode, s: int):
 
     Such witnesses bound how far the pattern-presence guarantee can be
     pushed; this only searches and asserts nothing about existence.
-    Returns (initial load, pattern index) for the first missing pair.
+    Returns (initial load, pattern index) for the first missing pair, in
+    ascending load order, from the census counted at s.
     """
     m = max(f.degree for f in code.factors)
     if not 1 <= s <= m:
         raise ValueError(f"avoidance pattern length must be in [1, {m}], got {s}")
-    for reps, counts in _orbit_counts(code, s, (1 << m) - 1):
+    for reps, counts in _census(code, s):
         rows, ys = np.nonzero(counts == 0)
         if len(rows):
             return reps[rows[0]], int(ys[0])
@@ -287,9 +367,9 @@ def gcd_power_inequality_check(a: int, b: int) -> bool:
 # exhaustive / sampled family checks used by the verification suites
 
 # Largest m that `verify charsums` runs each family check at (2-vCPU VM,
-# one call each).  The Weil sweep holds a 2^m x (2^m + 2) int32 array and
-# its gather by phi, 4x larger per step of m: 0.02 s / 42 MB process peak
-# at m = 10, 0.1 s / 81 MB at m = 11, 0.5 s / 238 MB at m = 12 (a ceiling
+# one call each).  The Weil sweep holds a 2^m x (2^m + 2) int16 array and
+# its gather by phi, 4x larger per step of m: 7 ms / 35 MB process peak
+# at m = 10, 40 ms / 50 MB at m = 11, 0.17 s / 110 MB at m = 12 (a ceiling
 # above 11 needs row blocks).  A Laurent call at m = 16 took 0.08 s after
 # 0.28 s for its field context (37 MB); contexts grow 2x per step of m.
 # 2000 Laurent draws take 0.01 s at m = 10 (in blocks of 2^14 cells),
@@ -297,6 +377,10 @@ def gcd_power_inequality_check(a: int, b: int) -> bool:
 # and 0.28 s at m = 16, so 2000 draws for each of the 9 forms take about
 # 2.5 s at m = 16 and 6 s for the whole `verify charsums --laurent-m-max 16`.
 WCU_M_MAX = 11
+# After butterfly stage k every |entry| of the Weil transform is at most
+# 2^(k+1), so every intermediate fits in q = 2^m: int16 up to m = 14.
+_WEIL_DTYPE = np.int16
+assert 1 << WCU_M_MAX <= np.iinfo(_WEIL_DTYPE).max, "the Weil transform needs a wider dtype"
 LAURENT_M_MAX = 16
 LAURENT_DRAWS_MAX = 2000
 
@@ -335,6 +419,27 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _weil_signs(m: int) -> np.ndarray:
+    """w[x, col] for wcu_family_check's transform, in _WEIL_DTYPE: column 0
+    is chi(0), column 1 chi(x^3), then chi(b x^3 + x^5) for b = 0, X^0,
+    X^1, ...  An element indexes a row as 0 for 0 and j + 1 for X^j."""
+    ctx = get_context(m)
+    n, q = ctx.n, 1 << m
+    table = trace_table(ctx)
+    logs = ctx.log[1:]  # log x for the masks x = 1..n
+    fifth = table[5 * logs % n]
+    windows = np.lib.stride_tricks.sliding_window_view(table, n)  # [i, j] = Tr(X^(i+j))
+    w = np.empty((q, n + 3), dtype=_WEIL_DTYPE)
+    w[1:, 1] = table[3 * logs % n]
+    w[1:, 2] = fifth
+    w[1:, 3:] = windows[3 * logs % n, :n] ^ fifth[:, None]
+    w[1:, 1:] *= -2  # trace bit t -> chi = 1 - 2t
+    w[1:, 1:] += 1
+    w[:, 0] = 1
+    w[0] = 1  # x = 0
+    return w
+
+
 def wcu_family_check(m: int) -> FamilyCheckReport:
     """Weil bound over every monic odd-degree polynomial of degree <= 5.
 
@@ -346,30 +451,15 @@ def wcu_family_check(m: int) -> FamilyCheckReport:
     with bit i = Tr(c X^i); then Tr(c x) = popcount(phi(c) & x) mod 2, so
     the sum over x of chi(b x^3 + x^5) chi(c x) is the Walsh-Hadamard
     transform of w_b(x) = chi(b x^3 + x^5) read at phi(c): O(n^2 m)
-    integer additions for the whole sweep, verdicts exact.  An element
-    indexes a row as 0 for 0 and j + 1 for X^j.
+    integer additions for the whole sweep, verdicts exact.
     """
-    ctx = get_context(m)
-    n, q = ctx.n, 1 << m
-    table = trace_table(ctx)
+    n, q = (1 << m) - 1, 1 << m
+    table = trace_table(get_context(m))
     # log X^i = i, so Tr(X^j X^i) = table[j + i]
     phi = np.zeros(n + 1, dtype=np.int64)
     for i in range(m):
         phi[1:] |= table[i:i + n].astype(np.int64) << i
-    logs = ctx.log[1:]  # log x for the masks x = 1..n
-    fifth = table[5 * logs % n]
-    windows = np.lib.stride_tricks.sliding_window_view(table, n)  # [i, j] = Tr(X^(i+j))
-
-    # w[x]: chi(0), chi(x^3), then chi(b x^3 + x^5) for b = 0, X^0, X^1, ...
-    w = np.empty((q, n + 3), dtype=np.int32)  # every |entry| stays <= q
-    w[1:, 1] = table[3 * logs % n]
-    w[1:, 2] = fifth
-    w[1:, 3:] = windows[3 * logs % n, :n] ^ fifth[:, None]
-    w[1:, 1:] *= -2  # trace bit t -> chi = 1 - 2t
-    w[1:, 1:] += 1
-    w[:, 0] = 1
-    w[0] = 1  # x = 0
-    sums = _fwht(w)[phi]
+    sums = _fwht(_weil_signs(m))[phi]
 
     violations = []
     cases = 0

@@ -35,7 +35,7 @@ from .charsums import (
     gcd_power_inequality_check,
     laurent_family_check,
     niederreiter_check,
-    pattern_theorem_check,
+    pattern_census,
     wcu_family_check,
 )
 from .field import primitive_moduli
@@ -453,8 +453,7 @@ def _verify_patterns(args) -> int:
         code = make_bch(2, m) if family == "bch" else make_melas(m)
         variant = "equal_degree" if family == "bch" else "melas_mixed"
         s_max = m if args.s_max is None else args.s_max
-        for s in range(1, s_max + 1):
-            reports.append(pattern_theorem_check(code, variant, s).to_json())
+        reports += [rep.to_json() for rep in pattern_census(code, variant, s_max)]
         if args.find_avoidance is not None:
             hit = find_avoidance_witness(code, args.find_avoidance)
             reports.append({

@@ -14,6 +14,7 @@ from burstcover.charsums import (
     gcd_power_inequality_check,
     laurent_family_check,
     niederreiter_check,
+    pattern_census,
     pattern_count_via_charsums,
     pattern_theorem_check,
     wcu_family_check,
@@ -22,7 +23,14 @@ from burstcover.codes import make_bch, make_cyclic_code, make_melas
 from burstcover.corpus import mixed_degree_entries
 from burstcover.field import default_modulus, get_context, trace_table
 from burstcover.gf2poly import mul
-from burstcover.lfsr import LfsrSpec, fibonacci_to_galois, orbit_minima, trace_representation
+from burstcover.lfsr import (
+    LfsrSpec,
+    fibonacci_to_galois,
+    orbit_minima,
+    pattern_counts,
+    periods,
+    trace_representation,
+)
 from test_cli import _fail_if_called
 from test_lfsr import window_histogram
 
@@ -227,7 +235,8 @@ def test_niederreiter_cache_matches_the_uncached_report(monkeypatch):
                 for s in range(min(f.degree for f in entry.code.factors) + 2)]
 
     cached = reports()
-    monkeypatch.setattr(charsums, "_degree_and_period", charsums._degree_and_period.__wrapped__)
+    for name in ("_degree_and_period", "_period_census"):
+        monkeypatch.setattr(charsums, name, getattr(charsums, name).__wrapped__)
     assert len(cached) > 50 and {rep.applicable for rep in cached} == {True, False}
     assert cached == reports()
 
@@ -320,6 +329,9 @@ def test_pattern_theorem_inapplicable_cases():
     assert not pattern_theorem_check(mixed, "equal_degree", 2).applicable
     assert not pattern_theorem_check(make_bch(2, 6), "melas_mixed", 2).applicable
     assert not pattern_theorem_check(make_bch(2, 6), "equal_degree", 7).applicable
+    for code, s_max in ((mixed, 2), (make_bch(2, 6), 7), (make_bch(2, 6), 0)):
+        with pytest.raises(ValueError, match="census needs"):
+            pattern_census(code, "equal_degree", s_max)
 
 
 @pytest.mark.parametrize("s", [-1, 0, 6])
@@ -343,8 +355,10 @@ def test_row_blocks_leave_the_reports_unchanged(cells, monkeypatch):
                  for s in range(1, 7)]
                 + [find_avoidance_witness(code, s) for code, _ in checks for s in range(1, 7)])
 
+    pattern_census.cache_clear()
     default = reports()
     monkeypatch.setattr(charsums, "_BLOCK_CELLS", cells)
+    pattern_census.cache_clear()
     assert reports() == default
 
 
@@ -352,6 +366,8 @@ def test_checks_read_periods_not_the_steppers(monkeypatch):
     import burstcover.lfsr as lfsr_mod
 
     _fail_if_called(monkeypatch, lfsr_mod, "lfsr_sequence", "orbit_minimum")
+    pattern_census.cache_clear()
+    charsums._period_census.cache_clear()
     assert pattern_theorem_check(make_bch(2, 6), "equal_degree", 3).ok
     assert pattern_theorem_check(make_melas(6), "melas_mixed", 2).ok
     assert find_avoidance_witness(make_melas(5), 4) is not None
@@ -369,9 +385,77 @@ def test_pattern_checks_read_the_codes_own_roots(monkeypatch):
     codes = [make_bch(2, 6), make_melas(6)]
     _fail_if_called(monkeypatch, gf2poly, "factor")
     _fail_if_called(monkeypatch, lfsr_mod, "factors_of", "orbit_representatives")
+    pattern_census.cache_clear()
     assert pattern_theorem_check(codes[0], "equal_degree", 3).ok
     assert pattern_theorem_check(codes[1], "melas_mixed", 2).ok
     assert find_avoidance_witness(codes[1], 4) is not None
+
+
+CENSUS_CODES = [(make_bch(2, m), "equal_degree") for m in range(3, 9)] + [
+    (make_melas(m), "melas_mixed") for m in range(3, 9)]
+
+
+@pytest.mark.parametrize("code, variant", CENSUS_CODES)
+def test_census_marginals_match_direct_counts(code, variant, monkeypatch):
+    """Each s < m read off the s = m count equals pattern_counts at s,
+    in 5-row blocks and in one block."""
+    m = code.factors[0].degree
+    window = (1 << m) - 1
+    reps = orbit_minima(code.r, code.factors).tolist()
+    rows = periods(code.g, reps, window)
+    for cells in (5 << m, None):
+        if cells:
+            monkeypatch.setattr(charsums, "_BLOCK_CELLS", cells)
+        blocks = list(charsums._census(code, m))
+        assert [r for block, _ in blocks for r in block] == reps
+        marginals = [dict(charsums._marginals(top)) for _, top in blocks]
+        for s in range(1, m + 1):
+            got = np.concatenate([by_s[s] for by_s in marginals])
+            assert np.array_equal(got, pattern_counts(rows, window, s)), (cells, s)
+
+
+@pytest.mark.parametrize("code, variant", CENSUS_CODES[2::3])
+def test_census_reports_do_not_depend_on_the_order_of_s(code, variant):
+    m = code.factors[0].degree
+    ascending = list(range(1, m + 1))
+    orders = [ascending, ascending[::-1], random.Random(m).sample(ascending, m)]
+    seen = []
+    for order in orders:
+        pattern_census.cache_clear()
+        seen.append({s: pattern_theorem_check(code, variant, s) for s in order})
+    assert seen[0] == seen[1] == seen[2]
+    assert [rep.s for rep in seen[0].values()] == ascending
+
+
+@pytest.mark.parametrize("code, variant", CENSUS_CODES[1::2])
+def test_census_prefixes_agree(code, variant):
+    m = code.factors[0].degree
+    whole = pattern_census(code, variant, m)
+    assert [rep.s for rep in whole] == list(range(1, m + 1))
+    for k in range(1, m + 1):
+        assert pattern_census.__wrapped__(code, variant, k) == whole[:k], k
+
+
+@pytest.mark.parametrize("code, variant", [(make_bch(2, 8), "equal_degree"),
+                                           (make_melas(7), "melas_mixed")])
+def test_sweep_over_s_counts_each_block_once(code, variant, monkeypatch):
+    m = code.factors[0].degree
+    rows = len(orbit_minima(code.r, code.factors))
+    monkeypatch.setattr(charsums, "_BLOCK_CELLS", 9 << m)  # blocks of 9 rows
+    calls = _spy(monkeypatch, "pattern_counts")
+    pattern_census.cache_clear()
+    reports = [pattern_theorem_check(code, variant, s) for s in range(1, m + 1)]
+    assert all(rep.applicable and rep.ok for rep in reports)
+    assert len(calls) == -(-rows // 9) > 1
+    assert {args[2] for args, _ in calls} == {m}
+
+
+def test_weil_transform_in_int16_matches_int64():
+    w = charsums._weil_signs(charsums.WCU_M_MAX)
+    assert w.dtype == np.int16
+    wide = charsums._fwht(w.astype(np.int64))
+    assert np.array_equal(charsums._fwht(w), wide)
+    assert np.abs(wide).max() == 1 << charsums.WCU_M_MAX  # column 0, all ones, at u = 0
 
 
 def test_melas_mixed_theorem():

@@ -450,8 +450,8 @@ USAGE_ERRORS = {
 # Rows whose check must come before this work in cli.py (patched to fail).
 CHECKED_BEFORE = {
     "appendix-above-ceiling": ["gcd_power_inequality_check"],
-    "s-max-above-m": ["make_bch", "make_melas", "pattern_theorem_check"],
-    "find-avoidance-above-m": ["make_bch", "make_melas", "pattern_theorem_check"],
+    "s-max-above-m": ["make_bch", "make_melas", "pattern_census"],
+    "find-avoidance-above-m": ["make_bch", "make_melas", "pattern_census"],
     "table1-modulus-range": ["make_bch", "make_melas", "cyclic_burst_radius"],
     "table1-inverted-range": ["make_bch", "make_melas", "cyclic_burst_radius"],
 }
@@ -538,7 +538,7 @@ def test_patterns_degree_capped_by_max_r(family, monkeypatch, capsys):
     import burstcover.cli as cli_mod
 
     _fail_if_called(monkeypatch, cli_mod, "make_bch", "make_melas",
-                    "pattern_theorem_check", "find_avoidance_witness")
+                    "pattern_census", "find_avoidance_witness")
     assert main(["verify", "patterns", "--family", family, "--m", "14"]) == EXIT_BUDGET
     assert "max_r=26" in capsys.readouterr().err
 
