@@ -208,12 +208,24 @@ def minimal_polynomial(ctx: FieldContext, t: int) -> int:
 def find_root(ctx: FieldContext, h: int) -> int:
     """A root of irreducible h in ctx, as a raw mask; the smallest one.
 
-    deg(h) must divide m so that the roots exist in the field.
+    deg(h) must divide m so that the roots exist in the field.  h(v) is
+    the XOR of exp[i log v mod n] over the terms X^i of h, read for the
+    masks v = 1, 2, ... in numpy blocks that double from 2^6 to 2^16
+    elements, up to the first block that holds a root.
     """
     d = h.bit_length() - 1
     if d < 1 or ctx.m % d:
         raise ValueError("polynomial does not split in this field")
-    for v in range(1, 1 << ctx.m):
-        if ctx.evaluate(h, v) == 0:
-            return v
+    terms = [i for i in range(d + 1) if h >> i & 1]
+    start = 1
+    while start < 1 << ctx.m:
+        stop = min(start + min(max(start, 1 << 6), 1 << 16), 1 << ctx.m)
+        logs = ctx.log[start:stop]  # log v for the masks v in [start, stop)
+        values = np.zeros(stop - start, dtype=ctx.exp.dtype)
+        for i in terms:
+            values ^= ctx.exp[logs * i % ctx.n]
+        roots = np.flatnonzero(values == 0)
+        if len(roots):
+            return start + int(roots[0])
+        start = stop
     raise ValueError("no root found; is h irreducible?")

@@ -19,9 +19,11 @@ orbit_minima is the one enumerator of the shift orbits f -> X*f mod g,
 read by the radius engine and the pattern checks (from a code's own
 factors) and by orbit_representatives (from codes.factors_of(g)): it
 names orbits by discrete logs at the roots of g (_OrbitNames, which
-gathers them from each field's log array in place), reads the residues
-from 0 up in numpy blocks and keeps each orbit's first residue, its
-minimum.  The trace form reads the same factor records.
+gathers them from each field's log array in place), reads only the odd
+residues, as every nonzero orbit minimum is odd, from 0 up in numpy
+blocks that grow by bit length, and keeps each orbit's first residue, its
+minimum: about 2^(b-1) residues for a largest minimum below 2^b.  The
+trace form reads the same factor records.
 """
 
 from __future__ import annotations
@@ -176,9 +178,10 @@ def orbit_representatives(g: int) -> list[int]:
     return orbit_minima(g.bit_length() - 1, factors).tolist() if factors else []  # g = 1: none
 
 
-# Residues per numpy block of orbit_minima: f = hi * 2^_K + lo has the
-# factor components low[lo] ^ high(hi), so one 2^_K block is live at a time.
-_K = 12
+# Residues per full numpy block of orbit_minima: f = hi * 2^_K + lo has the
+# factor components low[lo] ^ high(hi), and a block reads only its 2^(_K-1)
+# odd lo, so that many are live at a time.  The block edges need _K >= 3.
+_K = 13
 
 
 def orbit_minima(r: int, factors) -> np.ndarray:
@@ -186,26 +189,32 @@ def orbit_minima(r: int, factors) -> np.ndarray:
 
     g is square-free of degree r with g(0) = 1, and `factors` holds its
     irreducible factors (codes.CodeFactor), each root beta_i = X^(t_i).
-    Residues are read in 2^_K blocks from 0 up, and the first position of
-    each orbit id (_OrbitNames) is the orbit's minimum.  The read stops at
-    the block where the last orbit is named, the one that holds the
-    largest minimum.  Positions are int32: the callers keep the minima
-    below 2^26, the radius engine by a proven bound u >= b, lfsr-stats by r.
+    Every minimum but 0 is odd: a nonzero f with f(0) = 0 is X*h with
+    deg h < deg f, and h = X^(-1)*f mod g lies on the orbit of f, so h < f.
+    So only the odd residues are read, from 0 up, in numpy blocks that grow
+    as bit-length shells, [0, 2^(_K-2)), [2^(_K-2), 2^(_K-1)) and
+    [2^(_K-1), 2^_K), then aligned 2^_K blocks; the first position of each
+    orbit id (_OrbitNames) is the orbit's minimum.  The read stops at the
+    block where the last orbit is named, the one that holds the largest
+    minimum, so a radius b costs about the 2^(b-1) odd residues below 2^b.
+    Positions are int32: the callers keep the minima below 2^26, the radius
+    engine by a proven bound u >= b, lfsr-stats by r.
     """
     names = _OrbitNames(r, factors)
     unnamed = np.iinfo(np.int32).max
     first = np.full(names.total, unnamed, dtype=np.int32)
-    named = 0
-    for start in range(0, 1 << r, 1 << _K):
-        stop = min(start + (1 << _K), 1 << r)
+    first[0] = 0  # the zero residue is an orbit of its own, id 0
+    named, start = 1, 0
+    while named < names.total and start < 1 << r:
+        # the shells below 2^_K double in length, then blocks stay at 2^_K
+        stop = min(start + min(max(start, 1 << _K - 2), 1 << _K), 1 << r)
         ids = names.ids(start, stop)
-        pos = np.arange(start, stop, dtype=np.int32)
+        pos = np.arange(start + 1, stop, 2, dtype=np.int32)
         np.minimum.at(first, ids, pos)  # well defined for repeated ids
         # earlier blocks set firsts below start, so a position that is its
         # id's first names a new orbit, and each new orbit has one
         named += np.count_nonzero(first[ids] == pos)
-        if named == names.total:
-            break
+        start = stop
     return np.sort(first)[1:]  # first[0] = 0 is the zero orbit
 
 
@@ -228,10 +237,11 @@ class _OrbitNames:
         for fac in factors:
             ctx, t_i = fac.ctx, fac.t
             # beta^k for k < r: f(beta) is their XOR over supp(f), so the
-            # component of hi * 2^_K + lo is low[lo] ^ high(hi), the XOR of
-            # the high columns at the set bits of hi
+            # component of an odd f = hi * 2^_K + lo is low[lo >> 1] ^ high(hi),
+            # low[i] = 1 ^ (the XOR of beta^k over the set bits k of 2i) and
+            # high(hi) the XOR of the high columns at the set bits of hi
             cols = ctx.exp[t_i * np.arange(r) % ctx.n].tolist()
-            self.tables.append((_closure(cols[:_K]), cols[_K:]))
+            self.tables.append((_closure(cols[1:_K]) ^ cols[0], cols[_K:]))
             self.n.append(ctx.n)
             self.logs.append(ctx.log)
             t.append(t_i)
@@ -254,9 +264,10 @@ class _OrbitNames:
             self.total += place
 
     def ids(self, start: int, stop: int) -> np.ndarray:
-        """Orbit ids of the residues in [start, stop), inside one 2^_K block."""
+        """Orbit ids of the odd residues in [start, stop), even bounds
+        inside one 2^_K block."""
         hi = start >> _K
-        lo = slice(start - (hi << _K), stop - (hi << _K))
+        lo = slice(start - (hi << _K) >> 1, stop - (hi << _K) >> 1)
         comps = [low[lo] ^ _xor_at(high, hi) for low, high in self.tables]
         logs = [log[v] for log, v in zip(self.logs, comps)]
         ids = self._name(len(self.chains) - 1, logs[:])  # every component nonzero
@@ -276,12 +287,17 @@ class _OrbitNames:
         for j, radix, place, unit, period, carry in steps:
             l = logs[j]
             if radix > 1:
-                ids += (l % radix if radix < self.n[j] else l) * place
+                ids += (_mod(l, radix) if radix < self.n[j] else l) * place
             if carry:
-                s = (l // radix if radix > 1 else l) * unit % period
+                s = _mod((l // radix if radix > 1 else l) * unit, period)
                 for i, w in carry:
-                    logs[i] = (logs[i] + s * w) % self.n[i]
+                    logs[i] = _mod(logs[i] + s * w, self.n[i])
         return ids
+
+
+def _mod(x: np.ndarray, n: int) -> np.ndarray:
+    """x % n, read off x // n: numpy's // by a scalar costs a quarter of its %."""
+    return x - x // n * n
 
 
 def _xor_at(cols, bits: int) -> int:

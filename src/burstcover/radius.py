@@ -6,9 +6,10 @@ Three independent methods compute the radius:
   every orbit of nonzero residues under f -> X*f mod g holds a residue
   of degree < b, the syndrome of a burst at position 0: b is the bit
   length of the largest orbit minimum.  The minima come from
-  lfsr.orbit_minima, which reads the residues from 0 up in numpy blocks
-  and stops below 2^b, so the work grows as 2^b, not 2^r; it is budgeted
-  by a proven upper bound u >= b.
+  lfsr.orbit_minima, which reads only the odd residues (every nonzero
+  minimum is odd), from 0 up in numpy blocks that grow shell by shell of
+  bit length, and stops below 2^b: about 2^(b-1) residues, not 2^r.  It
+  is budgeted by a proven upper bound u >= b.
 * matrix: mark every syndrome reachable as a combination within a
   window of b consecutive columns, growing b until the space is full.
 * geometric: exhaust F_2^n and test membership in some burst ball
@@ -36,9 +37,10 @@ from .lfsr import orbit_minima, orbit_minimum
 
 # 2^MAX_R is the most entries either table method reads or holds.  The
 # matrix method holds one byte per syndrome, so it takes r <= MAX_R.  The
-# orbit method reads the residues below 2^b and holds one int32 minimum
-# per orbit, each minimum a distinct residue below 2^b; so it takes any
-# code whose least proven upper bound u >= b is at most MAX_R.
+# orbit method reads about the 2^(b-1) odd residues below 2^b and holds
+# one int32 minimum per orbit, each minimum a distinct residue below 2^b;
+# so it takes any code whose least proven upper bound u >= b is at most
+# MAX_R.
 MAX_R = 26
 
 # Work limits of the brute-force methods: window combinations marked by the

@@ -298,6 +298,31 @@ def test_find_root():
         find_root(ctx, 0x13)  # degree 4 does not divide 6
 
 
+def _scalar_find_root(ctx, h):
+    """Test oracle: the least mask v with h(v) = 0, one Horner pass per v."""
+    for v in range(1, 1 << ctx.m):
+        if ctx.evaluate(h, v) == 0:
+            return v
+    raise ValueError("no root found")
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_find_root_matches_the_scalar_scan(m):
+    # every irreducible h of degree d | m, so roots past the first numpy
+    # block (2^6 masks) are reached at m >= 7
+    ctx = get_context(m)
+    for h in (h for h in SMALL_MODULI if m % (h.bit_length() - 1) == 0):
+        assert find_root(ctx, h) == _scalar_find_root(ctx, h), hex(h)
+
+
+def test_find_root_past_the_first_blocks():
+    # the least root of the minimal polynomial of X^311 in GF(2^16) lies in
+    # the ninth block, [8320, 16640)
+    ctx = get_context(16)
+    h = minimal_polynomial(ctx, 311)
+    assert find_root(ctx, h) == _scalar_find_root(ctx, h) == 10602
+
+
 def test_cyclotomic_coset():
     assert cyclotomic_coset(1, 15) == [1, 2, 4, 8]
     assert sorted(cyclotomic_coset(3, 15)) == [3, 6, 9, 12]

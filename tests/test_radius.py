@@ -363,7 +363,8 @@ def test_radius_above_a_proven_bound_is_an_assertion(monkeypatch):
 
 
 def test_orbit_names_close_at_most_k_columns(monkeypatch):
-    # the high columns are XORed per block; only the low _K are closed
+    # the high columns are XORed per block; only the low _K - 1 above bit 0
+    # are closed, as a block reads its odd residues
     closure = lfsr_mod._closure
     sizes = []
 
@@ -374,7 +375,7 @@ def test_orbit_names_close_at_most_k_columns(monkeypatch):
     monkeypatch.setattr(lfsr_mod, "_closure", counted)
     code = make_bch(2, 9)  # r = 18
     assert lfsr_mod.orbit_minima(code.r, code.factors).tolist() == walk_minima(code.g)
-    assert sizes == [lfsr_mod._K, lfsr_mod._K]
+    assert sizes == [lfsr_mod._K - 1, lfsr_mod._K - 1]
 
 
 def _walk_radius(code):
@@ -462,16 +463,25 @@ def test_three_factor_bch_matches_walk(m):
 def test_orbit_names_are_exactly_the_orbits(code):
     names = lfsr_mod._OrbitNames(code.r, code.factors)
     assert code.r <= lfsr_mod._K  # one block holds every residue
+    odd = range(1, 1 << code.r, 2)
     ids = names.ids(0, 1 << code.r).tolist()
+    assert len(ids) == len(odd)  # one id per odd residue
+    id_of = dict(zip(odd, ids))
+    id_of[0] = 0  # the zero orbit, whose id orbit_minima presets
     orbit_of = {}  # walk every state with f -> X*f mod g; 0 is an orbit of its own
     for f in range(1 << code.r):
         x = f
         while x not in orbit_of:
             orbit_of[x] = f
             x = shift_mod(x, code.g)
+    orbits = {}
+    for f, o in orbit_of.items():
+        orbits.setdefault(o, []).append(f)
+    assert all(any(f & 1 for f in orbit) for o, orbit in orbits.items() if o)  # each holds an odd residue
     by_orbit = {}
-    for f, i in enumerate(ids):
+    for f, i in id_of.items():
         by_orbit.setdefault(orbit_of[f], set()).add(i)
+    assert by_orbit.keys() == orbits.keys()  # zero and the odd residues meet every orbit
     assert all(len(s) == 1 for s in by_orbit.values())  # constant along each orbit
     named = [i for s in by_orbit.values() for i in s]
     assert len(set(named)) == len(named)  # different orbits, different ids
@@ -507,17 +517,61 @@ def test_orbit_radius_does_not_walk_the_states():
                          ids=["bch-2-8", "melas-7", "bch-3-5", "degrees-2-3-4"])
 def test_orbit_minima_stops_at_the_block_of_the_largest_minimum(code, monkeypatch):
     monkeypatch.setattr(lfsr_mod, "_K", 3)
-    starts = []
+    blocks = []
     ids = lfsr_mod._OrbitNames.ids
 
     def counted(self, start, stop):
-        starts.append(start)
+        blocks.append((start, stop))
         return ids(self, start, stop)
 
     monkeypatch.setattr(lfsr_mod._OrbitNames, "ids", counted)
     minima = lfsr_mod.orbit_minima(code.r, code.factors)
     assert minima.tolist() == walk_minima(code.g)
-    assert starts == list(range(0, (minima[-1] >> 3) + 1 << 3, 1 << 3))
+    # the shells [0, 2), [2, 4), [4, 8), then aligned blocks of 2^3
+    edges = [0, 2, 4, *range(8, 1 << code.r, 8), 1 << code.r]
+    last = next(i for i, e in enumerate(edges) if e > minima[-1])
+    assert blocks == list(zip(edges[:last], edges[1:last + 1]))
+
+
+@given(square_free_generators)
+@settings(max_examples=60, deadline=None)
+def test_every_nonzero_orbit_minimum_is_odd(g):
+    minima = walk_minima(g)
+    assert all(f & 1 for f in minima)
+    code = make_cyclic_code(poly_order(g), g)
+    assert lfsr_mod.orbit_minima(code.r, code.factors).tolist() == minima
+
+
+@pytest.mark.parametrize("code", [make_bch(2, 8), make_melas(7)], ids=["bch-2-8", "melas-7"])
+def test_orbit_minima_reads_only_odd_residues_below_the_radius_edge(code, monkeypatch):
+    read = []
+    ids = lfsr_mod._OrbitNames.ids
+
+    def counted(self, start, stop):
+        out = ids(self, start, stop)
+        assert start % 2 == stop % 2 == 0 and len(out) == (stop - start) // 2  # odd positions only
+        read.append(len(out))
+        return out
+
+    monkeypatch.setattr(lfsr_mod._OrbitNames, "ids", counted)
+    b = cyclic_burst_radius(code).b
+    k = lfsr_mod._K
+    edge = min(e for e in [1 << k - 2, 1 << k - 1, *range(1 << k, 2 << b, 1 << k)] if e >= 1 << b)
+    assert sum(read) <= edge // 2  # about the 2^(b-1) odd residues below 2^b
+
+
+def test_orbit_scan_memory_does_not_grow_with_the_block_count():
+    # BCH(2,17): r = 34, so 2^21 blocks of 2^13 span the residues; the
+    # scan must not hold a list of them
+    code = make_bch(2, 17)
+    cyclic_burst_radius(code)  # field tables and bounds outside the trace
+    tracemalloc.start()
+    try:
+        cyclic_burst_radius(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_table_methods_share_the_max_r_default(monkeypatch):
