@@ -26,7 +26,7 @@ from .codes import (
     parity_check_matrix,
 )
 from .corpus import build_corpus, exact_two_primitive_cases, mixed_degree_entries
-from .covering import COVER_MAX_N, ThresholdError, burst_cover, verify_certificate
+from .covering import ThresholdError, burst_cover, check_cover_length, verify_certificate
 from .charsums import (
     LAURENT_DRAWS_MAX,
     LAURENT_M_MAX,
@@ -279,9 +279,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_cover(args) -> int:
     desc = _descriptor(args)
-    n = descriptor_length(desc)  # before the code and its field tables are built
-    if n > COVER_MAX_N:
-        raise BudgetError(f"cover tables over n = {n} columns exceed cover_max_n={COVER_MAX_N}")
+    check_cover_length(descriptor_length(desc))  # before the code and its field tables are built
     code = code_from_descriptor(desc)
     x = int(args.syndrome, 16)
     b_prime = args.bprime if args.bprime is not None else cyclic_burst_radius(code).b

@@ -12,12 +12,15 @@ the top coefficient of X^k f mod g, is sum_i Tr(f(beta_i)/g'(beta_i)
 beta_i^k) over a root beta_i of each factor (Lidl and Niederreiter,
 Finite Fields, ch. 8), and deg(X^t f mod g) < b' holds exactly when
 s_t .. s_(t+r-b'-1) are all zero.  So t is the lowest start of a run of
-r - b' zeros, read off the complement of the sequence after log-doubling
-ANDs.  Per code, the map from a syndrome (block i is f(beta_i)) to the
-sequence of its load and the map from r sequence bits back to the load
-that emits them are cached as 4-bit chunk XOR tables, so a query costs
-about r/2 table lookups, at most log2(r) ANDs and one lowest-bit read
-on (n + r)-bit integers, however large t is.
+r - b' zeros, read off the complement of the sequence after
+ceil(log2(r - b')) doubling ANDs, whose shifts each solver lists once per
+run length.  Per code, the map from a syndrome (block i is f(beta_i)) to
+the sequence of its load and the map from r sequence bits back to the
+load that emits them are cached as 4-bit chunk XOR tables, so a query
+costs about r/2 table lookups, those ANDs and one lowest-bit read on
+(n + r)-bit integers, however large t is.  Byte chunks would halve the
+lookups but hold 32r rather than 4r integers of n + r bits: 38 MB
+instead of 4.7 MB at COVER_MAX_N.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class ThresholdError(RuntimeError):
     """Raised when the requested window width is below the actual radius."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoveringCertificate:
     i: int            # window start
     f: int            # combination pattern, f(0) = 1 unless f = 0
@@ -70,6 +73,27 @@ def _chunk_tables(images: list[int]) -> list[list[int]]:
     return tables
 
 
+def check_cover_length(n: int) -> None:
+    """Refuse a code longer than COVER_MAX_N before its tables are built."""
+    if n > COVER_MAX_N:
+        raise BudgetError(f"cover tables over n = {n} columns exceed cover_max_n={COVER_MAX_N}")
+
+
+def _and_schedule(length: int) -> tuple[int, ...]:
+    """The shifts s of `z &= z >> s` that leave bit t set iff bits t .. t+length-1 all were.
+
+    After the shifts taken so far every set bit heads a run of k ones; the
+    next shift min(k, length - k) extends k towards length by doubling, so
+    ceil(log2 length) shifts reach it.
+    """
+    steps = []
+    k = 1
+    while k < length:
+        steps.append(min(k, length - k))
+        k += steps[-1]
+    return tuple(steps)
+
+
 def _apply(tables: list[list[int]], v: int) -> int:
     out = 0
     for table in tables:
@@ -84,8 +108,7 @@ class CoverSolver:
     def __init__(self, code: CyclicCode):
         self.code = code
         n, r = code.n, code.r
-        if n > COVER_MAX_N:
-            raise BudgetError(f"cover tables over n = {n} columns exceed cover_max_n={COVER_MAX_N}")
+        check_cover_length(n)
         # Block i of load f's syndrome is f(beta_i), beta_i = X^(t_i), so its
         # bit j gives the sequence Tr(X^(j + c) beta_i^k), c = -log g'(beta_i),
         # over n + r terms: no zero run or r-bit window starting below n wraps.
@@ -103,10 +126,11 @@ class CoverSolver:
         self._load_of_window = _chunk_tables([code.g >> (j + 1) for j in range(r)])
         self._ones = (1 << (n + r)) - 1
         self._low = (1 << r) - 1
+        self._steps = [_and_schedule(length) for length in range(r + 1)]
 
     def cover(self, x: int, b_prime: int) -> CoveringCertificate:
         code = self.code
-        if not 0 <= x < (1 << code.r):
+        if not 0 <= x <= self._low:
             raise ValueError(f"syndrome must have {code.r} bits")
         if b_prime < 1:
             raise ValueError("window width must be >= 1")
@@ -116,26 +140,21 @@ class CoverSolver:
         t = 0
         if length > 0:
             zeros = seq ^ self._ones
-            k = 1  # bit t of zeros: the k sequence bits from t are zero
-            while k < length:
-                step = min(k, length - k)
+            for step in self._steps[length]:
                 zeros &= zeros >> step
-                k += step
             # a run starting at n or above repeats one starting at 0..r-1
             if not zeros:
                 raise ThresholdError("threshold below radius")
             t = (zeros & -zeros).bit_length() - 1
         f = _apply(self._load_of_window, seq >> t & self._low)
-        i = -t % code.n
+        n = code.n
+        i = -t % n
         if f:
             # normalize so the window starts at a nonzero coefficient
             v = (f & -f).bit_length() - 1
             f >>= v
-            i = (i + v) % code.n
-            width = f.bit_length()
-        else:
-            width = 0
-        return CoveringCertificate(i=i, f=f, width=width, iterations=t)
+            i = (i + v) % n
+        return CoveringCertificate(i, f, f.bit_length(), t)
 
 
 @functools.lru_cache(maxsize=None)

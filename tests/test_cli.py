@@ -83,6 +83,17 @@ def test_cover_budget_checked_before_any_table(monkeypatch, capsys):
     assert "cover_max_n=262144" in capsys.readouterr().err
 
 
+def test_cover_reads_the_length_limit_when_it_runs(monkeypatch, capsys):
+    # the limit is covering.COVER_MAX_N as it stands, not a copy taken at import
+    import burstcover.covering as covering_mod
+
+    monkeypatch.setattr(covering_mod, "COVER_MAX_N", 62)
+    _no_code_built(monkeypatch)
+    assert main(["cover", "--family", "bch", "--e", "2", "--m", "6",
+                 "--syndrome", "1", "--bprime", "9"]) == EXIT_BUDGET
+    assert "over n = 63 columns exceed cover_max_n=62" in capsys.readouterr().err
+
+
 # Codes longer than covering.COVER_MAX_N = 2^18, named without building them.
 LONG_CODES = {
     "bch-20": ["--family", "bch", "--e", "2", "--m", "20"],

@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import math
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from burstcover.covering import (
     CoverSolver,
     CoveringCertificate,
     ThresholdError,
+    _and_schedule,
     _apply,
     _chunk_tables,
     burst_cover,
@@ -63,6 +66,41 @@ ORACLE_CODES = [
     make_cyclic_code(7, mul(0b11, 0xB)),
     make_cyclic_code(15, 0b11),  # the even-weight code, r = 1
 ]
+
+
+def _run_lengths(z, nbits):
+    """runs[t]: the number of consecutive set bits of z from bit t up."""
+    runs = [0] * (nbits + 1)
+    for t in range(nbits - 1, -1, -1):
+        runs[t] = runs[t + 1] + 1 if z >> t & 1 else 0
+    return runs
+
+
+def test_and_schedule_finds_every_run():
+    rng = random.Random(11)
+    nbits = 400
+    for length in range(1, 65):
+        steps = _and_schedule(length)
+        assert len(steps) == math.ceil(math.log2(length))
+        for density in (0.9, 0.97, 0.995):
+            z = sum(1 << t for t in range(nbits) if rng.random() < density)
+            runs = _run_lengths(z, nbits)
+            for step in steps:
+                z &= z >> step
+            assert [z >> t & 1 for t in range(nbits)] == [runs[t] >= length for t in range(nbits)]
+    code = make_melas(7)
+    assert get_solver(code)._steps == [_and_schedule(length) for length in range(code.r + 1)]
+
+
+@pytest.mark.parametrize("code", [make_bch(2, 10), make_melas(10)], ids=lambda c: c.describe())
+def test_cover_matches_shift_loop_at_r_20(code):
+    # the codes of the cover_stream benchmark, past the r <= 16 oracle codes
+    b = cyclic_burst_radius(code).b
+    rng = random.Random(f"shift-loop:{code.describe()}")
+    for _ in range(200):
+        x = rng.getrandbits(code.r)
+        for b_prime in (b, b + 1, b + 2):
+            assert burst_cover(code, x, b_prime) == shift_loop_cover(code, x, b_prime)
 
 
 @st.composite
@@ -180,6 +218,32 @@ def test_tampered_certificates_fail():
     assert not verify_certificate(code, x, wrong_width, 9)
 
 
+def test_window_start_out_of_range_is_rejected():
+    # i = n and i = -1 name the columns of i = 0 and i = n - 1 modulo n, so
+    # each forged certificate would reproduce x if its start were wrapped
+    code = make_bch(2, 6)
+    f = 0b101
+    for start, forged in ((0, code.n), (code.n - 1, -1)):
+        x = lc_eval(code, start, f)
+        cert = CoveringCertificate(start, f, f.bit_length(), 0)
+        assert verify_certificate(code, x, cert, 9)
+        assert not verify_certificate(code, x, dataclasses.replace(cert, i=forged), 9)
+
+
+def test_certificate_is_a_frozen_hashable_value():
+    code = make_bch(2, 6)
+    cert = burst_cover(code, 0xABC, 9)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.f = 1
+    assert not hasattr(cert, "__dict__")
+    assert [field.name for field in dataclasses.fields(cert)] == ["i", "f", "width", "iterations"]
+    twin = CoveringCertificate(cert.i, cert.f, cert.width, cert.iterations)
+    assert twin == cert and hash(twin) == hash(cert)
+    flipped = dataclasses.replace(cert, f=cert.f ^ 2)
+    assert flipped == CoveringCertificate(cert.i, cert.f ^ 2, cert.width, cert.iterations)
+    assert list(cert.to_json()) == ["i", "f_hex", "width", "iterations"]
+
+
 def test_negative_pattern_is_rejected():
     # -1 has bit length 1 and an odd low bit, so only the sign tells it apart
     code = make_bch(2, 6)
@@ -201,7 +265,11 @@ def test_bad_inputs():
     with pytest.raises(ValueError):
         burst_cover(code, 1 << code.r, 8)
     with pytest.raises(ValueError):
+        burst_cover(code, -1, 8)
+    with pytest.raises(ValueError):
         burst_cover(code, 1, 0)
+    with pytest.raises(ValueError):
+        burst_cover(code, 1, -1)
 
 
 def test_solver_checks_the_length_before_any_table(monkeypatch):
