@@ -19,11 +19,16 @@ orbit_minima is the one enumerator of the shift orbits f -> X*f mod g,
 read by the radius engine and the pattern checks (from a code's own
 factors) and by orbit_representatives (from codes.factors_of(g)): it
 names orbits by discrete logs at the roots of g (_OrbitNames, which
-gathers them from each field's log array in place), reads only the odd
-residues, as every nonzero orbit minimum is odd, from 0 up in numpy
-blocks that grow by bit length, and keeps each orbit's first residue, its
-minimum: about 2^(b-1) residues for a largest minimum below 2^b.  The
-trace form reads the same factor records.
+gathers them from each field's log array in place, in one gather when
+the factors share a field), reads only the odd residues, as every
+nonzero orbit minimum is odd, from 0 up in numpy blocks that grow by bit
+length, and keeps each orbit's first residue, its minimum: about 2^(b-1)
+residues for a largest minimum below 2^b.  A call pays for the shells it
+reads: the factor values of the first come from one closure for all
+factors, each later shell is appended to that table as it is reached,
+and once every orbit with a zero component is named, the rows with one
+skip the per-support naming.  The trace form reads the same factor
+records.
 """
 
 from __future__ import annotations
@@ -180,7 +185,10 @@ def orbit_representatives(g: int) -> list[int]:
 
 # Residues per full numpy block of orbit_minima: f = hi * 2^_K + lo has the
 # factor components low[lo] ^ high(hi), and a block reads only its 2^(_K-1)
-# odd lo, so that many are live at a time.  The block edges need _K >= 3.
+# odd lo, so that many are live at a time.  The table low grows with the
+# shells below 2^_K: [0, 2^(_K-2)) is one closure of _K - 3 columns for all
+# factors, and [2^(_K-2), 2^(_K-1)) and [2^(_K-1), 2^_K) are appended when
+# the scan reaches them.  The shell and block edges need _K >= 3.
 _K = 13
 
 
@@ -197,6 +205,8 @@ def orbit_minima(r: int, factors) -> np.ndarray:
     orbit id (_OrbitNames) is the orbit's minimum.  The read stops at the
     block where the last orbit is named, the one that holds the largest
     minimum, so a radius b costs about the 2^(b-1) odd residues below 2^b.
+    Once every orbit with a zero component has its first position, the
+    names stop telling those orbits apart (_OrbitNames.partial).
     Positions are int32: the callers keep the minima below 2^26, the radius
     engine by a proven bound u >= b, lfsr-stats by r.
     """
@@ -214,8 +224,11 @@ def orbit_minima(r: int, factors) -> np.ndarray:
         # earlier blocks set firsts below start, so a position that is its
         # id's first names a new orbit, and each new orbit has one
         named += np.count_nonzero(first[ids] == pos)
+        if names.partial and named < names.total:
+            names.partial = bool((first[1:names.full] == unnamed).any())
         start = stop
-    return np.sort(first)[1:]  # first[0] = 0 is the zero orbit
+    first.sort()
+    return first[1:]  # first[0] = 0 is the zero orbit
 
 
 class _OrbitNames:
@@ -228,25 +241,38 @@ class _OrbitNames:
     that keep them fixed are the multiples of M, which move l_j in steps of
     t_j M mod n_j; so l_j is reduced modulo the radix gcd(t_j M mod n_j, n_j),
     and the shift that reduces it (one modular inverse) is carried to the
-    later factors.  Each support set (the factors with v_i != 0) has its
-    own chain and its own id offset.
+    later factors.  When a step has radix 1 and period*w = 0 mod n_i for
+    each later weight w, reducing the shift modulo the period does not move
+    the carry, so l_j itself is carried with the weight unit*w mod n_i (the
+    fused carry, chosen when the chain is built).  Each support set (the
+    factors with v_i != 0) has its own chain and its own id offset: ids
+    1..full-1 are the orbits with a zero component, full.. those with none.
+
+    The components come from one (factors, rows) table, low[:, i] the
+    values at the odd residue 2i + 1.  The first shell, [0, 2^(_K-2)) or
+    [0, 2^r) if smaller, is one closure of the columns beta_i^k for
+    k = 1.._K-3, XORed with beta_i^0; each later shell [2^k, 2^(k+1)) below
+    2^_K is appended as low ^ beta_i^k when a read first reaches it, so the
+    full 2^(_K-1) table exists only once a read passes 2^(_K-1).  A block
+    above 2^_K XORs the high columns at the set bits of its hi onto it.
     """
 
     def __init__(self, r: int, factors):
-        self.n, self.logs, self.tables, t = [], [], [], []
-        for fac in factors:
-            ctx, t_i = fac.ctx, fac.t
-            # beta^k for k < r: f(beta) is their XOR over supp(f), so the
-            # component of an odd f = hi * 2^_K + lo is low[lo >> 1] ^ high(hi),
-            # low[i] = 1 ^ (the XOR of beta^k over the set bits k of 2i) and
-            # high(hi) the XOR of the high columns at the set bits of hi
-            cols = ctx.exp[t_i * np.arange(r) % ctx.n].tolist()
-            self.tables.append((_closure(cols[1:_K]) ^ cols[0], cols[_K:]))
-            self.n.append(ctx.n)
-            self.logs.append(ctx.log)
-            t.append(t_i)
+        self.n = [fac.ctx.n for fac in factors]
+        t = [fac.t for fac in factors]
+        # beta_i^k for k < r, a row per factor: f(beta_i) is their XOR over supp(f)
+        self.cols = np.empty((len(factors), r), dtype=np.int64)
+        for row, fac in zip(self.cols, factors):
+            row[:] = fac.ctx.exp[fac.t * np.arange(r) % fac.ctx.n]
+        self.high = self.cols[:, _K:].T  # high(hi), the XOR of rows at the set bits of hi
+        shell = min(_K - 2, r)
+        self.low = _closure(self.cols[:, 1:shell]) ^ self.cols[:, :1]
+        # BCH and Melas factors share one field: one gather names them all
+        self.log = factors[0].ctx.log if all(fac.ctx is factors[0].ctx for fac in factors) else None
+        self.logs = [fac.ctx.log for fac in factors]
         self.chains = [(0, [])]  # the zero residue is an orbit of its own
         self.total = 1
+        self.split = set()  # the support sets of more than one orbit
         for support in range(1, 1 << len(t)):
             members = [j for j in range(len(t)) if support >> j & 1]
             M, place, steps = 1, 1, []
@@ -256,25 +282,58 @@ class _OrbitNames:
                 period = n // radix
                 # the shift M * s with s = q * unit % period takes l_j = c + radix*q to c
                 unit = -pow(t[j] * M // radix, -1, period) % period
-                carry = [(i, M * t[i] % self.n[i]) for i in members[pos + 1:]]
-                steps.append((j, radix, place, unit, period, carry if period > 1 else []))
+                carry = [(i, M * t[i] % self.n[i]) for i in members[pos + 1:]] if period > 1 else []
+                # with radix 1, (l*unit % period)*w = l*(unit*w) mod n_i when
+                # period*w = 0 mod n_i: one _mod per later factor, none for s
+                fused = None
+                if carry and radix == 1 and all(period * w % self.n[i] == 0 for i, w in carry):
+                    fused = [(i, unit * w % self.n[i]) for i, w in carry]
+                steps.append((j, radix, place, unit, period, carry, fused))
                 place *= radix
                 M = math.lcm(M, n // math.gcd(t[j], n))  # the order of beta_j
             self.chains.append((self.total, steps))
+            if place > 1:
+                self.split.add(support)
             self.total += place
+        self.full = self.chains[-1][0]
+        self.offsets = np.array([offset for offset, _ in self.chains])
+        self.bits = 1 << np.arange(len(t))  # support = bits @ (comps != 0)
+        # True while an orbit with a zero component may lack a first position
+        self.partial = self.full > 1
 
     def ids(self, start: int, stop: int) -> np.ndarray:
         """Orbit ids of the odd residues in [start, stop), even bounds
-        inside one 2^_K block."""
+        inside [0, 2^_K) or inside one aligned 2^_K block.
+
+        Once partial is cleared (orbit_minima does so when every orbit
+        with a zero component has its first position), a row with a zero
+        component gets id 0, the zero orbit's, whose first position 0 no
+        row lowers and no row names anew.
+        """
+        low = self.low
+        while low.shape[1] < min(stop, 1 << _K) >> 1:  # append the next shell
+            low = np.concatenate((low, low ^ self.cols[:, low.shape[1].bit_length(), None]), axis=1)
+        self.low = low
         hi = start >> _K
-        lo = slice(start - (hi << _K) >> 1, stop - (hi << _K) >> 1)
-        comps = [low[lo] ^ _xor_at(high, hi) for low, high in self.tables]
-        logs = [log[v] for log, v in zip(self.logs, comps)]
+        comps = low[:, start - (hi << _K) >> 1:stop - (hi << _K) >> 1]
+        # a contiguous copy of a later shell: the reads below then run at full speed
+        comps = comps ^ _xor_at(self.high, hi)[:, None] if hi else np.ascontiguousarray(comps)
+        if self.log is not None:
+            logs = list(self.log[comps])
+        else:
+            logs = [log[v] for log, v in zip(self.logs, comps)]
         ids = self._name(len(self.chains) - 1, logs[:])  # every component nonzero
-        rows = np.flatnonzero(functools.reduce(np.logical_or, [v == 0 for v in comps]))
-        if len(rows):  # the rest, one support set at a time
-            support = sum((v[rows] != 0) << i for i, v in enumerate(comps))
-            for s in set(support.tolist()):
+        if self.full == 1:  # one factor: no odd residue has a zero component
+            return ids
+        zero = np.logical_or.reduce(comps == 0)  # the rows with a zero component
+        if not self.partial:
+            ids[zero] = 0
+            return ids
+        rows = np.flatnonzero(zero)
+        if len(rows):  # a support set of one orbit is named by its offset
+            support = self.bits @ (comps[:, rows] != 0)
+            ids[rows] = self.offsets[support]
+            for s in self.split.intersection(support.tolist()):  # the rest, one set at a time
                 sub = rows[support == s]
                 ids[sub] = self._name(s, [l[sub] for l in logs])
         return ids
@@ -282,17 +341,20 @@ class _OrbitNames:
     def _name(self, support: int, logs: list) -> np.ndarray:
         """Ids of residues whose nonzero components are exactly `support`,
         from their logs (a list over all factors; its entries are replaced)."""
-        offset, steps = self.chains[support]
-        ids = np.full(len(logs[0]), offset)
-        for j, radix, place, unit, period, carry in steps:
+        ids, steps = self.chains[support]  # the offset, then each digit times its place
+        for j, radix, place, unit, period, carry, fused in steps:
             l = logs[j]
             if radix > 1:
-                ids += (_mod(l, radix) if radix < self.n[j] else l) * place
-            if carry:
+                digit = _mod(l, radix) if radix < self.n[j] else l
+                ids = ids + (digit * place if place > 1 else digit)
+            if fused:
+                for i, w in fused:
+                    logs[i] = _mod(logs[i] + l * w, self.n[i])
+            elif carry:
                 s = _mod((l // radix if radix > 1 else l) * unit, period)
                 for i, w in carry:
                     logs[i] = _mod(logs[i] + s * w, self.n[i])
-        return ids
+        return ids if isinstance(ids, np.ndarray) else np.full(len(logs[0]), ids)
 
 
 def _mod(x: np.ndarray, n: int) -> np.ndarray:
@@ -300,7 +362,7 @@ def _mod(x: np.ndarray, n: int) -> np.ndarray:
     return x - x // n * n
 
 
-def _xor_at(cols, bits: int) -> int:
+def _xor_at(cols, bits: int):
     """The XOR of cols[k] over the set bits k of `bits`."""
     return functools.reduce(operator.xor, (c for k, c in enumerate(cols) if bits >> k & 1), 0)
 

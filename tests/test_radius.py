@@ -23,7 +23,7 @@ from burstcover.codes import (
 from burstcover.corpus import build_corpus
 from burstcover.covering import burst_cover, verify_certificate
 from burstcover.field import get_context, primitive_moduli, trace_table
-from burstcover.gf2poly import mul, poly_order
+from burstcover.gf2poly import divmod_poly, mul, poly_order
 from burstcover.lfsr import orbit_representatives
 from burstcover.radius import (
     MAX_R,
@@ -363,19 +363,36 @@ def test_radius_above_a_proven_bound_is_an_assertion(monkeypatch):
 
 
 def test_orbit_names_close_at_most_k_columns(monkeypatch):
-    # the high columns are XORed per block; only the low _K - 1 above bit 0
-    # are closed, as a block reads its odd residues
+    # one closure for every factor at once, of the first shell's columns
+    # 1.._K-3 (bit 0 is set in every odd residue); the later shells XOR one
+    # column onto it and the high columns are XORed per block
     closure = lfsr_mod._closure
-    sizes = []
+    shapes = []
 
     def counted(cols):
-        sizes.append(len(cols))
+        shapes.append(np.shape(cols))
         return closure(cols)
 
     monkeypatch.setattr(lfsr_mod, "_closure", counted)
-    code = make_bch(2, 9)  # r = 18
+    code = make_bch(2, 9)  # r = 18, two factors
     assert lfsr_mod.orbit_minima(code.r, code.factors).tolist() == walk_minima(code.g)
-    assert sizes == [lfsr_mod._K - 1, lfsr_mod._K - 1]
+    assert shapes == [(2, lfsr_mod._K - 3)]
+
+
+def test_orbit_table_holds_only_the_shells_read():
+    # BCH(2,7): the first shell [0, 2^11) is built at once, [2^11, 2^12)
+    # and [2^12, 2^13) are appended when a read first reaches them
+    code = make_bch(2, 7)
+    names = lfsr_mod._OrbitNames(code.r, code.factors)
+    k = lfsr_mod._K
+    assert names.low.shape == (2, 1 << k - 3)
+    names.ids(0, 1 << k - 2)
+    assert names.low.shape == (2, 1 << k - 3)
+    names.ids(1 << k - 2, 1 << k - 1)
+    assert names.low.shape == (2, 1 << k - 2)
+    fresh = lfsr_mod._OrbitNames(code.r, code.factors)
+    assert names.ids(1 << k, 2 << k).tolist() == fresh.ids(1 << k, 2 << k).tolist()
+    assert names.low.shape == fresh.low.shape == (2, 1 << k - 1)
 
 
 def _walk_radius(code):
@@ -444,6 +461,79 @@ def test_small_blocks_match_walk_on_the_corpus(k, monkeypatch):
         res = cyclic_burst_radius(entry.code)
         assert (res.b, res.witness) == _walk_radius(entry.code), entry.name
         assert orbit_representatives(entry.code.g) == walk_minima(entry.code.g), entry.name
+
+
+# Codes whose orbits with a zero component are named late or never all
+# before the end: a parity factor X+1 puts a zero component in half of all
+# residues, and a factor of order 5 has orbits of five.
+LATE_ZERO_COMPONENTS = ["parity_p3", "parity_p4", "parity_p5", "parity_2_3",
+                        "ord5_quartic", "ord5_prim4", "ord5_prim2", "ord5_prim3"]
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_late_zero_component_orbits_match_walk(k, monkeypatch):
+    monkeypatch.setattr(lfsr_mod, "_K", k)
+    corpus = {entry.name: entry.code for entry in build_corpus()}
+    codes = [corpus[name] for name in LATE_ZERO_COMPONENTS]
+    codes.append(make_cyclic_code(105, _product([0b111, 0xB, 0x13])))  # degrees 2, 3 and 4
+    for code in codes:
+        assert lfsr_mod.orbit_minima(code.r, code.factors).tolist() == walk_minima(code.g), code.g
+
+
+@pytest.mark.parametrize("code", [make_bch(2, 5), make_melas(6), make_bch(3, 5)],
+                         ids=["bch-2-5", "melas-6", "bch-3-5"])
+def test_retired_zero_pass_gives_zero_component_rows_id_0(code, monkeypatch):
+    # once every orbit with a zero component has a first position, such rows
+    # get the zero orbit's id; every other row keeps its own
+    monkeypatch.setattr(lfsr_mod, "_K", 3)
+    retired = []
+    ids = lfsr_mod._OrbitNames.ids
+
+    def recorded(self, start, stop):
+        out = ids(self, start, stop)
+        if not self.partial:
+            retired.extend(zip(range(start + 1, stop, 2), out.tolist()))
+        return out
+
+    monkeypatch.setattr(lfsr_mod._OrbitNames, "ids", recorded)
+    assert lfsr_mod.orbit_minima(code.r, code.factors).tolist() == walk_minima(code.g)
+    zero = {f for f, _ in retired if any(divmod_poly(f, fac.poly)[1] == 0 for fac in code.factors)}
+    assert zero  # the retired pass met rows with a zero component
+    assert all((i == 0) == (f in zero) for f, i in retired)
+
+
+@given(square_free_generators)
+@settings(max_examples=60, deadline=None)
+def test_orbit_minima_in_blocks_of_8_match_walk(g):
+    code = make_cyclic_code(poly_order(g), g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lfsr_mod, "_K", 3)
+        assert lfsr_mod.orbit_minima(code.r, code.factors).tolist() == walk_minima(g)
+
+
+def test_fused_carry_matches_the_two_step_carry():
+    # a radix-1 step carries (l*unit mod period)*w to a later factor i; where
+    # period*w = 0 mod n_i the chain stores unit*w mod n_i and carries l times it
+    rng = np.random.default_rng(28)
+    fused_steps = refused_steps = 0
+    for entry in build_corpus():
+        names = lfsr_mod._OrbitNames(entry.code.r, entry.code.factors)
+        for _, steps in names.chains:
+            for j, radix, _, unit, period, carry, fused in steps:
+                l = rng.integers(0, names.n[j], 500)
+                s = l * unit % period
+                if fused is None:
+                    if carry and radix == 1:  # refused: fusing would move some logs
+                        refused_steps += 1
+                        assert any(period * w % names.n[i] for i, w in carry)
+                        assert any(((s * w - l * (unit * w)) % names.n[i]).any() for i, w in carry)
+                    continue
+                fused_steps += 1
+                assert radix == 1 and [i for i, _ in fused] == [i for i, _ in carry]
+                for (i, w), (_, w_fused) in zip(carry, fused):
+                    x = rng.integers(0, names.n[i], 500)
+                    assert ((x + l * w_fused) % names.n[i] == (x + s * w) % names.n[i]).all()
+    assert fused_steps and refused_steps
 
 
 @pytest.mark.parametrize("m", [5, 6])
