@@ -79,8 +79,9 @@ def _closure(cols) -> np.ndarray:
 
 
 # Cells per numpy block of the verification oracles: window closures of
-# the matrix method, codeword x pattern marks of the geometric one, and
-# Laurent draws x field elements.
+# the matrix method, codeword x pattern marks of the geometric one,
+# Laurent draws x field elements, and orbit representatives x
+# max(window, 2^s) of the pattern census.
 _ORACLE_CELLS = 1 << 14
 
 

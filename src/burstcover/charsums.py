@@ -31,8 +31,8 @@ The pattern checks count each code once.  Over a whole period read
 cyclically, a length-(s-1) pattern occurs as often as its two length-s
 extensions together, so the counts at s - 1 are those at s with the top
 bit summed out (_marginals).  pattern_census takes the orbit
-representatives and their periods once, counts them at s_max in row
-blocks of _BLOCK_CELLS, and builds the report of every s = 1..s_max in
+representatives and their periods once, counts them at s_max in the
+row blocks of _row_blocks, and builds the report of every s = 1..s_max in
 that one pass; it is cached per (code, variant, s_max), and
 pattern_theorem_check(code, variant, s) reads its report at s = m.
 find_avoidance_witness reads the same census (_census), and
@@ -156,9 +156,6 @@ def _marginals(counts: np.ndarray):
         s -= 1
 
 
-_BLOCK_CELLS = 1 << 20  # rows x max(period, 2^s) per pattern_counts block: 8 MB of int64
-
-
 def _census(code: CyclicCode, s_max: int):
     """(orbit representatives, their counts at s_max), ascending, in row blocks.
 
@@ -168,9 +165,8 @@ def _census(code: CyclicCode, s_max: int):
     window = (1 << max(f.degree for f in code.factors)) - 1
     reps = orbit_minima(code.r, code.factors).tolist()
     rows = periods(code.g, reps, window)
-    step = max(1, _BLOCK_CELLS // max(window, 1 << s_max))
-    for i in range(0, len(reps), step):
-        yield reps[i:i + step], pattern_counts(rows[i:i + step], window, s_max)
+    for block in _row_blocks(len(reps), max(window, 1 << s_max)):
+        yield reps[block], pattern_counts(rows[block], window, s_max)
 
 
 def _positive_odd_exponents(code: CyclicCode) -> list[int]:
@@ -491,9 +487,11 @@ def wcu_family_check(m: int) -> FamilyCheckReport:
 
 
 # Row length from which _laurent_sums gathers and counts one draw at a
-# time.  A 1-D count costs about 1 us a call and the axis-1 count about
-# 0.4 ns a cell, and a block of such rows holds at most 8 draws, so from
-# m = 11 on the blocks were no faster than one call per draw.
+# time.  A block of such rows holds at most 8 draws; 2000 draws of one
+# form take the same time either way at m = 11-12 (18 and 25 ms), and one
+# draw at a time is faster from m = 13 (42 against 50 ms, 73 against 95 ms
+# at m = 14; numpy 2.4, 2-vCPU Xeon VM).  No benchmark workload reaches
+# it: verify_corpus stops its Laurent checks at m = 10.
 _FLAT_ROW_MIN = 1 << 10
 
 

@@ -72,8 +72,12 @@ class CyclicCode:
 
 
 def _field(m: int, modulus) -> FieldContext:
-    """The context of GF(2^m) under `modulus` (any parse_poly form), or the default one."""
-    return context_for_modulus(parse_poly(modulus) if modulus else default_modulus(m))
+    """The context of GF(2^m) under `modulus` (any parse_poly form), or the
+    default one; a modulus of another degree is refused."""
+    ctx = context_for_modulus(parse_poly(modulus) if modulus else default_modulus(m))
+    if ctx.m != m:
+        raise ValueError(f"modulus degree {ctx.m} does not match the field degree {m}")
+    return ctx
 
 
 def factors_of(g: int, modulus=None) -> tuple[CodeFactor, ...]:
@@ -89,24 +93,15 @@ def factors_of(g: int, modulus=None) -> tuple[CodeFactor, ...]:
         raise ValueError("generator has repeated factors")
     # before trial division, whose time grows with the largest factor's degree
     _check_table_degree(gf2poly.high_degree_part(g, _MAX_TABLE_M).bit_length() - 1)
-    factors = [h for h, _ in gf2poly.factor(g)]
-    modulus = parse_poly(modulus) if modulus is not None else None
-    degrees = [h.bit_length() - 1 for h in factors]
-    shared_degree = degrees[0] if len(set(degrees)) == 1 else None
+    factors = [(h, h.bit_length() - 1) for h, _ in gf2poly.factor(g)]
+    equal = len({d for _, d in factors}) == 1
+    if modulus is not None and not equal:
+        raise ValueError("a single modulus needs equal-degree factors")
     out = []
-    if shared_degree is not None:
-        ctx = _field(shared_degree, modulus)
-        if ctx.m != shared_degree:
-            raise ValueError("modulus degree does not match the factor degree")
-        for h in factors:
-            t = ctx.dlog(find_root(ctx, h))
-            out.append(CodeFactor(h, shared_degree, ctx, t, min_odd_coset_member(t, ctx.n)))
-    else:
-        if modulus is not None:
-            raise ValueError("a single modulus needs equal-degree factors")
-        for h, d in zip(factors, degrees):
-            ctx = _field(d, None)
-            out.append(CodeFactor(h, d, ctx, ctx.dlog(find_root(ctx, h)), None))
+    for h, d in factors:
+        ctx = _field(d, modulus)
+        t = ctx.dlog(find_root(ctx, h))
+        out.append(CodeFactor(h, d, ctx, t, min_odd_coset_member(t, ctx.n) if equal else None))
     return tuple(out)
 
 
@@ -139,8 +134,6 @@ def make_bch(e: int, m: int, modulus=None) -> CyclicCode:
             f" must exceed 2e-1 = {2 * e - 1}"
         )
     ctx = _field(m, modulus)
-    if ctx.m != m:
-        raise ValueError("modulus must be primitive of degree m")
     n = (1 << m) - 1
     g = 1
     factors = []
@@ -162,8 +155,6 @@ def make_melas(m: int, modulus=None) -> CyclicCode:
         raise ValueError("need m >= 3")
     _check_table_degree(m)  # before the modulus search
     ctx = _field(m, modulus)
-    if ctx.m != m:
-        raise ValueError("modulus must be primitive of degree m")
     m1 = ctx.modulus
     m1_rev = reciprocal(m1)
     if m1_rev == m1:

@@ -19,16 +19,15 @@ orbit_minima is the one enumerator of the shift orbits f -> X*f mod g,
 read by the radius engine and the pattern checks (from a code's own
 factors) and by orbit_representatives (from codes.factors_of(g)): it
 names orbits by discrete logs at the roots of g (_OrbitNames, which
-gathers them from each field's log array in place, in one gather when
-the factors share a field), reads only the odd residues, as every
-nonzero orbit minimum is odd, from 0 up in numpy blocks that grow by bit
-length, and keeps each orbit's first residue, its minimum: about 2^(b-1)
-residues for a largest minimum below 2^b.  A call pays for the shells it
-reads: the factor values of the first come from one closure for all
-factors, each later shell is appended to that table as it is reached,
-and once every orbit with a zero component is named, the rows with one
-skip the per-support naming.  The trace form reads the same factor
-records.
+gathers them from each field's log array in place), reads only the odd
+residues, as every nonzero orbit minimum is odd, from 0 up in numpy
+blocks that grow by bit length, and keeps each orbit's first residue,
+its minimum: about 2^(b-1) residues for a largest minimum below 2^b.  A
+call pays for the shells it reads: the factor values of the first come
+from one closure for all factors, each later shell is appended to that
+table as it is reached, and once every orbit with a zero component is
+named, the rows with one skip the per-support naming.  The trace form
+reads the same factor records.
 """
 
 from __future__ import annotations
@@ -267,8 +266,6 @@ class _OrbitNames:
         self.high = self.cols[:, _K:].T  # high(hi), the XOR of rows at the set bits of hi
         shell = min(_K - 2, r)
         self.low = _closure(self.cols[:, 1:shell]) ^ self.cols[:, :1]
-        # BCH and Melas factors share one field: one gather names them all
-        self.log = factors[0].ctx.log if all(fac.ctx is factors[0].ctx for fac in factors) else None
         self.logs = [fac.ctx.log for fac in factors]
         self.chains = [(0, [])]  # the zero residue is an orbit of its own
         self.total = 1
@@ -318,13 +315,8 @@ class _OrbitNames:
         comps = low[:, start - (hi << _K) >> 1:stop - (hi << _K) >> 1]
         # a contiguous copy of a later shell: the reads below then run at full speed
         comps = comps ^ _xor_at(self.high, hi)[:, None] if hi else np.ascontiguousarray(comps)
-        if self.log is not None:
-            logs = list(self.log[comps])
-        else:
-            logs = [log[v] for log, v in zip(self.logs, comps)]
+        logs = [log[v] for log, v in zip(self.logs, comps)]
         ids = self._name(len(self.chains) - 1, logs[:])  # every component nonzero
-        if self.full == 1:  # one factor: no odd residue has a zero component
-            return ids
         zero = np.logical_or.reduce(comps == 0)  # the rows with a zero component
         if not self.partial:
             ids[zero] = 0

@@ -347,7 +347,7 @@ def test_avoidance_length_checked_before_any_orbit(s, monkeypatch):
 @pytest.mark.parametrize("cells", [1, 64 * 7])
 def test_row_blocks_leave_the_reports_unchanged(cells, monkeypatch):
     """One row per block, and 7-row blocks with a ragged tail, against the
-    default blocks (one block for these codes)."""
+    default blocks (one block for these codes); every row is 2^6 cells."""
     checks = [(make_bch(2, 6), "equal_degree"), (make_melas(6), "melas_mixed")]
 
     def reports():
@@ -357,7 +357,7 @@ def test_row_blocks_leave_the_reports_unchanged(cells, monkeypatch):
 
     pattern_census.cache_clear()
     default = reports()
-    monkeypatch.setattr(charsums, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(bitmatrix_mod, "_ORACLE_CELLS", cells)
     pattern_census.cache_clear()
     assert reports() == default
 
@@ -398,14 +398,14 @@ CENSUS_CODES = [(make_bch(2, m), "equal_degree") for m in range(3, 9)] + [
 @pytest.mark.parametrize("code, variant", CENSUS_CODES)
 def test_census_marginals_match_direct_counts(code, variant, monkeypatch):
     """Each s < m read off the s = m count equals pattern_counts at s,
-    in 5-row blocks and in one block."""
+    in 5-row blocks and in the default ones (rows of 2^m cells)."""
     m = code.factors[0].degree
     window = (1 << m) - 1
     reps = orbit_minima(code.r, code.factors).tolist()
     rows = periods(code.g, reps, window)
     for cells in (5 << m, None):
         if cells:
-            monkeypatch.setattr(charsums, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(bitmatrix_mod, "_ORACLE_CELLS", cells)
         blocks = list(charsums._census(code, m))
         assert [r for block, _ in blocks for r in block] == reps
         marginals = [dict(charsums._marginals(top)) for _, top in blocks]
@@ -441,7 +441,7 @@ def test_census_prefixes_agree(code, variant):
 def test_sweep_over_s_counts_each_block_once(code, variant, monkeypatch):
     m = code.factors[0].degree
     rows = len(orbit_minima(code.r, code.factors))
-    monkeypatch.setattr(charsums, "_BLOCK_CELLS", 9 << m)  # blocks of 9 rows
+    monkeypatch.setattr(bitmatrix_mod, "_ORACLE_CELLS", 9 << m)  # blocks of 9 rows
     calls = _spy(monkeypatch, "pattern_counts")
     pattern_census.cache_clear()
     reports = [pattern_theorem_check(code, variant, s) for s in range(1, m + 1)]

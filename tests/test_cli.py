@@ -431,6 +431,14 @@ USAGE_ERRORS = {
     "generic-non-primitive-modulus": ["radius", "--family", "generic", "--n", "5",
                                       "--g", "0x1F", "--modulus", "0x1F"],
     "code-non-primitive-modulus": ["radius", "--code", "generic5-0x1F.json"],
+    # a degree-4 modulus for degree-3 factors, and one modulus for mixed degrees
+    "generic-modulus-degree": ["radius", "--family", "generic", "--n", "7", "--g", "0xB",
+                               "--modulus", "0x13"],
+    "generic-mixed-degree-modulus": ["radius", "--family", "generic", "--n", "21",
+                                     "--g", "x^5+x^4+1", "--modulus", "0xB"],
+    "bch-modulus-degree": ["radius", "--family", "bch", "--e", "2", "--m", "6",
+                           "--modulus", "0x13"],
+    "melas-modulus-degree": ["radius", "--family", "melas", "--m", "6", "--modulus", "0x13"],
     "geometric-linear": ["radius", *BCH24, "--method", "geometric", "--linear"],
     "orbit-linear": ["radius", *BCH24, "--linear"],
     "dump-matrix-emit": ["radius", *BCH24, "--dump-matrix", "--emit", "json"],

@@ -9,6 +9,7 @@ from burstcover.codes import (
     code_to_descriptor,
     codewords,
     descriptor_length,
+    factors_of,
     lc_eval,
     make_bch,
     make_cyclic_code,
@@ -385,6 +386,16 @@ def test_modulus_override():
         make_bch(2, 6, modulus=0b1010111)  # order-21 sextic is not primitive
     with pytest.raises(ValueError, match="primitive"):
         make_cyclic_code(5, 0b11111, modulus=0b11111)  # a generic code's modulus too
+
+
+def test_modulus_errors():
+    # one modulus serves only factors of one degree, and only its own degree
+    with pytest.raises(ValueError, match="a single modulus needs equal-degree factors"):
+        factors_of(mul(0b111, 0b1011), 0xB)
+    for build in (lambda: factors_of(0xB, 0x13), lambda: make_bch(2, 6, 0x13),
+                  lambda: make_melas(6, 0x13)):
+        with pytest.raises(ValueError, match="modulus degree 4 does not match the field degree"):
+            build()
 
 
 @pytest.mark.parametrize("n, g, b, witness, exponents", [

@@ -145,19 +145,56 @@ def test_one_path_from_a_generator_to_its_roots():
     assert _callers("CodeFactor") == {"codes.factors_of", "codes.make_bch", "codes.make_melas"}
 
 
+def test_one_block_size_for_the_numpy_blocks():
+    # the oracles, the Laurent sums and the pattern census cut their work
+    # with bitmatrix._row_blocks, whose _ORACLE_CELLS is the one block size
+    assert _callers("_row_blocks") == {
+        "radius.matrix_burst_radius", "radius._burst_patterns", "radius.geometric_is_covering",
+        "charsums._census", "charsums._laurent_sums"}
+    sizes = {f"{path.stem}.{target.id}" for path, tree in _modules() for top in tree.body
+             if isinstance(top, (ast.Assign, ast.AnnAssign))
+             for target in (top.targets if isinstance(top, ast.Assign) else [top.target])
+             if isinstance(target, ast.Name) and target.id.endswith("_CELLS")}
+    assert sizes == {"bitmatrix._ORACLE_CELLS"}
+
+
+# The calls that copy an array passed to them whole.
+_COPIERS = ("array", "asarray", "fromiter", "copy", "stack", "concatenate", "ascontiguousarray")
+
+
+def _is_table(node) -> bool:
+    """A bare `.exp` or `.log` attribute (np.log and math.log aside), or a slice of one."""
+    while isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice):
+        node = node.value
+    return (isinstance(node, ast.Attribute) and node.attr in ("exp", "log")
+            and getattr(node.value, "id", None) not in ("np", "math"))
+
+
+def _passed(node):
+    """node and the values it holds through lists, tuples, stars and comprehensions."""
+    yield node
+    if isinstance(node, (ast.List, ast.Tuple)):
+        for elt in node.elts:
+            yield from _passed(elt)
+    elif isinstance(node, ast.Starred):
+        yield from _passed(node.value)
+    elif isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+        yield from _passed(node.elt)
+
+
 def _table_copies(trees) -> set[str]:
-    """module:line of each np.array, np.asarray or np.fromiter call that
-    reads an `.exp` or `.log` attribute (np.log and math.log aside)."""
+    """module:line of each whole-table copy: a field table or a slice of one
+    passed to one of _COPIERS, or followed by .copy().  A gather by an
+    index array (ctx.exp[k]) reads only the entries it names."""
     copies = set()
     for name, tree in trees:
         for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call)
-                    and getattr(node.func, "attr", None) in ("array", "asarray", "fromiter")):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _COPIERS):
                 continue
             args = [*node.args, *(k.value for k in node.keywords)]
-            if any(isinstance(sub, ast.Attribute) and sub.attr in ("exp", "log")
-                   and getattr(sub.value, "id", None) not in ("np", "math")
-                   for arg in args for sub in ast.walk(arg)):
+            if ((node.func.attr == "copy" and _is_table(node.func.value))
+                    or any(_is_table(v) for arg in args for v in _passed(arg))):
                 copies.add(f"{name}:{node.lineno}")
     return copies
 
@@ -167,5 +204,14 @@ def test_field_tables_have_one_representation():
     # other module indexes them in place
     assert _table_copies((path.stem, tree) for path, tree in _modules()
                          if path.stem != "field") == set()
-    snippet = "x = np.array(ctx.log[1:])\ny = np.fromiter(c.exp, int)\nz = np.array(np.log(w))"
-    assert _table_copies([("snippet", ast.parse(snippet))]) == {"snippet:1", "snippet:2"}
+    snippet = "\n".join([
+        "x = np.array(ctx.log[1:])",
+        "y = np.fromiter(c.exp, int)",
+        "z = np.array(np.log(w))",
+        "a = np.stack([ctx.exp])",
+        "b = ctx.log.copy()",
+        "c = ctx.exp[:n].copy()",
+        "d = np.array([f.ctx.exp[f.t * k % n] for f in fs])",
+    ])
+    assert _table_copies([("snippet", ast.parse(snippet))]) == {
+        "snippet:1", "snippet:2", "snippet:4", "snippet:5", "snippet:6"}
