@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2poly
+from . import gf2poly, radius
 from .bitmatrix import _row_blocks
 from .codes import CyclicCode
 from .field import FieldContext, get_context, min_odd_coset_member, trace_table
@@ -162,6 +162,9 @@ def _census(code: CyclicCode, s_max: int):
     The one count of a code's sequences: representatives and periods once,
     then one pattern_counts per block of rows; _marginals gives smaller s.
     """
+    if code.r > radius.MAX_R:  # each nonzero residue is a cell of its orbit's window
+        raise radius.BudgetError(f"pattern census of at least 2^{code.r} - 1 cells "
+                                 f"exceeds max_r={radius.MAX_R}")
     window = (1 << max(f.degree for f in code.factors)) - 1
     reps = orbit_minima(code.r, code.factors).tolist()
     rows = periods(code.g, reps, window)
@@ -362,7 +365,7 @@ def gcd_power_inequality_check(a: int, b: int) -> bool:
 # ---------------------------------------------------------------------------
 # exhaustive / sampled family checks used by the verification suites
 
-# Largest m that `verify charsums` runs each family check at (2-vCPU VM,
+# Limits that the family checks enforce themselves (2-vCPU VM,
 # one call each).  The Weil sweep holds a 2^m x (2^m + 2) int16 array and
 # its gather by phi, 4x larger per step of m: 7 ms / 35 MB process peak
 # at m = 10, 40 ms / 50 MB at m = 11, 0.17 s / 110 MB at m = 12 (a ceiling
@@ -379,6 +382,19 @@ _WEIL_DTYPE = np.int16
 assert 1 << WCU_M_MAX <= np.iinfo(_WEIL_DTYPE).max, "the Weil transform needs a wider dtype"
 LAURENT_M_MAX = 16
 LAURENT_DRAWS_MAX = 2000
+
+
+def check_weil_degree(m: int) -> None:
+    """Refuse a Weil sweep above WCU_M_MAX before its tables are built."""
+    if m > WCU_M_MAX:
+        raise radius.BudgetError(f"Weil sweep at m = {m} exceeds wcu_m_max={WCU_M_MAX}")
+
+
+def check_laurent_size(m: int, draws: int) -> None:
+    """Refuse Laurent samples above either Laurent limit before any table is built."""
+    if m > LAURENT_M_MAX or draws > LAURENT_DRAWS_MAX:
+        raise radius.BudgetError(f"{draws} Laurent draws at m = {m} exceed laurent_m_max="
+                                 f"{LAURENT_M_MAX} or laurent_draws_max={LAURENT_DRAWS_MAX}")
 
 
 @dataclass(frozen=True)
@@ -449,6 +465,7 @@ def wcu_family_check(m: int) -> FamilyCheckReport:
     transform of w_b(x) = chi(b x^3 + x^5) read at phi(c): O(n^2 m)
     integer additions for the whole sweep, verdicts exact.
     """
+    check_weil_degree(m)
     n, q = (1 << m) - 1, 1 << m
     table = trace_table(get_context(m))
     # log X^i = i, so Tr(X^j X^i) = table[j + i]
@@ -519,6 +536,7 @@ def _laurent_sums(ctx: FieldContext, t: int, u: int, coeffs) -> np.ndarray:
 
 def laurent_family_check(m: int, t: int, u: int, draws: int, seed: int) -> FamilyCheckReport:
     """Sampled check of the Laurent bound for forms a x^t + b x^(-u)."""
+    check_laurent_size(m, draws)
     ctx = get_context(m)
     rng = random.Random(seed)
     coeffs = [(rng.randrange(1, ctx.n + 1), rng.randrange(1, ctx.n + 1)) for _ in range(draws)]

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 
+from . import charsums, radius
 from .codes import (
     FAMILY_PARAMS,
     code_from_descriptor,
@@ -28,9 +29,6 @@ from .codes import (
 from .corpus import build_corpus, exact_two_primitive_cases, mixed_degree_entries
 from .covering import ThresholdError, burst_cover, check_cover_length, verify_certificate
 from .charsums import (
-    LAURENT_DRAWS_MAX,
-    LAURENT_M_MAX,
-    WCU_M_MAX,
     find_avoidance_witness,
     gcd_power_inequality_check,
     laurent_family_check,
@@ -49,7 +47,6 @@ from .lfsr import (
     orbit_representatives,
 )
 from .radius import (
-    MAX_R,
     BudgetError,
     RadiusResult,
     bounds_report,
@@ -341,16 +338,17 @@ def _cmd_lfsr_stats(args) -> int:
                    period if args.zero_runs else 0,
                    1 << len(args.pattern or ()))
     values = max(per_load, period if args.orbit_reps else 0)
-    if values >= 1 << MAX_R:
-        raise BudgetError(f"{values} values exceed 2^{MAX_R} - 1 (max_r={MAX_R})")
+    max_r = radius.MAX_R  # read when the command runs
+    if values >= 1 << max_r:
+        raise BudgetError(f"{values} values exceed 2^{max_r} - 1 (max_r={max_r})")
     if args.init is not None:
         loads = [fibonacci_to_galois(g, args.init)]
     else:
         loads = orbit_representatives(g)
         values = len(loads) * per_load
-        if values >= 1 << MAX_R:
+        if values >= 1 << max_r:
             raise BudgetError(f"{len(loads)} orbits x {per_load} values = {values} values"
-                              f" exceed 2^{MAX_R} - 1 (max_r={MAX_R})")
+                              f" exceed 2^{max_r} - 1 (max_r={max_r})")
     for load in loads:
         spec = LfsrSpec(g, load)
         init_hex = to_hex(sum(b << i for i, b in enumerate(lfsr_sequence(spec, r))))
@@ -443,8 +441,6 @@ def _verify_patterns(args) -> int:
     family = args.family
     if family in ("bch", "melas"):
         m = 6 if args.m is None else args.m
-        if 2 * m > MAX_R:  # about 2^(2m)/n orbits x n window terms
-            raise BudgetError(f"pattern census of 2^{2 * m} cells exceeds max_r={MAX_R}")
         for flag, s in (("--s-max", args.s_max), ("--find-avoidance", args.find_avoidance)):
             if s is not None and s > m:
                 raise ValueError(f"{flag} must be in [1, {m}], got {s}")
@@ -484,12 +480,8 @@ def _verify_patterns(args) -> int:
 
 def _verify_charsums(args) -> int:
     m_max, draws, seed = args.m_max, args.draws, args.seed
-    if m_max > WCU_M_MAX:
-        raise BudgetError(f"--m-max {m_max} exceeds {WCU_M_MAX}")
-    if args.laurent_m_max > LAURENT_M_MAX:
-        raise BudgetError(f"--laurent-m-max {args.laurent_m_max} exceeds {LAURENT_M_MAX}")
-    if draws > LAURENT_DRAWS_MAX:
-        raise BudgetError(f"--draws {draws} exceeds {LAURENT_DRAWS_MAX}")
+    charsums.check_weil_degree(m_max)  # the sweep's largest values, before any work
+    charsums.check_laurent_size(args.laurent_m_max, draws)
     reports = [wcu_family_check(m).to_json() for m in range(2, m_max + 1)]
     cases = sum(r["cases_checked"] for r in reports)
     for m in range(2, args.laurent_m_max + 1):
@@ -608,11 +600,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_suite("charsums", help="Weil and Laurent character-sum bounds")
     p.set_defaults(run=_verify_charsums)
     p.add_argument("--m-max", type=_positive_int, default=8,
-                   help=f"largest m of the Weil sweep (at most {WCU_M_MAX})")
+                   help=f"largest m of the Weil sweep (at most {charsums.WCU_M_MAX})")
     p.add_argument("--laurent-m-max", type=_positive_int, default=10,
-                   help=f"largest m of the Laurent samples (at most {LAURENT_M_MAX})")
+                   help=f"largest m of the Laurent samples (at most {charsums.LAURENT_M_MAX})")
     p.add_argument("--draws", type=_positive_int, default=200,
-                   help=f"Laurent draws per form (at most {LAURENT_DRAWS_MAX})")
+                   help=f"Laurent draws per form (at most {charsums.LAURENT_DRAWS_MAX})")
     p.add_argument("--seed", type=int, default=0)
     p = add_suite("appendix", help="power-gap inequality")
     p.set_defaults(run=_verify_appendix)

@@ -207,7 +207,7 @@ def orbit_minima(r: int, factors) -> np.ndarray:
     Once every orbit with a zero component has its first position, the
     names stop telling those orbits apart (_OrbitNames.partial).
     Positions are int32: the callers keep the minima below 2^26, the radius
-    engine by a proven bound u >= b, lfsr-stats by r.
+    engine by a proven bound u >= b, the pattern census and lfsr-stats by r.
     """
     names = _OrbitNames(r, factors)
     unnamed = np.iinfo(np.int32).max

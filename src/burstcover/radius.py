@@ -35,12 +35,12 @@ from .gf2poly import to_hex, to_terms
 from .lfsr import orbit_minima, orbit_minimum
 
 
-# 2^MAX_R is the most entries either table method reads or holds.  The
-# matrix method holds one byte per syndrome, so it takes r <= MAX_R.  The
-# orbit method reads about the 2^(b-1) odd residues below 2^b and holds
-# one int32 minimum per orbit, each minimum a distinct residue below 2^b;
-# so it takes any code whose least proven upper bound u >= b is at most
-# MAX_R.
+# 2^MAX_R is the most entries a table method reads or holds.  The matrix
+# method holds one byte per syndrome and the pattern census counts at
+# least 2^r - 1 cells, so both take r <= MAX_R.  The orbit method reads
+# about the 2^(b-1) odd residues below 2^b and holds one int32 minimum per
+# orbit, each a distinct residue below 2^b, so it takes any code whose
+# least proven upper bound u >= b is at most MAX_R.  lfsr-stats shares it.
 MAX_R = 26
 
 # Work limits of the brute-force methods: window combinations marked by the

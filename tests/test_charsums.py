@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import burstcover.bitmatrix as bitmatrix_mod
+import burstcover.radius as radius_mod
 from burstcover import gf2poly
 from burstcover import charsums
 from burstcover.charsums import (
@@ -31,6 +32,7 @@ from burstcover.lfsr import (
     periods,
     trace_representation,
 )
+from burstcover.radius import BudgetError
 from test_cli import _fail_if_called
 from test_lfsr import window_histogram
 
@@ -342,6 +344,53 @@ def test_avoidance_length_checked_before_any_orbit(s, monkeypatch):
     monkeypatch.setattr(charsums, "orbit_minima", no_walk)
     with pytest.raises(ValueError, match=r"\[1, 5\]"):
         find_avoidance_witness(make_bch(2, 5), s)
+
+
+CENSUS_CALLS = {
+    "pattern_census": lambda code, variant: pattern_census(code, variant, 1),
+    "pattern_theorem_check": lambda code, variant: pattern_theorem_check(code, variant, 1),
+    "find_avoidance_witness": lambda code, variant: find_avoidance_witness(code, 1),
+}
+# family: (its code of degree m, its census variant); each code has r = 2m
+CENSUS_FAMILIES = {"bch": (lambda m: make_bch(2, m), "equal_degree"),
+                   "melas": (make_melas, "melas_mixed")}
+
+
+@pytest.mark.parametrize("call", CENSUS_CALLS)
+@pytest.mark.parametrize("family", CENSUS_FAMILIES)
+def test_census_refuses_r_above_max_r_before_any_orbit(call, family, monkeypatch):
+    # r = 28: 2^28 - 1 nonzero residues, each a cell of its orbit's window
+    make, variant = CENSUS_FAMILIES[family]
+    _fail_if_called(monkeypatch, charsums, "orbit_minima", "periods")
+    with pytest.raises(BudgetError, match=r"2\^28 - 1 cells exceeds max_r=26"):
+        CENSUS_CALLS[call](make(14), variant)
+
+
+@pytest.mark.parametrize("family", CENSUS_FAMILIES)
+def test_census_limit_is_inclusive_and_read_when_called(family, monkeypatch):
+    make, variant = CENSUS_FAMILIES[family]
+    monkeypatch.setattr(radius_mod, "MAX_R", 10)
+    pattern_census.cache_clear()
+    for call in CENSUS_CALLS.values():
+        call(make(5), variant)  # r = 10
+        with pytest.raises(BudgetError, match="max_r=10"):
+            call(make(6), variant)  # r = 12
+
+
+def test_weil_degree_refused_before_any_table(monkeypatch):
+    charsums.check_weil_degree(charsums.WCU_M_MAX)
+    _fail_if_called(monkeypatch, charsums, "get_context", "trace_table", "_weil_signs")
+    with pytest.raises(BudgetError, match=f"wcu_m_max={charsums.WCU_M_MAX}"):
+        wcu_family_check(charsums.WCU_M_MAX + 1)
+
+
+@pytest.mark.parametrize("m, draws", [(charsums.LAURENT_M_MAX + 1, 1),
+                                      (5, charsums.LAURENT_DRAWS_MAX + 1)])
+def test_laurent_size_refused_before_the_field(m, draws, monkeypatch):
+    charsums.check_laurent_size(charsums.LAURENT_M_MAX, charsums.LAURENT_DRAWS_MAX)
+    _fail_if_called(monkeypatch, charsums, "get_context")
+    with pytest.raises(BudgetError, match="laurent_m_max=16 or laurent_draws_max=2000"):
+        laurent_family_check(m, 1, 1, draws, seed=0)
 
 
 @pytest.mark.parametrize("cells", [1, 64 * 7])

@@ -543,23 +543,38 @@ def _fail_if_called(monkeypatch, module, *names):
     ["--draws", "2001"],
 ])
 def test_charsums_ceilings_checked_first(argv, monkeypatch, capsys):
+    # the sweep's largest values are checked before its first, smallest call
     import burstcover.charsums as charsums_mod
-    import burstcover.cli as cli_mod
 
-    _fail_if_called(monkeypatch, cli_mod, "wcu_family_check", "laurent_family_check")
-    _fail_if_called(monkeypatch, charsums_mod, "get_context")
+    _fail_if_called(monkeypatch, charsums_mod, "trace_table", "_weil_signs", "get_context")
     assert main(["verify", "charsums", *argv]) == EXIT_BUDGET
     assert "budget exceeded" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family", ["bch", "melas"])
 def test_patterns_degree_capped_by_max_r(family, monkeypatch, capsys):
-    import burstcover.cli as cli_mod
+    # the code is built (milliseconds at m = 14); the census refuses it
+    import burstcover.charsums as charsums_mod
 
-    _fail_if_called(monkeypatch, cli_mod, "make_bch", "make_melas",
-                    "pattern_census", "find_avoidance_witness")
+    _fail_if_called(monkeypatch, charsums_mod, "orbit_minima", "periods")
     assert main(["verify", "patterns", "--family", family, "--m", "14"]) == EXIT_BUDGET
-    assert "max_r=26" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "budget exceeded" in err and "max_r=26" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lfsr-stats", "--g", "0x409", "--orbit-reps", "--len", "1"],
+    ["verify", "patterns", "--family", "bch", "--m", "5"],
+])
+def test_cli_reads_max_r_when_it_runs(argv, monkeypatch, capsys):
+    # r = 10 > 9: the CLI keeps no copy of radius.MAX_R
+    import burstcover.radius as radius_mod
+    from burstcover.charsums import pattern_census
+
+    monkeypatch.setattr(radius_mod, "MAX_R", 9)
+    pattern_census.cache_clear()  # a cached census has no work left to refuse
+    assert main(argv) == EXIT_BUDGET
+    assert "max_r=9" in capsys.readouterr().err
 
 
 G27 = ["--g", "x^27+x^5+x^2+x+1"]

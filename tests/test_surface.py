@@ -158,6 +158,23 @@ def test_one_block_size_for_the_numpy_blocks():
     assert sizes == {"bitmatrix._ORACLE_CELLS"}
 
 
+def test_each_limit_is_checked_by_the_code_it_limits():
+    # an engine refuses work past its own limit, so a library call is limited
+    # as the CLI is; the CLI raises only for its own loops and compares
+    # against no engine's limit
+    assert _callers("BudgetError") == {
+        "radius.cyclic_burst_radius", "radius.matrix_burst_radius",
+        "radius.geometric_is_covering", "covering.check_cover_length",
+        "charsums.check_weil_degree", "charsums.check_laurent_size", "charsums._census",
+        "cli._cmd_lfsr_stats", "cli._verify_appendix"}
+    limits = {"MAX_R", "WCU_M_MAX", "LAURENT_M_MAX", "LAURENT_DRAWS_MAX"}
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    read = {getattr(node, "id", None) or getattr(node, "attr", None)
+            for compare in ast.walk(cli) if isinstance(compare, ast.Compare)
+            for node in ast.walk(compare)}
+    assert read & limits == set()
+
+
 # The calls that copy an array passed to them whole.
 _COPIERS = ("array", "asarray", "fromiter", "copy", "stack", "concatenate", "ascontiguousarray")
 
