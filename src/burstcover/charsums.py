@@ -156,15 +156,22 @@ def _marginals(counts: np.ndarray):
         s -= 1
 
 
+def check_census_size(r: int) -> None:
+    """Refuse a pattern census of a code of redundancy r above radius.MAX_R
+    (read when called) before any table of the code is built: each nonzero
+    residue is a cell of its orbit's window."""
+    if r > radius.MAX_R:
+        raise radius.BudgetError(f"pattern census of at least 2^{r} - 1 cells "
+                                 f"exceeds max_r={radius.MAX_R}")
+
+
 def _census(code: CyclicCode, s_max: int):
     """(orbit representatives, their counts at s_max), ascending, in row blocks.
 
     The one count of a code's sequences: representatives and periods once,
     then one pattern_counts per block of rows; _marginals gives smaller s.
     """
-    if code.r > radius.MAX_R:  # each nonzero residue is a cell of its orbit's window
-        raise radius.BudgetError(f"pattern census of at least 2^{code.r} - 1 cells "
-                                 f"exceeds max_r={radius.MAX_R}")
+    check_census_size(code.r)
     window = (1 << max(f.degree for f in code.factors)) - 1
     reps = orbit_minima(code.r, code.factors).tolist()
     rows = periods(code.g, reps, window)
@@ -369,12 +376,12 @@ def gcd_power_inequality_check(a: int, b: int) -> bool:
 # one call each).  The Weil sweep holds a 2^m x (2^m + 2) int16 array and
 # its gather by phi, 4x larger per step of m: 7 ms / 35 MB process peak
 # at m = 10, 40 ms / 50 MB at m = 11, 0.17 s / 110 MB at m = 12 (a ceiling
-# above 11 needs row blocks).  A Laurent call at m = 16 took 0.08 s after
-# 0.28 s for its field context (37 MB); contexts grow 2x per step of m.
-# 2000 Laurent draws take 0.01 s at m = 10 (in blocks of 2^14 cells),
-# 0.02 s at m = 12 and 0.07 s at m = 14 (one draw at a time from m = 11 on)
-# and 0.28 s at m = 16, so 2000 draws for each of the 9 forms take about
-# 2.5 s at m = 16 and 6 s for the whole `verify charsums --laurent-m-max 16`.
+# above 11 needs row blocks).  A Laurent draw costs one shift, XOR and
+# popcount of packed trace windows (_laurent_sums), linear in n: 2000 draws
+# of one form take 2 ms at m = 10 and 12, 6 ms at m = 14 and 20 ms at
+# m = 16, after 13 ms for the field context at m = 16.  So 2000 draws for
+# each of the 9 forms take about 0.3 s at m = 16, and the whole
+# `verify charsums --laurent-m-max 16 --draws 2000` 0.8 s at a 35 MB peak.
 WCU_M_MAX = 11
 # After butterfly stage k every |entry| of the Weil transform is at most
 # 2^(k+1), so every intermediate fits in q = 2^m: int16 up to m = 14.
@@ -503,48 +510,80 @@ def wcu_family_check(m: int) -> FamilyCheckReport:
     )
 
 
-# Row length from which _laurent_sums gathers and counts one draw at a
-# time.  A block of such rows holds at most 8 draws; 2000 draws of one
-# form take the same time either way at m = 11-12 (18 and 25 ms), and one
-# draw at a time is faster from m = 13 (42 against 50 ms, 73 against 95 ms
-# at m = 14; numpy 2.4, 2-vCPU Xeon VM).  No benchmark workload reaches
-# it: verify_corpus stops its Laurent checks at m = 10.
-_FLAT_ROW_MIN = 1 << 10
+def _trace_windows(ctx: FieldContext, c: int, logs: np.ndarray) -> tuple:
+    """The rows Tr(X^(l + c k)), k < n, for each l in logs, as windows of packed strings.
+
+    With d = gcd(c, n), n' = n / d and l = rho + d q, the exponent l + c k
+    is rho + d (q + (c/d) k) mod n, so the row is bits s .. s + n - 1 of
+    base_rho, bit k = Tr(X^(rho + c k)) for k < n + n', at
+    s = q (c/d)^(-1) mod n'.  Returns {rho: base_rho as a Python int} for
+    the rho that occur, and the rho and s of each l as lists.
+    """
+    n = ctx.n
+    c %= n
+    d = math.gcd(c, n)  # c = 0 gives d = n, n' = 1: every row is constant
+    period = n // d
+    q, rho = np.divmod(logs, d)
+    shifts = q * pow(c // d, -1, period) % period
+    rho = rho.tolist()
+    table = trace_table(ctx)
+    ck = c * np.arange(n + period, dtype=np.int64) % n
+    bases = {r: int.from_bytes(np.packbits(table[r + ck], bitorder="little").tobytes(), "little")
+             for r in set(rho)}
+    return bases, rho, shifts.tolist()
 
 
 def _laurent_sums(ctx: FieldContext, t: int, u: int, coeffs) -> np.ndarray:
-    """Sum of chi(a x^t + b x^(-u)) over nonzero x, for each (a, b) in coeffs.
+    """Sum of chi(a x^t + b x^(-u)) over nonzero x, for each row (a, b) of coeffs.
 
-    At x = X^k the two trace bits are table[log a + (t k mod n)] and
-    table[log b + (-u k mod n)].  A block of draws gathers them as one
-    (draws x n) array, then XORs and counts each row; rows of
-    _FLAT_ROW_MIN or more cells go one draw at a time, with a 1-D count.
+    At x = X^k the two trace bits are Tr(X^(log a + t k)) and
+    Tr(X^(log b - u k)).  Each side's n bits are a window of a packed
+    base string (_trace_windows), so a sum is n - 2 popcount of the XOR of
+    two shifted Python ints cut to n bits: one int.bit_count per draw.
     """
     n = ctx.n
-    table = trace_table(ctx)
-    k = np.arange(n, dtype=np.int64)
-    tk, uk = t * k % n, -u * k % n
-    logs = ctx.log[np.array(coeffs, dtype=np.int64).reshape(-1, 2)]  # (log a, log b) per draw
-    if n >= _FLAT_ROW_MIN:
-        return np.array([n - 2 * np.count_nonzero(table[la + tk] ^ table[lb + uk])
-                         for la, lb in logs.tolist()], dtype=np.int64)
-    ones = np.empty(len(logs), dtype=np.int64)
-    for rows in _row_blocks(len(logs), n):
-        ones[rows] = np.count_nonzero(table[logs[rows, :1] + tk] ^ table[logs[rows, 1:] + uk], axis=1)
-    return n - 2 * ones
+    logs = ctx.log[np.asarray(coeffs, dtype=np.int64).reshape(-1, 2)]  # (log a, log b) per draw
+    a_bases, a_rho, a_shift = _trace_windows(ctx, t, logs[:, 0])
+    b_bases, b_rho, b_shift = _trace_windows(ctx, -u, logs[:, 1])
+    mask = (1 << n) - 1
+    return np.array([n - 2 * (((a_bases[ra] >> sa) ^ (b_bases[rb] >> sb)) & mask).bit_count()
+                     for ra, sa, rb, sb in zip(a_rho, a_shift, b_rho, b_shift)], dtype=np.int64)
+
+
+def _laurent_draws(rng: random.Random, n: int, draws: int) -> np.ndarray:
+    """The (draws, 2) int64 array of [rng.randrange(1, n + 1), rng.randrange(1, n + 1)]
+    per draw, n = 2^m - 1 and m <= 32, from one getrandbits call per refill.
+
+    randrange(1, n + 1) is 1 + getrandbits(m), drawn again while that is n,
+    and getrandbits(m) is the top m bits of one 32-bit Mersenne Twister
+    word; getrandbits(32 w) returns w successive words, least significant
+    first.  The first 2 draws values that are not n are kept; words drawn
+    past them are never read, which only advances rng.
+    """
+    m = n.bit_length()
+    values = np.empty(0, dtype=np.uint32)
+    while len(values) < 2 * draws:
+        words = 2 * draws - len(values)
+        words += words // n + 16  # about words * 2^m / n are needed
+        top = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"),
+                            dtype="<u4") >> (32 - m)
+        values = np.concatenate([values, top[top != n]])
+    return values[:2 * draws].astype(np.int64).reshape(-1, 2) + 1
 
 
 def laurent_family_check(m: int, t: int, u: int, draws: int, seed: int) -> FamilyCheckReport:
-    """Sampled check of the Laurent bound for forms a x^t + b x^(-u)."""
+    """Sampled check of the Laurent bound for forms a x^t + b x^(-u), t, u >= 1."""
+    if t < 1 or u < 1 or draws < 0:
+        raise ValueError(f"Laurent forms need t, u >= 1 and draws >= 0, "
+                         f"got t={t}, u={u}, draws={draws}")
     check_laurent_size(m, draws)
     ctx = get_context(m)
-    rng = random.Random(seed)
-    coeffs = [(rng.randrange(1, ctx.n + 1), rng.randrange(1, ctx.n + 1)) for _ in range(draws)]
+    coeffs = _laurent_draws(random.Random(seed), ctx.n, draws)
     sums = _laurent_sums(ctx, t, u, coeffs)
     bad = np.flatnonzero(~_within(sums, m, t + u))
     return FamilyCheckReport(
         name="laurent_weil_bound",
         hypotheses={"m": m, "t": t, "u": u, "draws": draws, "seed": seed},
         cases_checked=draws,
-        violations=tuple((*coeffs[i], int(sums[i])) for i in bad),
+        violations=tuple((*coeffs[i].tolist(), int(sums[i])) for i in bad),
     )

@@ -36,7 +36,7 @@ from .charsums import (
     pattern_census,
     wcu_family_check,
 )
-from .field import primitive_moduli
+from .field import _check_table_degree, primitive_moduli
 from .gf2poly import parse_poly, to_hex, to_terms
 from .lfsr import (
     LfsrSpec,
@@ -444,6 +444,8 @@ def _verify_patterns(args) -> int:
         for flag, s in (("--s-max", args.s_max), ("--find-avoidance", args.find_avoidance)):
             if s is not None and s > m:
                 raise ValueError(f"{flag} must be in [1, {m}], got {s}")
+        _check_table_degree(m)  # past the field tables exits 64 before the census limit
+        charsums.check_census_size(2 * m)  # BCH(2, m) and Melas(m) have r = 2m
         code = make_bch(2, m) if family == "bch" else make_melas(m)
         variant = "equal_degree" if family == "bch" else "melas_mixed"
         s_max = m if args.s_max is None else args.s_max

@@ -184,20 +184,22 @@ def test_monic_quintics_reduce_to_swept_forms(m, monkeypatch):
         assert whole == chi0 * sums5[index[a[3]], index[c]], a
 
 
+NINE_FORMS = [(t, u) for t in (1, 3, 5) for u in (1, 3, 5)]
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_laurent_family_sums_match_oracle(m, monkeypatch):
     n = (1 << m) - 1
     mod = default_modulus(m)
     calls = _spy(monkeypatch, "_laurent_sums")
-    forms = [(t, u) for t in (1, 3, 5) for u in (1, 3, 5)]
-    for t, u in forms:
+    for t, u in NINE_FORMS:
         assert laurent_family_check(m, t, u, draws=30, seed=10 * t + u).ok
-    assert [args[1:3] for args, _ in calls] == forms
+    assert [args[1:3] for args, _ in calls] == NINE_FORMS
     for (_, t, u, coeffs), sums in calls:
         pos = {x: gf2poly.pow_mod(x, t, mod) for x in range(1, n + 1)}
         neg = {x: gf2poly.pow_mod(x, n - u, mod) for x in range(1, n + 1)}  # x^(-u)
         assert len(sums) == len(coeffs) == 30
-        for (a, b), s in zip(coeffs, sums):
+        for (a, b), s in zip(np.asarray(coeffs).tolist(), sums):
             oracle = _char_sum_oracle(
                 m, lambda x: _mulmod(m, a, pos[x]) ^ _mulmod(m, b, neg[x]))
             assert s == oracle, (t, u, a, b)
@@ -212,21 +214,51 @@ def _laurent_pair_loop(ctx, t, u, coeffs):
             for a, b in coeffs]
 
 
-@pytest.mark.parametrize("cells", [1, 100, None])
+def _randrange_draws(n, draws, seed):
+    rng = random.Random(seed)
+    return [(rng.randrange(1, n + 1), rng.randrange(1, n + 1)) for _ in range(draws)]
+
+
+@pytest.mark.parametrize("draws", [1, 100, None])
 @pytest.mark.parametrize("m", range(2, 13))
-def test_laurent_blocks_match_the_pair_loop(m, cells, monkeypatch):
-    # cells = 1: one-row blocks; 100: blocks of a few draws with a short last
-    # one; m >= 11 rows are counted one draw at a time whatever the block
-    if cells:
-        monkeypatch.setattr(bitmatrix_mod, "_ORACLE_CELLS", cells)
+def test_laurent_blocks_match_the_pair_loop(m, draws):
+    # one call sums a block of 1, 100 or (None) the most draws a check takes
     ctx = get_context(m)
-    rng = random.Random(m)
-    coeffs = [(rng.randrange(1, ctx.n + 1), rng.randrange(1, ctx.n + 1)) for _ in range(37)]
+    coeffs = _randrange_draws(ctx.n, draws or charsums.LAURENT_DRAWS_MAX, m)
     for t, u in ((1, 1), (3, 5), (5, 3)):
         sums = charsums._laurent_sums(ctx, t, u, coeffs)
         assert sums.dtype == np.int64
         assert sums.tolist() == _laurent_pair_loop(ctx, t, u, coeffs), (t, u)
     assert charsums._laurent_sums(ctx, 1, 1, []).tolist() == []
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_laurent_windows_match_the_pair_loop_for_every_form(m):
+    # t = 3 at m = 2 is c = 0 (gcd n); m = 1 has n = 1; even m gives
+    # gcd(3, n) = 3 and m = 4, 8, ... gives gcd(5, n) = 5 on both sides
+    ctx = get_context(m)
+    coeffs = _randrange_draws(ctx.n, 37, m)
+    for t, u in NINE_FORMS + [(ctx.n, 2 * ctx.n + 1), (ctx.n + 3, 255)]:
+        assert charsums._laurent_sums(ctx, t, u, coeffs).tolist() == \
+            _laurent_pair_loop(ctx, t, u, coeffs), (t, u)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_one_call_draws_match_randrange(m):
+    n = (1 << m) - 1
+    for seed in (0, 1, 3, 20260810, (1 << 40) + 7):
+        for draws in (0, 1, 200, 2000):
+            coeffs = charsums._laurent_draws(random.Random(seed), n, draws)
+            assert coeffs.dtype == np.int64 and coeffs.shape == (draws, 2)
+            assert [tuple(pair) for pair in coeffs.tolist()] == \
+                _randrange_draws(n, draws, seed), (seed, draws)
+
+
+@pytest.mark.parametrize("t, u, draws", [(1, 1, -3), (-1, 1, 5), (1, 0, 5), (0, 3, 0)])
+def test_laurent_inputs_refused_before_any_table(t, u, draws, monkeypatch):
+    _fail_if_called(monkeypatch, charsums, "get_context", "trace_table")
+    with pytest.raises(ValueError, match="t, u >= 1 and draws >= 0"):
+        laurent_family_check(5, t, u, draws, seed=0)
 
 
 def test_niederreiter_cache_matches_the_uncached_report(monkeypatch):

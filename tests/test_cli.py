@@ -553,13 +553,27 @@ def test_charsums_ceilings_checked_first(argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("family", ["bch", "melas"])
 def test_patterns_degree_capped_by_max_r(family, monkeypatch, capsys):
-    # the code is built (milliseconds at m = 14); the census refuses it
+    # the census limit refuses r = 28 before any orbit is counted
     import burstcover.charsums as charsums_mod
 
     _fail_if_called(monkeypatch, charsums_mod, "orbit_minima", "periods")
     assert main(["verify", "patterns", "--family", family, "--m", "14"]) == EXIT_BUDGET
     err = capsys.readouterr().err
     assert "budget exceeded" in err and "max_r=26" in err
+
+
+@pytest.mark.parametrize("m", ["14", "22"])
+@pytest.mark.parametrize("family", ["bch", "melas"])
+def test_patterns_census_refused_before_the_code_is_built(family, m, monkeypatch, capsys):
+    # r = 2m is checked before make_bch / make_melas build the field tables;
+    # m = 23 is past the field tables, a usage error whatever the census limit
+    import burstcover.cli as cli_mod
+
+    _fail_if_called(monkeypatch, cli_mod, "make_bch", "make_melas")
+    assert main(["verify", "patterns", "--family", family, "--m", m]) == EXIT_BUDGET
+    assert f"2^{2 * int(m)} - 1 cells exceeds max_r=26" in capsys.readouterr().err
+    assert main(["verify", "patterns", "--family", family, "--m", "23"]) == EXIT_USAGE
+    assert "field tables limited to degree 22" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

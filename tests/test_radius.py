@@ -296,8 +296,9 @@ def test_matrix_blocks_match_the_per_start_loop(cells, cyclic, monkeypatch):
 
 def test_oracle_blocks_bound_the_peak():
     # one block holds 2^14 cells, 128 kB of int64: the peaks are 0.41 MB
-    # (matrix), 0.42 MB (geometric) and 0.68 MB (Laurent, with its 2000
-    # draws as Python tuples); blocks of 2^16 cells reach 0.80, 0.81 and 1.0 MB
+    # (matrix) and 0.42 MB (geometric); blocks of 2^16 cells reach 0.80 and
+    # 0.81 MB.  The Laurent check cuts no blocks: its 2000 draws and their
+    # packed trace windows peak at 0.25 MB
     H = parity_check_matrix(make_bch(2, 8))
     code = make_cyclic_code(15, 0x3)  # 2^14 codewords, the most at n <= 16
     trace_table(get_context(10))

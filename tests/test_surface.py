@@ -146,11 +146,11 @@ def test_one_path_from_a_generator_to_its_roots():
 
 
 def test_one_block_size_for_the_numpy_blocks():
-    # the oracles, the Laurent sums and the pattern census cut their work
-    # with bitmatrix._row_blocks, whose _ORACLE_CELLS is the one block size
+    # the oracles and the pattern census cut their work with
+    # bitmatrix._row_blocks, whose _ORACLE_CELLS is the one block size
     assert _callers("_row_blocks") == {
         "radius.matrix_burst_radius", "radius._burst_patterns", "radius.geometric_is_covering",
-        "charsums._census", "charsums._laurent_sums"}
+        "charsums._census"}
     sizes = {f"{path.stem}.{target.id}" for path, tree in _modules() for top in tree.body
              if isinstance(top, (ast.Assign, ast.AnnAssign))
              for target in (top.targets if isinstance(top, ast.Assign) else [top.target])
@@ -165,7 +165,8 @@ def test_each_limit_is_checked_by_the_code_it_limits():
     assert _callers("BudgetError") == {
         "radius.cyclic_burst_radius", "radius.matrix_burst_radius",
         "radius.geometric_is_covering", "covering.check_cover_length",
-        "charsums.check_weil_degree", "charsums.check_laurent_size", "charsums._census",
+        "charsums.check_weil_degree", "charsums.check_laurent_size",
+        "charsums.check_census_size",
         "cli._cmd_lfsr_stats", "cli._verify_appendix"}
     limits = {"MAX_R", "WCU_M_MAX", "LAURENT_M_MAX", "LAURENT_DRAWS_MAX"}
     cli = ast.parse((PACKAGE / "cli.py").read_text())
